@@ -105,19 +105,27 @@ fuzz-long:
 	$(GO) test ./internal/diffsim -run '^$$' -fuzz FuzzClusterDifferential -fuzztime 2m
 	$(GO) run ./cmd/mtexc-fuzz -seed 1 -n 200 -v -events out/fuzz-events.ndjson
 
-# Crash-safe resume: run Figure 5 with a journal, throw most of the
+# Crash-safe resume, once per run mode (exact Figure 5, shared-L2
+# clusters, sampled Figure 5): run with a journal, throw most of the
 # journal away (simulating a kill), resume, and demand byte-identical
 # output plus zero new simulations on a second, fully-journaled resume.
+comma := ,
+define resume-loop
+	out/mtexc-experiments $(2) -journal out/resume-$(1).ndjson > out/resume-$(1)-full.txt
+	head -3 out/resume-$(1).ndjson > out/resume-$(1)-cut.ndjson && mv out/resume-$(1)-cut.ndjson out/resume-$(1).ndjson
+	out/mtexc-experiments $(2) -journal out/resume-$(1).ndjson -resume > out/resume-$(1)-resumed.txt
+	cmp out/resume-$(1)-full.txt out/resume-$(1)-resumed.txt
+	out/mtexc-experiments $(2) -journal out/resume-$(1).ndjson -resume -v > out/resume-$(1)-again.txt 2> out/resume-$(1)-again.err
+	cmp out/resume-$(1)-full.txt out/resume-$(1)-again.txt
+	grep -q "0 new entries" out/resume-$(1)-again.err
+endef
+
 resume-check:
 	mkdir -p out
 	$(GO) build -o out/mtexc-experiments ./cmd/mtexc-experiments
-	out/mtexc-experiments -fig5 -insts 100000 -journal out/resume-check.ndjson > out/resume-full.txt
-	head -3 out/resume-check.ndjson > out/resume-cut.ndjson && mv out/resume-cut.ndjson out/resume-check.ndjson
-	out/mtexc-experiments -fig5 -insts 100000 -journal out/resume-check.ndjson -resume > out/resume-resumed.txt
-	cmp out/resume-full.txt out/resume-resumed.txt
-	out/mtexc-experiments -fig5 -insts 100000 -journal out/resume-check.ndjson -resume -v > out/resume-again.txt 2> out/resume-again.err
-	cmp out/resume-full.txt out/resume-again.txt
-	grep -q "0 new entries" out/resume-again.err
+	$(call resume-loop,fig5,-fig5 -insts 100000)
+	$(call resume-loop,sharedl2,-sharedl2 -insts 20000)
+	$(call resume-loop,fig5sampled,-fig5sampled -bench mph$(comma)cmp -insts 200000 -sample 50000:10000:10000)
 	@echo "resume-check: byte-identical"
 
 # Transient-fault injection smoke: the default campaign grid

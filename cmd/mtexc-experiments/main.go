@@ -227,6 +227,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	wg.Wait()
 	// The sampled-mode runs are not part of the Table-returning
 	// experiment set; they run here so the profiles still cover them.
+	// Their failed cells join the digest below.
 	sampledExit := 0
 	if *fig5samp || *sampChk {
 		ran = true
@@ -235,7 +236,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "mtexc-experiments:", err)
 			return 2
 		}
-		sampledExit = runSampledFigure5(opt, spec, *sampChk, stdout, stderr)
+		sampledExit, err = runSampledFigure5(opt, spec, *sampChk, stdout, stderr)
+		if err != nil {
+			results = append(results, &outcome{err: err})
+		}
 	}
 	// The profiles cover the simulations, not the table printing.
 	if err := stopProf(); err != nil {
@@ -323,33 +327,37 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // runSampledFigure5 regenerates Figure 5 in sampled mode and prints
-// the estimate and confidence tables. With check set it also runs the
-// exact experiment and verifies each cell agrees within its
-// confidence interval plus a small edge allowance (for the exact
-// run's cold-start ramp and window-boundary stall spill — see
-// docs/performance.md), reporting the wall-clock speedup.
-func runSampledFigure5(opt harness.Options, spec core.SampleSpec, check bool, stdout, stderr io.Writer) int {
+// the estimate and confidence tables — partial ones render failed
+// cells as FAIL, and the experiment error is returned for the failure
+// digest. With check set it also runs the exact experiment and
+// verifies each cell agrees within its confidence interval plus a
+// small edge allowance (for the exact run's cold-start ramp and
+// window-boundary stall spill — see docs/performance.md), reporting
+// the wall-clock speedup. Stdout stays deterministic without check, so
+// a resumed run prints the same bytes; the wall clock goes to stderr.
+func runSampledFigure5(opt harness.Options, spec core.SampleSpec, check bool, stdout, stderr io.Writer) (int, error) {
 	t0 := time.Now()
 	samp, err := harness.Figure5Sampled(opt, spec)
 	sampElapsed := time.Since(t0)
-	if err != nil {
-		fmt.Fprintln(stderr, "mtexc-experiments:", err)
-		return 1
+	if samp == nil {
+		return 1, err
 	}
 	fmt.Fprintln(stdout, samp.Est)
 	fmt.Fprintln(stdout, samp.CI)
-	fmt.Fprintf(stdout, "sampled detail: %d of %d insts cycle-accurate (%.1f%% of the exact-comparison work), %s wall clock\n\n",
-		samp.DetailedInsts, 2*samp.TotalInsts,
-		100*float64(samp.DetailedInsts)/float64(2*samp.TotalInsts), sampElapsed.Round(time.Millisecond))
+	fmt.Fprintf(stdout, "sampled detail: %d of %d insts cycle-accurate (%.1f%% of the exact-comparison work)\n\n",
+		samp.DetailedInsts, 2*samp.TotalInsts, 100*float64(samp.DetailedInsts)/float64(2*samp.TotalInsts))
+	fmt.Fprintf(stderr, "sampled Figure 5: %s wall clock\n", sampElapsed.Round(time.Millisecond))
+	if err != nil {
+		return 1, err
+	}
 	if !check {
-		return 0
+		return 0, nil
 	}
 	t1 := time.Now()
 	exact, err := harness.Figure5(opt)
 	exactElapsed := time.Since(t1)
 	if err != nil {
-		fmt.Fprintln(stderr, "mtexc-experiments:", err)
-		return 1
+		return 1, err
 	}
 	fmt.Fprintln(stdout, exact)
 	bad := 0
@@ -377,10 +385,10 @@ func runSampledFigure5(opt harness.Options, spec core.SampleSpec, check bool, st
 		exactElapsed.Seconds()/sampElapsed.Seconds())
 	if bad > 0 {
 		fmt.Fprintf(stderr, "mtexc-experiments: sample-check: %d cell(s) outside tolerance\n", bad)
-		return 1
+		return 1, nil
 	}
 	fmt.Fprintln(stdout, "sample-check: all cells within tolerance")
-	return 0
+	return 0, nil
 }
 
 // writeRunTrace renders the collected run trace as a Chrome trace

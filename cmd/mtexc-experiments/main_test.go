@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"mtexc/internal/harness"
 )
 
 func TestTable1(t *testing.T) {
@@ -66,5 +68,28 @@ func TestBadSampleSpec(t *testing.T) {
 	var out, errb bytes.Buffer
 	if rc := run([]string{"-fig5sampled", "-sample", "bogus", "-journal", ""}, &out, &errb); rc != 2 {
 		t.Errorf("bad -sample spec: rc = %d, want 2", rc)
+	}
+}
+
+// TestSampledFailureDigest: a failed sampled cell still prints the
+// partial tables, marked FAIL, then the same FAILED/repro digest as the
+// exact experiments.
+func TestSampledFailureDigest(t *testing.T) {
+	t.Setenv(harness.FailCellEnv, "Figure5Sampled:1")
+	var out, errb bytes.Buffer
+	rc := run([]string{
+		"-fig5sampled", "-bench", "mph", "-insts", "120000",
+		"-sample", "40000:4000:4000", "-journal", "",
+	}, &out, &errb)
+	if rc != 1 {
+		t.Fatalf("rc = %d, want 1; stderr: %s", rc, errb.String())
+	}
+	if !strings.Contains(out.String(), "FAIL") || !strings.Contains(out.String(), "confidence half-width") {
+		t.Errorf("partial sampled tables missing:\n%s", out.String())
+	}
+	for _, want := range []string{"FAILED Figure5Sampled cell 1", "repro: mtexcsim -bench mph", "-sample 40000:4000:4000"} {
+		if !strings.Contains(errb.String(), want) {
+			t.Errorf("stderr missing %q:\n%s", want, errb.String())
+		}
 	}
 }

@@ -114,11 +114,18 @@ func RunObserved(ctx context.Context, cfg Config, probe *Probe, workloads ...Wor
 		m.SetCancel(ctx.Done())
 	}
 	res, err := m.Run()
+	return res, withCancelCause(ctx, err)
+}
+
+// withCancelCause fills a *cpu.CancelledError's missing cause with
+// ctx.Err(), so errors.Is(err, context.DeadlineExceeded) identifies a
+// timed-out run however deeply the error is wrapped.
+func withCancelCause(ctx context.Context, err error) error {
 	var cancelled *cpu.CancelledError
 	if errors.As(err, &cancelled) && cancelled.Cause == nil {
 		cancelled.Cause = ctx.Err()
 	}
-	return res, err
+	return err
 }
 
 // Snapshot assembles the machine-readable export of a completed run:
@@ -179,16 +186,29 @@ func (c Comparison) Speedup(other Comparison) float64 {
 	return float64(c.Subject.Cycles)/float64(other.Subject.Cycles) - 1
 }
 
-// Compare runs the workloads under cfg and under the same
-// configuration with a perfect TLB, pairing the results.
+// PerfectOf derives the perfect-TLB baseline of a subject
+// configuration: the same machine with a TLB that never misses, and
+// with the exception-architecture knobs that only matter on a miss
+// (quick-start, limit studies) normalized away, so every subject that
+// differs only in those knobs shares one baseline. Every other field —
+// machine shape, predictor, budgets, workload-facing switches — must
+// match the subject's, or penalties would conflate mechanism cost with
+// configuration differences.
+func PerfectOf(cfg Config) Config {
+	cfg.Mech = MechPerfect
+	cfg.QuickStart = false
+	cfg.Limit = LimitNone
+	return cfg
+}
+
+// Compare runs the workloads under cfg and under its perfect-TLB
+// baseline (PerfectOf), pairing the results.
 func Compare(cfg Config, workloads ...Workload) (Comparison, error) {
 	subj, err := Run(cfg, workloads...)
 	if err != nil {
 		return Comparison{}, err
 	}
-	pcfg := cfg
-	pcfg.Mech = cpu.MechPerfect
-	perf, err := Run(pcfg, workloads...)
+	perf, err := Run(PerfectOf(cfg), workloads...)
 	if err != nil {
 		return Comparison{}, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -93,6 +94,14 @@ type SampledComparison struct {
 // standard error comes from the delta method over the window
 // residuals e_i = d_i − p·m_i.
 func SampleCompare(cfg Config, spec SampleSpec, w Workload) (SampledComparison, error) {
+	return SampleCompareCtx(context.Background(), cfg, spec, w)
+}
+
+// SampleCompareCtx is SampleCompare with cancellation: every detailed
+// window machine polls ctx, and the functional tier checks it between
+// sampling periods, so a done ctx aborts the estimate with a
+// *cpu.CancelledError carrying ctx.Err() as its cause.
+func SampleCompareCtx(ctx context.Context, cfg Config, spec SampleSpec, w Workload) (SampledComparison, error) {
 	if err := spec.validate(); err != nil {
 		return SampledComparison{}, err
 	}
@@ -107,8 +116,7 @@ func SampleCompare(cfg Config, spec SampleSpec, w Workload) (SampledComparison, 
 	if err != nil {
 		return SampledComparison{}, err
 	}
-	pcfg := cfg
-	pcfg.Mech = MechPerfect
+	pcfg := PerfectOf(cfg)
 
 	out := SampledComparison{Spec: spec}
 	budget := cfg.MaxInsts
@@ -116,14 +124,17 @@ func SampleCompare(cfg Config, spec SampleSpec, w Workload) (SampledComparison, 
 	var ds, ms []float64
 	pos := uint64(0)
 	for pos < budget && !eng.Halted() {
+		if err := ctx.Err(); err != nil {
+			return out, &cpu.CancelledError{Cause: err}
+		}
 		if pos+detail <= budget {
-			subj, err := runDetailedWindow(cfg, eng, spec)
+			subj, err := runDetailedWindow(ctx, cfg, eng, spec)
 			if err != nil {
-				return out, fmt.Errorf("core: window %d (subject): %w", len(ds), err)
+				return out, fmt.Errorf("core: window %d (subject): %w", len(ds), withCancelCause(ctx, err))
 			}
-			perf, err := runDetailedWindow(pcfg, eng, spec)
+			perf, err := runDetailedWindow(ctx, pcfg, eng, spec)
 			if err != nil {
-				return out, fmt.Errorf("core: window %d (perfect): %w", len(ds), err)
+				return out, fmt.Errorf("core: window %d (perfect): %w", len(ds), withCancelCause(ctx, err))
 			}
 			out.DetailedInsts += subj.warmInsts + subj.insts + perf.warmInsts + perf.insts
 			if subj.insts > 0 {
@@ -187,7 +198,7 @@ type windowStats struct {
 // fresh cycle-accurate machine, runs the warm-up prefix, snapshots
 // the counters, continues through the measured window, and returns
 // the deltas. The engine is not advanced.
-func runDetailedWindow(cfg Config, eng *fastpath.Engine, spec SampleSpec) (windowStats, error) {
+func runDetailedWindow(ctx context.Context, cfg Config, eng *fastpath.Engine, spec SampleSpec) (windowStats, error) {
 	detail := spec.Warmup + spec.Window
 	wcfg := cfg
 	wcfg.MaxInsts = detail
@@ -203,6 +214,9 @@ func runDetailedWindow(cfg Config, eng *fastpath.Engine, spec SampleSpec) (windo
 	// The functional tier stands in for the OS having run this far:
 	// page-table entries start cache-warm, as in full runs.
 	m.WarmPageTable(img.Space)
+	if ctx.Done() != nil {
+		m.SetCancel(ctx.Done())
+	}
 	var warm cpu.Result
 	if spec.Warmup > 0 {
 		if warm, err = m.RunUntil(spec.Warmup); err != nil {

@@ -1,6 +1,7 @@
 package diffsim
 
 import (
+	"errors"
 	"fmt"
 
 	"mtexc/internal/cpu"
@@ -129,7 +130,8 @@ func runClusterCase(progs []*programRef, cores int, c Case, cfg cpu.Config) (div
 
 	if _, err := cl.Run(); err != nil {
 		kind := "error"
-		if _, ok := err.(*topology.LivelockError); ok {
+		var ll *cpu.LivelockError
+		if errors.As(err, &ll) {
 			kind = "livelock"
 		}
 		divs = append(divs, Divergence{Case: c, Cores: cores, Kind: kind, Detail: err.Error()})

@@ -2,8 +2,6 @@ package harness
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -24,65 +22,45 @@ import (
 type cell struct {
 	index int
 	exp   string
-	tel   *telemetry.Cell // live-telemetry handle; nil when disabled
+	tel   *telemetry.Cell // live-telemetry handle; nil when disabled (methods accept nil)
 
-	mu    sync.Mutex
-	cfg   *core.Config
-	loads []string // workload names as mtexcsim -bench accepts them
-	cores int      // >1 when the subject is a shared-L2 cluster run
-	key   string   // journal fingerprint of the subject simulation
-}
-
-// telemetry returns the cell's plane handle; nil cells (and cells of
-// an uninstrumented run) report nil, which every handle method
-// accepts.
-func (c *cell) telemetry() *telemetry.Cell {
-	if c == nil {
-		return nil
-	}
-	return c.tel
+	mu     sync.Mutex
+	cfg    *core.Config
+	loads  []string // workload names as mtexcsim -bench accepts them
+	cores  int      // >1 when the subject is a shared-L2 cluster run
+	sample string   // sampling spec of a sampled subject, "" otherwise
+	key    string   // journal fingerprint of the subject simulation
 }
 
 // describe records the cell's subject simulation. Only the first call
 // sticks: a cell's later runs (baselines, paired runs) refine nothing.
-func (c *cell) describe(cfg core.Config, loads []core.Workload, key string) {
-	c.describeCluster(cfg, 1, loads, key)
-}
-
-// describeCluster is describe for shared-L2 cluster subjects: cores
-// records the topology width so failure reports render a -cores
-// repro line instead of an SMT mix.
-func (c *cell) describeCluster(cfg core.Config, cores int, loads []core.Workload, key string) {
-	if c == nil {
-		return
-	}
+func (c *cell) describe(j job, key string) {
 	c.mu.Lock()
 	if c.cfg != nil {
 		c.mu.Unlock()
 		return
 	}
-	cc := cfg
-	c.cfg = &cc
-	c.loads = loadNames(loads)
-	c.cores = cores
+	cfg := j.cfg
+	c.cfg = &cfg
+	c.loads = loadNames(j.loads)
+	c.cores = 1
+	if j.cluster {
+		c.cores = len(j.loads)
+	}
+	if j.sample != nil {
+		c.sample = j.sample.String()
+	}
 	c.key = key
 	names := c.loads
 	c.mu.Unlock()
 	c.tel.Described(names, key)
 }
 
-// clusterWidth returns the described cluster width under the lock.
-func (c *cell) clusterWidth() int {
+// subjectKey returns the described subject fingerprint under the lock.
+func (c *cell) subjectKey() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.cores
-}
-
-// snapshot returns the described state under the lock.
-func (c *cell) snapshot() (cfg *core.Config, loads []string, key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cfg, c.loads, c.key
+	return c.key
 }
 
 // loadNames renders workloads the way mtexcsim's -bench flag accepts
@@ -117,15 +95,6 @@ func workloadKeys(loads []core.Workload) []string {
 	return keys
 }
 
-// runKey fingerprints one simulation: the full configuration plus the
-// canonical workload identities. Everything that affects the
-// deterministic simulator's output is a value field of Config, so the
-// formatted struct is a faithful identity.
-func runKey(cfg core.Config, loads []core.Workload) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v|%s", cfg, strings.Join(workloadKeys(loads), ","))))
-	return hex.EncodeToString(sum[:8])
-}
-
 // panicError carries a recovered panic value and its stack as an
 // error, so panics cross the worker-pool and baseline-cache
 // boundaries without killing sibling cells.
@@ -153,6 +122,9 @@ type CellError struct {
 	// Cores is the shared-L2 cluster width of the subject run; 0 or 1
 	// means an ordinary single-machine simulation.
 	Cores int
+	// Sample is the sampling spec (period:warmup:window) of a sampled
+	// subject, "" for a full cycle-accurate run.
+	Sample string
 	// Fingerprint is the subject simulation's journal key, "" if
 	// unknown.
 	Fingerprint string
@@ -211,6 +183,9 @@ func (e *CellError) Repro() string {
 		cfg.Width, cfg.WindowSize, cfg.PipeDepth(), cfg.DTLBEntries)
 	if cfg.QuickStart {
 		sb.WriteString(" -quickstart")
+	}
+	if e.Sample != "" {
+		fmt.Fprintf(&sb, " -sample %s", e.Sample)
 	}
 	// A cell that died by watchdog or deadline only reproduces under
 	// the limits that killed it: carry the effective no-progress limit

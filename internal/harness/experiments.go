@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"time"
 
@@ -103,82 +102,6 @@ func newRunner(opt Options, exp string) *runner {
 	return &runner{opt: opt, exp: exp, base: bc, journal: opt.Journal, failSpec: failCellSpec()}
 }
 
-// run is the single simulation entry point of the harness: it
-// fingerprints the run, lets the owning cell describe itself for
-// failure reports, answers from the journal when the identical
-// simulation already completed, and otherwise simulates under the
-// configured context and per-cell deadline, journaling the result.
-func (r *runner) run(c *cell, cfg core.Config, loads ...core.Workload) (core.Result, error) {
-	key := runKey(cfg, loads)
-	c.describe(cfg, loads, key)
-	// The injection hook fires after describe (so the failure report
-	// carries the configuration and a repro command) and before the
-	// journal lookup (so it fires on resumed runs too).
-	if c != nil && r.failSpec != "" && injectedFailure(r.exp, r.failSpec, c.index) {
-		panic(fmt.Sprintf("injected failure (%s=%q)", FailCellEnv, r.failSpec))
-	}
-	if r.journal != nil {
-		if res, ok := r.journal.lookup(key); ok {
-			r.noteJournalHit(c, key)
-			return res, nil
-		}
-	}
-	ctx := r.opt.Context
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if r.opt.CellTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, r.opt.CellTimeout)
-		defer cancel()
-	}
-	probe := c.telemetry().SimStarted(r.simPhase(c, key))
-	res, err := core.RunObserved(ctx, cfg, probe, loads...)
-	c.telemetry().SimFinished(res.AppInsts, res.Cycles, res.Stats, err != nil)
-	r.opt.Meter.AddSimInsts(res.AppInsts)
-	if err != nil {
-		return res, err
-	}
-	if r.journal != nil {
-		appendDone := c.telemetry().JournalAppendBegin()
-		jerr := r.journal.record(r.exp, key, cfg, loadNames(loads), res)
-		appendDone()
-		if jerr != nil {
-			return res, jerr
-		}
-	}
-	return res, nil
-}
-
-// simPhase labels what a launching simulation is for the live cell
-// view: the run matching the cell's subject fingerprint is the
-// subject, anything else the cell executes is a baseline.
-func (r *runner) simPhase(c *cell, key string) string {
-	if c == nil {
-		return "sim"
-	}
-	if _, _, ck := c.snapshot(); ck != key {
-		return "baseline"
-	}
-	return "sim"
-}
-
-// noteJournalHit classifies a journal answer for telemetry: a hit on
-// the cell's own subject fingerprint is a resume (the cell's
-// simulation survives from a previous run or experiment), anything
-// else is baseline dedupe.
-func (r *runner) noteJournalHit(c *cell, key string) {
-	if c == nil {
-		return
-	}
-	if _, _, ck := c.snapshot(); ck == key {
-		c.tel.ResumeHit(key)
-		r.opt.Meter.CellResumed()
-	} else {
-		c.tel.JournalHit()
-	}
-}
-
 // progressMu serializes Progress writers across all runners: the
 // command-line driver runs several experiments concurrently against
 // one stderr, and a torn line helps nobody.
@@ -194,65 +117,19 @@ func (r *runner) log(format string, args ...any) {
 	progressMu.Unlock()
 }
 
-func mixKey(benches []*workload.Bench) string {
-	names := make([]string, len(benches))
-	for i, b := range benches {
-		names[i] = b.Short()
-	}
-	return strings.Join(names, "-")
+// namedConfig is one labeled configuration of an experiment axis.
+type namedConfig struct {
+	name string
+	cfg  core.Config
 }
 
-// shapeKey identifies a perfect-TLB baseline: the full configuration
-// with the exception-architecture fields normalized away. Every other
-// field (machine shape, predictor, knobs, workload mix) must match,
-// or penalties would conflate mechanism cost with configuration
-// differences.
-func shapeKey(cfg core.Config, benches []*workload.Bench) string {
-	cfg.Mech = core.MechPerfect
-	cfg.QuickStart = false
-	cfg.Limit = core.LimitNone
-	return fmt.Sprintf("%s|%+v", mixKey(benches), cfg)
-}
-
-func asWorkloads(benches []*workload.Bench) []core.Workload {
-	ws := make([]core.Workload, len(benches))
-	for i, b := range benches {
-		ws[i] = b
+// configNames returns an axis's labels, for table columns.
+func configNames(cs []namedConfig) []string {
+	ns := make([]string, len(cs))
+	for i, c := range cs {
+		ns[i] = c.name
 	}
-	return ws
-}
-
-// compare runs cfg against its cached perfect baseline.
-func (r *runner) compare(c *cell, cfg core.Config, benches ...*workload.Bench) (core.Comparison, error) {
-	subj, err := r.run(c, cfg, asWorkloads(benches)...)
-	if err != nil {
-		return core.Comparison{}, err
-	}
-	r.log("  %-14s %-13s %9d cycles  %6d fills  IPC %.2f%s",
-		mixKey(benches), label(cfg), subj.Cycles, subj.DTLBMisses, subj.IPC,
-		r.opt.Meter.Suffix())
-
-	// Winners of the baseline singleflight run the simulation
-	// themselves; only the cells that actually blocked on another
-	// worker's run charge the wait.
-	ranBaseline := false
-	endWait := c.telemetry().BaselineWaitBegin()
-	perf, err := r.base.get(shapeKey(cfg, benches), func() (core.Result, error) {
-		ranBaseline = true
-		c.telemetry().BaselineRan()
-		pcfg := cfg
-		pcfg.Mech = core.MechPerfect
-		pcfg.QuickStart = false
-		pcfg.Limit = core.LimitNone
-		return r.run(c, pcfg, asWorkloads(benches)...)
-	})
-	if !ranBaseline {
-		endWait()
-	}
-	if err != nil {
-		return core.Comparison{}, err
-	}
-	return core.Comparison{Subject: subj, Perfect: perf}, nil
+	return ns
 }
 
 func label(cfg core.Config) string {
@@ -277,6 +154,33 @@ func (r *runner) baseConfig(mech core.Mechanism, appThreads, idleContexts int) c
 	return cfg
 }
 
+// grid runs body over every row × column cell of tabs (which share
+// one shape), marks each failed cell FAIL on every table, and appends
+// the average rows.
+func (r *runner) grid(body func(c *cell, ri, ci int) error, tabs ...*Table) error {
+	nc := len(tabs[0].Cols)
+	err := r.forEach(len(tabs[0].Rows)*nc, func(c *cell) error {
+		return body(c, c.index/nc, c.index%nc)
+	})
+	for _, t := range tabs {
+		markFailedCells(t, err, func(i int) [][2]int { return one(i/nc, i%nc) })
+		t.AddAverageRow()
+	}
+	return err
+}
+
+// fig5Mechs is Figure 5's mechanism axis: the traditional trap,
+// multithreaded handling with one and three idle contexts, and the
+// hardware walker. Exact and sampled Figure 5 share it.
+func (r *runner) fig5Mechs() []namedConfig {
+	return []namedConfig{
+		{"traditional", r.baseConfig(core.MechTraditional, 1, 0)},
+		{"multi(1)", r.baseConfig(core.MechMultithreaded, 1, 1)},
+		{"multi(3)", r.baseConfig(core.MechMultithreaded, 1, 3)},
+		{"hardware", r.baseConfig(core.MechHardware, 1, 0)},
+	}
+}
+
 // Figure2 regenerates the pipeline-depth trend: traditional-trap
 // penalty cycles per miss on an 8-wide machine with 3, 7 and 11
 // stages between fetch and execute.
@@ -292,18 +196,15 @@ func Figure2(opt Options) (*Table, error) {
 		cols[i] = fmt.Sprintf("%d stages", d)
 	}
 	t := NewTable("Figure 2: software TLB miss penalty vs pipeline depth (penalty cycles/miss, traditional)", names(benches), cols)
-	err = r.forEach(len(benches)*len(depths), func(c *cell) error {
-		bi, di := c.index/len(depths), c.index%len(depths)
+	err = r.grid(func(c *cell, bi, di int) error {
 		cfg := r.baseConfig(core.MechTraditional, 1, 0).WithPipeDepth(depths[di])
-		cmp, err := r.compare(c, cfg, benches[bi])
+		cmp, err := r.compare(c, exactJob(cfg, benches[bi]))
 		if err != nil {
 			return err
 		}
 		t.Set(bi, di, cmp.PenaltyPerMiss())
 		return nil
-	})
-	markFailedCells(t, err, func(i int) [][2]int { return one(i/len(depths), i%len(depths)) })
-	t.AddAverageRow()
+	}, t)
 	return t, err
 }
 
@@ -333,7 +234,7 @@ func Figure3(opt Options) (*Table, error) {
 		bi, si := c.index/len(shapes), c.index%len(shapes)
 		s := shapes[si]
 		cfg := r.baseConfig(core.MechTraditional, 1, 0).WithWidth(s.width, s.window)
-		cmp, err := r.compare(c, cfg, benches[bi])
+		cmp, err := r.compare(c, exactJob(cfg, benches[bi]))
 		if err != nil {
 			return err
 		}
@@ -376,32 +277,16 @@ func Figure5(opt Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	type config struct {
-		name string
-		cfg  core.Config
-	}
-	configs := []config{
-		{"traditional", r.baseConfig(core.MechTraditional, 1, 0)},
-		{"multi(1)", r.baseConfig(core.MechMultithreaded, 1, 1)},
-		{"multi(3)", r.baseConfig(core.MechMultithreaded, 1, 3)},
-		{"hardware", r.baseConfig(core.MechHardware, 1, 0)},
-	}
-	cols := make([]string, len(configs))
-	for i, c := range configs {
-		cols[i] = c.name
-	}
-	t := NewTable("Figure 5: TLB miss penalty by exception architecture (penalty cycles/miss)", names(benches), cols)
-	err = r.forEach(len(benches)*len(configs), func(c *cell) error {
-		bi, ci := c.index/len(configs), c.index%len(configs)
-		cmp, err := r.compare(c, configs[ci].cfg, benches[bi])
+	mechs := r.fig5Mechs()
+	t := NewTable("Figure 5: TLB miss penalty by exception architecture (penalty cycles/miss)", names(benches), configNames(mechs))
+	err = r.grid(func(c *cell, bi, mi int) error {
+		cmp, err := r.compare(c, exactJob(mechs[mi].cfg, benches[bi]))
 		if err != nil {
 			return err
 		}
-		t.Set(bi, ci, cmp.PenaltyPerMiss())
+		t.Set(bi, mi, cmp.PenaltyPerMiss())
 		return nil
-	})
-	markFailedCells(t, err, func(i int) [][2]int { return one(i/len(configs), i%len(configs)) })
-	t.AddAverageRow()
+	}, t)
 	return t, err
 }
 
@@ -449,7 +334,7 @@ func Table3(opt Options) (*Table, error) {
 		rw := rows[ri]
 		cfg := r.baseConfig(rw.mech, 1, rw.idle)
 		cfg.Limit = rw.limit
-		cmp, err := r.compare(c, cfg, benches[bi])
+		cmp, err := r.compare(c, exactJob(cfg, benches[bi]))
 		if err != nil {
 			return err
 		}
@@ -478,32 +363,21 @@ func Figure6(opt Options) (*Table, error) {
 	}
 	quick := r.baseConfig(core.MechMultithreaded, 1, 1)
 	quick.QuickStart = true
-	configs := []struct {
-		name string
-		cfg  core.Config
-	}{
+	configs := []namedConfig{
 		{"traditional", r.baseConfig(core.MechTraditional, 1, 0)},
 		{"multi(1)", r.baseConfig(core.MechMultithreaded, 1, 1)},
 		{"quickstart(1)", quick},
 		{"hardware", r.baseConfig(core.MechHardware, 1, 0)},
 	}
-	rowNames := names(benches)
-	cols := make([]string, len(configs))
-	for i, c := range configs {
-		cols[i] = c.name
-	}
-	t := NewTable("Figure 6: quick-starting multithreaded handler (penalty cycles/miss)", rowNames, cols)
-	err = r.forEach(len(benches)*len(configs), func(c *cell) error {
-		bi, ci := c.index/len(configs), c.index%len(configs)
-		cmp, err := r.compare(c, configs[ci].cfg, benches[bi])
+	t := NewTable("Figure 6: quick-starting multithreaded handler (penalty cycles/miss)", names(benches), configNames(configs))
+	err = r.grid(func(c *cell, bi, ci int) error {
+		cmp, err := r.compare(c, exactJob(configs[ci].cfg, benches[bi]))
 		if err != nil {
 			return err
 		}
 		t.Set(bi, ci, cmp.PenaltyPerMiss())
 		return nil
-	})
-	markFailedCells(t, err, func(i int) [][2]int { return one(i/len(configs), i%len(configs)) })
-	t.AddAverageRow()
+	}, t)
 	return t, err
 }
 
@@ -529,10 +403,7 @@ func Figure7(opt Options) (*Table, error) {
 	}
 	quick := r.baseConfig(core.MechMultithreaded, 3, 1)
 	quick.QuickStart = true
-	configs := []struct {
-		name string
-		cfg  core.Config
-	}{
+	configs := []namedConfig{
 		{"traditional", r.baseConfig(core.MechTraditional, 3, 0)},
 		{"multi(1)", r.baseConfig(core.MechMultithreaded, 3, 1)},
 		{"quickstart(1)", quick},
@@ -542,28 +413,24 @@ func Figure7(opt Options) (*Table, error) {
 	for i, m := range mixes {
 		rowNames[i] = fmt.Sprintf("%s-%s-%s", m[0], m[1], m[2])
 	}
-	cols := make([]string, len(configs))
-	for i, c := range configs {
-		cols[i] = c.name
-	}
-	cols = append(cols, "hdl-active%")
+	cols := append(configNames(configs), "hdl-active%")
 	t := NewTable("Figure 7: TLB miss penalties with 3 applications on the SMT (penalty cycles/miss)", rowNames, cols)
 	t.Note = "hdl-active%: fraction of cycles a handler context is busy under multi(1) — the paper reports 5-40%, averaging ~20%"
 	// Resolve the workload mixes up front so cell bodies are pure runs.
-	mixBenches := make([][]*workload.Bench, len(mixes))
+	mixLoads := make([][]core.Workload, len(mixes))
 	for mi, mix := range mixes {
 		for _, n := range mix {
 			b, err := workload.ByName(n)
 			if err != nil {
 				return nil, err
 			}
-			mixBenches[mi] = append(mixBenches[mi], b)
+			mixLoads[mi] = append(mixLoads[mi], b)
 		}
 	}
 	err := r.forEach(len(mixes)*len(configs), func(c *cell) error {
 		mi, ci := c.index/len(configs), c.index%len(configs)
 		cc := configs[ci]
-		cmp, err := r.compare(c, cc.cfg, mixBenches[mi]...)
+		cmp, err := r.compare(c, exactJob(cc.cfg, mixLoads[mi]...))
 		if err != nil {
 			return err
 		}
@@ -600,10 +467,7 @@ func Table4(opt Options) (*Table, error) {
 	quick1.QuickStart = true
 	quick3 := r.baseConfig(core.MechMultithreaded, 1, 3)
 	quick3.QuickStart = true
-	configs := []struct {
-		name string
-		cfg  core.Config
-	}{
+	configs := []namedConfig{
 		{"perfect%", core.Config{}}, // filled from the baseline
 		{"hw%", r.baseConfig(core.MechHardware, 1, 0)},
 		{"multi1%", r.baseConfig(core.MechMultithreaded, 1, 1)},
@@ -611,10 +475,7 @@ func Table4(opt Options) (*Table, error) {
 		{"quick1%", quick1},
 		{"quick3%", quick3},
 	}
-	cols := []string{"baseIPC", "miss/Kinst"}
-	for _, c := range configs {
-		cols = append(cols, c.name)
-	}
+	cols := append([]string{"baseIPC", "miss/Kinst"}, configNames(configs)...)
 	t := NewTable("Table 4: speedup over traditional software (percent), miss rate and base IPC", names(benches), cols)
 	t.Format = "%10.2f"
 	// Phase 1: the traditional run per benchmark — every speedup cell
@@ -622,7 +483,7 @@ func Table4(opt Options) (*Table, error) {
 	trads := make([]core.Comparison, len(benches))
 	err1 := r.forEach(len(benches), func(c *cell) error {
 		bi := c.index
-		trad, err := r.compare(c, r.baseConfig(core.MechTraditional, 1, 0), benches[bi])
+		trad, err := r.compare(c, exactJob(r.baseConfig(core.MechTraditional, 1, 0), benches[bi]))
 		if err != nil {
 			return err
 		}
@@ -648,7 +509,7 @@ func Table4(opt Options) (*Table, error) {
 		if ci == 0 {
 			cycles = trad.Perfect.Cycles
 		} else {
-			cmp, err := r.compare(c, configs[ci].cfg, benches[bi])
+			cmp, err := r.compare(c, exactJob(configs[ci].cfg, benches[bi]))
 			if err != nil {
 				return err
 			}
@@ -674,8 +535,7 @@ func Table2(opt Options) (*Table, error) {
 	t.Format = "%10.1f"
 	err = r.forEach(len(benches), func(c *cell) error {
 		bi := c.index
-		cfg := r.baseConfig(core.MechMultithreaded, 1, 1)
-		cmp, err := r.compare(c, cfg, benches[bi])
+		cmp, err := r.compare(c, exactJob(r.baseConfig(core.MechMultithreaded, 1, 1), benches[bi]))
 		if err != nil {
 			return err
 		}
@@ -701,10 +561,7 @@ func Ablations(opt Options) (*Table, error) {
 		mod(&cfg)
 		return cfg
 	}
-	rows := []struct {
-		name string
-		cfg  core.Config
-	}{
+	rows := []namedConfig{
 		{"baseline multi(1)", mk(func(*core.Config) {})},
 		{"no fetch priority", mk(func(c *core.Config) { c.NoHandlerFetchPriority = true })},
 		{"no window reservation", mk(func(c *core.Config) { c.NoWindowReservation = true })},
@@ -719,15 +576,11 @@ func Ablations(opt Options) (*Table, error) {
 		{"gshare predictor", mk(func(c *core.Config) { c.BranchPredictor = "gshare" })},
 		{"bimodal predictor", mk(func(c *core.Config) { c.BranchPredictor = "bimodal" })},
 	}
-	rowNames := make([]string, len(rows))
-	for i, rw := range rows {
-		rowNames[i] = rw.name
-	}
-	t := NewTable("Ablations: multithreaded(1) design choices — average penalty cycles/miss", rowNames, []string{"penalty/miss"})
+	t := NewTable("Ablations: multithreaded(1) design choices — average penalty cycles/miss", configNames(rows), []string{"penalty/miss"})
 	pen := make([]float64, len(rows)*len(benches))
 	err = r.forEach(len(pen), func(c *cell) error {
 		ri, bi := c.index/len(benches), c.index%len(benches)
-		cmp, err := r.compare(c, rows[ri].cfg, benches[bi])
+		cmp, err := r.compare(c, exactJob(rows[ri].cfg, benches[bi]))
 		if err != nil {
 			return err
 		}

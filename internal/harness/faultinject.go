@@ -1,8 +1,8 @@
 package harness
 
 import (
+	"context"
 	"fmt"
-	"sync"
 
 	"mtexc/internal/core"
 	"mtexc/internal/cpu"
@@ -68,56 +68,6 @@ func (w fiWorkload) Key() string {
 		w.FuzzProg.Key(), w.class, w.trials, w.seed, w.frac)
 }
 
-// fiRefCache single-flights the per-(program, architecture variant)
-// reference-emulator runs a campaign shares across all its cells.
-type fiRefCache struct {
-	mu sync.Mutex
-	m  map[string]*fiRefEntry
-}
-
-type fiRefEntry struct {
-	once sync.Once
-	ref  *diffsim.RefRun
-	err  error
-}
-
-func (c *fiRefCache) get(key string, run func() (*diffsim.RefRun, error)) (*diffsim.RefRun, error) {
-	c.mu.Lock()
-	e := c.m[key]
-	if e == nil {
-		e = &fiRefEntry{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.ref, e.err = run() })
-	return e.ref, e.err
-}
-
-// fiBaseCache is the same singleflight for the cycle-accurate
-// unfaulted baselines, keyed by (mechanism, program).
-type fiBaseCache struct {
-	mu sync.Mutex
-	m  map[string]*fiBaseEntry
-}
-
-type fiBaseEntry struct {
-	once sync.Once
-	b    *faultinject.Baseline
-	err  error
-}
-
-func (c *fiBaseCache) get(key string, run func() (*faultinject.Baseline, error)) (*faultinject.Baseline, error) {
-	c.mu.Lock()
-	e := c.m[key]
-	if e == nil {
-		e = &fiBaseEntry{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	e.once.Do(func() { e.b, e.err = run() })
-	return e.b, e.err
-}
-
 // fiTrialCounterHelp documents the campaign's telemetry series.
 const fiTrialCounterHelp = "Fault-injection trials classified, by outcome."
 
@@ -156,8 +106,11 @@ func RunFaultCampaign(opt Options, fc FaultCampaign) (*faultinject.Report, error
 		progs[i] = p
 	}
 
-	refs := &fiRefCache{m: make(map[string]*fiRefEntry)}
-	bases := &fiBaseCache{m: make(map[string]*fiBaseEntry)}
+	// The reference-emulator runs and the unfaulted baselines are
+	// shared across cells: per (program, architecture variant) and per
+	// (mechanism, program) respectively.
+	var refs flight[*diffsim.RefRun]
+	var bases flight[*faultinject.Baseline]
 	nM, nS := len(fc.Mechs), len(fc.Specs)
 	n := len(fc.Classes) * nM * nS
 	results := make([]faultinject.CellResult, n)
@@ -175,61 +128,42 @@ func RunFaultCampaign(opt Options, fc FaultCampaign) (*faultinject.Report, error
 		if err != nil {
 			return err
 		}
-		cfg := faultinject.TrialConfig(dcase, ref.Res.Steps)
-
 		fw, err := workload.ParseFuzz(workload.FuzzPrefix + spec)
 		if err != nil {
 			return err
 		}
 		load := fiWorkload{FuzzProg: fw, class: class, trials: fc.Trials,
 			seed: fc.Seed, frac: fc.WindowFrac}
-		loads := []core.Workload{load}
-		key := runKey(cfg, loads)
-		c.describe(cfg, loads, key)
-		if r.failSpec != "" && injectedFailure(r.exp, r.failSpec, c.index) {
-			panic(fmt.Sprintf("injected failure (%s=%q)", FailCellEnv, r.failSpec))
-		}
-
-		cr := faultinject.CellResult{Class: class, Mech: mc.Name, Spec: spec}
-		if r.journal != nil {
-			if res, ok := r.journal.lookup(key); ok && res.Stats.Get("fi.trials") == uint64(fc.Trials) {
-				r.noteJournalHit(c, key)
-				cr.Trials = trialsFromCounters(res.Stats, fc.Trials)
-				results[c.index] = cr
-				return nil
+		sim := func(ctx context.Context, _ job, _ *core.Probe) (core.Result, uint64, error) {
+			b, err := bases.get(mc.Name+"|"+spec, func() (*faultinject.Baseline, error) {
+				return faultinject.NewBaselineFrom(prog, mc, ref)
+			})
+			if err != nil {
+				return core.Result{}, 0, err
 			}
+			var cr faultinject.CellResult
+			cellKey := fmt.Sprintf("%s|%s|%s", class, mc.Name, spec)
+			for i := 0; i < fc.Trials; i++ {
+				if err := ctx.Err(); err != nil {
+					return core.Result{}, 0, &cpu.CancelledError{Cause: err}
+				}
+				plan := faultinject.PlanFor(fc.Seed, cellKey, i, class, b.Cycles, fc.WindowFrac)
+				t := faultinject.RunTrial(prog, mc, b, plan)
+				cr.Trials = append(cr.Trials, faultinject.TrialResult{
+					Outcome: t.Outcome, At: plan.At, Seed: plan.Seed, Fired: t.Fired,
+				})
+				r.noteTrial(c, spec, mc.Name, class, plan, t)
+			}
+			return trialResult(b, cr), 0, nil
 		}
-
-		b, err := bases.get(mc.Name+"|"+spec, func() (*faultinject.Baseline, error) {
-			return faultinject.NewBaselineFrom(prog, mc, ref)
-		})
+		res, err := r.exec(c, job{cfg: faultinject.TrialConfig(dcase, ref.Res.Steps),
+			loads: []core.Workload{load}, sim: sim})
 		if err != nil {
 			return err
 		}
-
-		ctx := r.opt.Context
-		cellKey := fmt.Sprintf("%s|%s|%s", class, mc.Name, spec)
-		for i := 0; i < fc.Trials; i++ {
-			if ctx != nil && ctx.Err() != nil {
-				return ctx.Err()
-			}
-			plan := faultinject.PlanFor(fc.Seed, cellKey, i, class, b.Cycles, fc.WindowFrac)
-			t := faultinject.RunTrial(prog, mc, b, plan)
-			cr.Trials = append(cr.Trials, faultinject.TrialResult{
-				Outcome: t.Outcome, At: plan.At, Seed: plan.Seed, Fired: t.Fired,
-			})
-			r.noteTrial(c, spec, mc.Name, class, plan, t)
-		}
+		cr := faultinject.CellResult{Class: class, Mech: mc.Name, Spec: spec,
+			Trials: trialsFromCounters(res.Stats, fc.Trials)}
 		results[c.index] = cr
-
-		if r.journal != nil {
-			appendDone := c.telemetry().JournalAppendBegin()
-			jerr := r.journal.record(r.exp, key, cfg, loadNames(loads), trialResult(b, cr))
-			appendDone()
-			if jerr != nil {
-				return jerr
-			}
-		}
 		r.log("  fi %-8s %-7s %s: %s%s", class, mc.Name, spec,
 			trialSummary(cr.Trials), r.opt.Meter.Suffix())
 		return nil
@@ -258,10 +192,9 @@ func (r *runner) noteTrial(c *cell, spec, mech string, class cpu.FaultClass, pla
 	if t.Outcome != faultinject.SDC || p.Events == nil {
 		return
 	}
-	_, _, key := c.snapshot()
 	p.Events.Emit(telemetry.Event{
 		Level: telemetry.LevelWarn, Type: "faultinject.sdc",
-		Experiment: r.exp, Cell: c.index, Fingerprint: key,
+		Experiment: r.exp, Cell: c.index, Fingerprint: c.subjectKey(),
 		Workloads: []string{workload.FuzzPrefix + spec},
 		Detail: fmt.Sprintf("%s; target=%s; %s", t.Kind, t.Target,
 			faultinject.ReplayCommand(spec, mech, class, plan.At, plan.Seed, t.Outcome)),

@@ -239,6 +239,15 @@ func TestReproCarriesWatchdogLimit(t *testing.T) {
 	if repro := ce2.Repro(); strings.Contains(repro, "-noprogress") {
 		t.Errorf("ordinary repro gained -noprogress: %q", repro)
 	}
+
+	// A real cluster watchdog abort, through the cell's own report.
+	r, c, err := clusterLivelock(t)
+	repro := r.cellError(c, err).Repro()
+	for _, want := range []string{"-cores 2", "-noprogress 20000"} {
+		if !strings.Contains(repro, want) {
+			t.Errorf("cluster livelock repro %q missing %q", repro, want)
+		}
+	}
 }
 
 // TestReproCarriesCellTimeout: a cell killed by the per-cell deadline

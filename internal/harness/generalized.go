@@ -45,7 +45,7 @@ func Generalized(opt Options) (*Table, error) {
 		di := c.index
 		base := r.baseConfig(core.MechPerfect, 1, 0)
 		base.EmulatePopc = false
-		res, err := r.run(c, base, workload.NewPopcount(densities[di]))
+		res, err := r.exec(c, exactJob(base, workload.NewPopcount(densities[di])))
 		if err != nil {
 			return err
 		}
@@ -68,7 +68,7 @@ func Generalized(opt Options) (*Table, error) {
 		cfg := r.baseConfig(rw.mech, 1, rw.idle)
 		cfg.EmulatePopc = true
 		cfg.QuickStart = rw.quick
-		res, err := r.run(c, cfg, workload.NewPopcount(d))
+		res, err := r.exec(c, exactJob(cfg, workload.NewPopcount(d)))
 		if err != nil {
 			return err
 		}
@@ -120,7 +120,7 @@ func Unaligned(opt Options) (*Table, error) {
 		di := c.index
 		base := r.baseConfig(core.MechPerfect, 1, 0)
 		base.TrapUnaligned = true // hardware path still needs byte-accurate loads
-		res, err := r.run(c, base, workload.NewUnaligned(densities[di]))
+		res, err := r.exec(c, exactJob(base, workload.NewUnaligned(densities[di])))
 		if err != nil {
 			return err
 		}
@@ -140,7 +140,7 @@ func Unaligned(opt Options) (*Table, error) {
 		cfg := r.baseConfig(rw.mech, 1, rw.idle)
 		cfg.TrapUnaligned = true
 		cfg.QuickStart = rw.quick
-		res, err := r.run(c, cfg, workload.NewUnaligned(d))
+		res, err := r.exec(c, exactJob(cfg, workload.NewUnaligned(d)))
 		if err != nil {
 			return err
 		}

@@ -55,8 +55,11 @@ func compareGolden(t *testing.T, name string, got []byte) {
 func TestGoldenRunKeys(t *testing.T) {
 	r := newRunner(Options{Insts: 1_000_000}, "golden")
 	var buf bytes.Buffer
-	add := func(name string, cfg core.Config, benches ...*workload.Bench) {
-		fmt.Fprintf(&buf, "%-32s %s\n", name, runKey(cfg, asWorkloads(benches)))
+	line := func(name string, j job) {
+		fmt.Fprintf(&buf, "%-32s %s\n", name, j.key())
+	}
+	add := func(name string, cfg core.Config, loads ...core.Workload) {
+		line(name, exactJob(cfg, loads...))
 	}
 
 	pick := func(name string) *workload.Bench {
@@ -121,6 +124,15 @@ func TestGoldenRunKeys(t *testing.T) {
 	two := r.baseConfig(core.MechTraditional, 1, 0)
 	two.PageTable = vm.PTTwoLevel
 	add("ptorg.twolevel", two, cmp.WithTwoLevelPT())
+
+	// The other run modes, each under its mode prefix: a shared-L2
+	// cluster (mph measured, one cmp co-runner — a fresh cmp, since the
+	// ptorg line switched the one above to a two-level table) and a
+	// sampled comparison.
+	line("sharedl2.2c", clusterJob(r.baseConfig(core.MechMultithreaded, 1, 1), []core.Workload{mph, pick("cmp")}))
+	spec := core.SampleSpec{Period: 100_000, Warmup: 10_000, Window: 10_000}
+	line("sampled.multi1", job{cfg: r.baseConfig(core.MechMultithreaded, 1, 1),
+		loads: []core.Workload{mph}, sample: &spec})
 
 	compareGolden(t, "golden_runkeys.txt", buf.Bytes())
 }

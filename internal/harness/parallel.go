@@ -12,58 +12,66 @@ import (
 	"mtexc/internal/cpu"
 )
 
-// BaselineCache is a concurrency-safe store of perfect-TLB baseline
-// results keyed by machine shape and workload mix (see shapeKey).
-// Concurrent requests for the same key are single-flighted: the first
-// caller runs the simulation, the rest block on it, so each baseline
-// runs exactly once per cache no matter how many experiment cells need
-// it — including across experiments when one cache is shared through
-// Options.Baselines.
-type BaselineCache struct {
+// flight single-flights keyed computations: the first caller of a
+// key runs it, concurrent callers block on that run, and every caller
+// shares its value — so each key computes exactly once per flight.
+// The zero value is ready for use.
+type flight[V any] struct {
 	mu   sync.Mutex
-	m    map[string]*baselineEntry
+	m    map[string]*flightEntry[V]
 	runs atomic.Int64
 }
 
-type baselineEntry struct {
+type flightEntry[V any] struct {
 	once sync.Once
-	res  core.Result
+	val  V
 	err  error
 }
 
-// NewBaselineCache returns an empty cache ready for concurrent use.
-func NewBaselineCache() *BaselineCache {
-	return &BaselineCache{m: make(map[string]*baselineEntry)}
-}
-
-// get returns the cached result for key, running run (once) to fill it.
-// A panic inside run is captured into the entry's error rather than
+// get returns the value for key, running run (once) to fill it. A
+// panic inside run is captured into the entry's error rather than
 // allowed to escape: sync.Once marks itself done even when f panics,
-// so an escaping panic would leave every later waiter a zero Result
-// with a nil error — a silent wrong answer instead of a failed cell.
-func (c *BaselineCache) get(key string, run func() (core.Result, error)) (core.Result, error) {
-	c.mu.Lock()
-	e := c.m[key]
-	if e == nil {
-		e = &baselineEntry{}
-		c.m[key] = e
+// so an escaping panic would leave every later caller a zero value
+// with a nil error — a misleading nil dereference or a silent wrong
+// answer instead of a failed cell carrying the original panic.
+func (f *flight[V]) get(key string, run func() (V, error)) (V, error) {
+	f.mu.Lock()
+	if f.m == nil {
+		f.m = make(map[string]*flightEntry[V])
 	}
-	c.mu.Unlock()
+	e := f.m[key]
+	if e == nil {
+		e = &flightEntry[V]{}
+		f.m[key] = e
+	}
+	f.mu.Unlock()
 	e.once.Do(func() {
 		defer func() {
 			if v := recover(); v != nil {
 				e.err = &panicError{val: v, stack: debug.Stack()}
 			}
 		}()
-		c.runs.Add(1)
-		e.res, e.err = run()
+		f.runs.Add(1)
+		e.val, e.err = run()
 	})
-	return e.res, e.err
+	return e.val, e.err
 }
 
-// Runs reports how many baseline simulations actually executed —
-// the cache's duplicate-suppression at work.
-func (c *BaselineCache) Runs() int64 { return c.runs.Load() }
+// Runs reports how many computations actually executed — the
+// duplicate suppression at work.
+func (f *flight[V]) Runs() int64 { return f.runs.Load() }
+
+// BaselineCache is a concurrency-safe store of perfect-TLB baseline
+// results keyed by the baseline job's fingerprint (see
+// runner.compare). Each baseline runs exactly once per cache no matter
+// how many experiment cells need it — including across experiments
+// when one cache is shared through Options.Baselines.
+type BaselineCache struct {
+	flight[core.Result]
+}
+
+// NewBaselineCache returns an empty cache ready for concurrent use.
+func NewBaselineCache() *BaselineCache { return &BaselineCache{} }
 
 // workers resolves the effective parallelism: Options.Parallelism if
 // set, else one worker per available CPU.
@@ -177,17 +185,19 @@ func errText(err error) string {
 // before dying: configuration, workloads, fingerprint, and the panic
 // stack when there is one.
 func (r *runner) cellError(c *cell, err error) *CellError {
-	cfg, loads, key := c.snapshot()
+	c.mu.Lock()
 	ce := &CellError{
 		Experiment:  r.exp,
 		Index:       c.index,
-		Config:      cfg,
-		Workloads:   loads,
-		Cores:       c.clusterWidth(),
-		Fingerprint: key,
+		Config:      c.cfg,
+		Workloads:   c.loads,
+		Cores:       c.cores,
+		Sample:      c.sample,
+		Fingerprint: c.key,
 		Timeout:     r.opt.CellTimeout,
 		Cause:       err,
 	}
+	c.mu.Unlock()
 	var pe *panicError
 	if errors.As(err, &pe) {
 		ce.Stack = pe.stack

@@ -187,10 +187,7 @@ func writeMissLatency(opt Options, w io.Writer) error {
 	}
 	quick := r.baseConfig(core.MechMultithreaded, 1, 1)
 	quick.QuickStart = true
-	mechs := []struct {
-		name string
-		cfg  core.Config
-	}{
+	mechs := []namedConfig{
 		{"traditional", r.baseConfig(core.MechTraditional, 1, 0)},
 		{"multi(1)", r.baseConfig(core.MechMultithreaded, 1, 1)},
 		{"quickstart(1)", quick},
@@ -199,7 +196,7 @@ func writeMissLatency(opt Options, w io.Writer) error {
 	sets := make([]*stats.Set, len(mechs)*len(benches))
 	err = r.forEach(len(sets), func(c *cell) error {
 		mi, bi := c.index/len(benches), c.index%len(benches)
-		res, err := r.run(c, mechs[mi].cfg, benches[bi])
+		res, err := r.exec(c, exactJob(mechs[mi].cfg, benches[bi]))
 		if err != nil {
 			return err
 		}

@@ -2,15 +2,19 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"mtexc/internal/core"
 	"mtexc/internal/cpu"
+	"mtexc/internal/diffsim"
+	"mtexc/internal/faultinject"
 )
 
 // A failure injected into one cell must cost exactly that cell: the
@@ -72,118 +76,165 @@ func TestInjectedFailureIsolatedToCell(t *testing.T) {
 	}
 }
 
-// A journaled suite must resume to byte-identical tables: a full run,
-// a run resumed from a truncated (killed) journal, and a resume of
-// the complete journal all render the same bytes — the last without
-// simulating anything.
+// modeRun renders one experiment as text, for byte comparisons and
+// failure checks: the exact path plus each of the other run modes
+// that go through the same cell executor.
+type modeRun struct {
+	name  string
+	cells int
+	run   func(Options) (string, error)
+}
+
+var testSpec = core.SampleSpec{Period: 40_000, Warmup: 4_000, Window: 4_000}
+
+var modeRuns = []modeRun{
+	{"Figure5", 8, func(opt Options) (string, error) {
+		opt.Insts = 30_000
+		opt.Benchmarks = []string{"cmp", "vor"}
+		t, err := Figure5(opt)
+		return t.String(), err
+	}},
+	{"SharedL2", 20, func(opt Options) (string, error) {
+		opt.Insts = 20_000
+		t, err := SharedL2(opt)
+		return t.String(), err
+	}},
+	{"Figure5Sampled", 4, func(opt Options) (string, error) {
+		opt.Insts = 120_000
+		opt.Benchmarks = []string{"mph"}
+		s, err := Figure5Sampled(opt, testSpec)
+		return s.Est.String() + s.CI.String(), err
+	}},
+}
+
+// A journaled suite must resume to byte-identical tables in every run
+// mode: a full run, a run resumed from a truncated (killed) journal,
+// and a resume of the complete journal all render the same bytes — the
+// last without simulating anything.
 func TestResumeByteIdentical(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "journal.ndjson")
-	opt := Options{Insts: 30_000, Benchmarks: []string{"cmp", "vor"}, Parallelism: 4}
-	run := func(resume bool) (*Table, *Journal) {
-		t.Helper()
-		j, err := OpenJournal(path, resume)
+	for _, m := range modeRuns {
+		path := filepath.Join(t.TempDir(), "journal.ndjson")
+		run := func(resume bool) (string, *Journal) {
+			t.Helper()
+			j, err := OpenJournal(path, resume)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := m.run(Options{Parallelism: 4, Journal: j})
+			if err != nil {
+				t.Fatalf("%s: %v", m.name, err)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			return out, j
+		}
+
+		want, j0 := run(false)
+		if j0.Appends() == 0 {
+			t.Fatalf("%s: fresh run journaled nothing", m.name)
+		}
+
+		// Simulate a mid-suite kill: keep the first three journal lines
+		// and a torn fragment of the fourth.
+		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		o := opt
-		o.Journal = j
-		tab, err := Figure5(o)
-		if err != nil {
+		lines := bytes.SplitAfter(data, []byte("\n"))
+		if len(lines) < 5 {
+			t.Fatalf("%s: journal has only %d lines", m.name, len(lines))
+		}
+		kept := bytes.Join(lines[:3], nil)
+		kept = append(kept, lines[3][:len(lines[3])/2]...) // torn line, no newline
+		if err := os.WriteFile(path, kept, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := j.Close(); err != nil {
-			t.Fatal(err)
+
+		resumed, j1 := run(true)
+		if resumed != want {
+			t.Errorf("%s: resumed table differs from the full run:\n--- full ---\n%s\n--- resumed ---\n%s", m.name, want, resumed)
 		}
-		return tab, j
-	}
+		if j1.Hits() == 0 {
+			t.Errorf("%s: resume simulated every cell; journal entries not reused", m.name)
+		}
+		if j1.Appends() == 0 {
+			t.Errorf("%s: resume of a truncated journal appended nothing", m.name)
+		}
 
-	full, j0 := run(false)
-	want := full.String()
-	if j0.Appends() == 0 {
-		t.Fatal("fresh run journaled nothing")
-	}
-
-	// Simulate a mid-suite kill: keep the first three journal lines
-	// and a torn fragment of the fourth.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := bytes.SplitAfter(data, []byte("\n"))
-	if len(lines) < 5 {
-		t.Fatalf("journal has only %d lines", len(lines))
-	}
-	kept := bytes.Join(lines[:3], nil)
-	kept = append(kept, lines[3][:len(lines[3])/2]...) // torn line, no newline
-	if err := os.WriteFile(path, kept, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	resumed, j1 := run(true)
-	if got := resumed.String(); got != want {
-		t.Errorf("resumed table differs from the full run:\n--- full ---\n%s\n--- resumed ---\n%s", want, got)
-	}
-	if j1.Hits() == 0 {
-		t.Error("resume simulated every cell; journal entries not reused")
-	}
-	if j1.Appends() == 0 {
-		t.Error("resume of a truncated journal appended nothing")
-	}
-
-	// The journal is now complete: one more resume runs zero
-	// simulations and still renders the same bytes.
-	again, j2 := run(true)
-	if got := again.String(); got != want {
-		t.Errorf("fully-journaled resume differs:\n%s", got)
-	}
-	if n := j2.Appends(); n != 0 {
-		t.Errorf("fully-journaled resume still simulated %d runs", n)
+		// The journal is now complete: one more resume runs zero
+		// simulations and still renders the same bytes.
+		again, j2 := run(true)
+		if again != want {
+			t.Errorf("%s: fully-journaled resume differs:\n%s", m.name, again)
+		}
+		if n := j2.Appends(); n != 0 {
+			t.Errorf("%s: fully-journaled resume still simulated %d runs", m.name, n)
+		}
 	}
 }
 
-// A per-cell deadline must turn an overrunning simulation into an
-// ordinary failed cell wrapping context.DeadlineExceeded.
+// A per-cell deadline, or an already-cancelled context, must turn
+// every overrunning simulation — in every run mode — into an ordinary
+// failed cell with a *cpu.CancelledError carrying the context's error.
 func TestCellTimeoutFailsCell(t *testing.T) {
-	opt := Options{
-		Insts:       5_000_000, // far more work than the deadline allows
-		Benchmarks:  []string{"cmp"},
-		Parallelism: 2,
-		CellTimeout: time.Microsecond,
-	}
-	_, err := Table2(opt)
-	var ee *ExperimentError
-	if !errors.As(err, &ee) {
-		t.Fatalf("Table2 under a 1µs deadline returned %v, want *ExperimentError", err)
-	}
-	var cancelled *cpu.CancelledError
-	if !errors.As(ee.Cells[0].Cause, &cancelled) {
-		t.Errorf("cell cause = %v, want *cpu.CancelledError", ee.Cells[0].Cause)
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, m := range modeRuns {
+		for _, tc := range []struct {
+			opt  Options
+			want error
+		}{
+			{Options{Parallelism: 2, CellTimeout: time.Microsecond}, context.DeadlineExceeded},
+			{Options{Parallelism: 2, Context: cancelled}, context.Canceled},
+		} {
+			_, err := m.run(tc.opt)
+			var ee *ExperimentError
+			if !errors.As(err, &ee) || len(ee.Cells) != m.cells {
+				t.Fatalf("%s (%v): err = %v, want all %d cells failed", m.name, tc.want, err, m.cells)
+			}
+			for _, ce := range ee.Cells {
+				var cerr *cpu.CancelledError
+				if !errors.As(ce.Cause, &cerr) || !errors.Is(ce.Cause, tc.want) {
+					t.Errorf("%s cell %d: cause %v, want *cpu.CancelledError wrapping %v", m.name, ce.Index, ce.Cause, tc.want)
+				}
+			}
+		}
 	}
 }
 
 // A panic inside a shared baseline must fail every cell that consumes
 // that baseline — with the panic preserved as the cause — rather than
-// silently handing waiters a zero Result (sync.Once marks itself done
+// silently handing waiters a zero value (sync.Once marks itself done
 // even when f panics, so without the recover the second caller would
-// see res == zero, err == nil).
+// see a zero value and a nil error). The perfect-TLB baseline cache
+// and the fault campaign's reference-run and baseline caches are all
+// one singleflight type; each value type is checked.
 func TestBaselinePanicPropagates(t *testing.T) {
 	cache := NewBaselineCache()
+	checkFlightPanic(t, &cache.flight)
+	checkFlightPanic(t, &flight[*diffsim.RefRun]{})
+	checkFlightPanic(t, &flight[*faultinject.Baseline]{})
+}
+
+func checkFlightPanic[V any](t *testing.T, f *flight[V]) {
+	t.Helper()
 	for i := 0; i < 2; i++ {
-		res, err := cache.get("k", func() (core.Result, error) {
+		v, err := f.get("k", func() (V, error) {
 			panic("baseline blew up")
 		})
 		var pe *panicError
 		if !errors.As(err, &pe) {
-			t.Fatalf("caller %d: err = %v, want *panicError", i, err)
+			t.Fatalf("%T caller %d: err = %v, want *panicError", v, i, err)
 		}
 		if !strings.Contains(err.Error(), "baseline blew up") {
-			t.Errorf("caller %d lost the panic value: %v", i, err)
+			t.Errorf("%T caller %d lost the panic value: %v", v, i, err)
 		}
-		if res.Cycles != 0 {
-			t.Errorf("caller %d got a partial result %+v with an error", i, res)
+		if !reflect.ValueOf(&v).Elem().IsZero() {
+			t.Errorf("%T caller %d got a partial value %+v with an error", v, i, v)
 		}
 	}
-	if cache.Runs() != 1 {
-		t.Errorf("panicking baseline ran %d times, want 1 (still single-flighted)", cache.Runs())
+	if f.Runs() != 1 {
+		t.Errorf("panicking %T computation ran %d times, want 1 (still single-flighted)", *new(V), f.Runs())
 	}
 }

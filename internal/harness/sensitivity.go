@@ -31,7 +31,7 @@ func TLBSweep(opt Options) (*Table, error) {
 		bi, si := c.index/len(sizes), c.index%len(sizes)
 		cfg := r.baseConfig(core.MechMultithreaded, 1, 1)
 		cfg.DTLBEntries = sizes[si]
-		cmp, err := r.compare(c, cfg, benches[bi])
+		cmp, err := r.compare(c, exactJob(cfg, benches[bi]))
 		if err != nil {
 			return err
 		}
@@ -96,23 +96,13 @@ func PTOrganization(opt Options) (*Table, error) {
 		}
 		cfg := r.baseConfig(mc.mech, 1, mc.idle)
 		cfg.PageTable = org
-		// Perfect baselines differ per organization (the two-level
-		// workload variant shares the linear one's shape key); bypass
-		// the shape cache by running the pair directly.
-		subj, err := r.run(c, cfg, wb)
+		// The two-level workload variant fingerprints differently from
+		// the linear one, so each organization gets its own baseline.
+		cmp, err := r.compare(c, exactJob(cfg, wb))
 		if err != nil {
 			return err
 		}
-		pcfg := cfg
-		pcfg.Mech = core.MechPerfect
-		perf, err := r.run(c, pcfg, wb)
-		if err != nil {
-			return err
-		}
-		cmp := core.Comparison{Subject: subj, Perfect: perf}
 		t.Set(bi, mi*2+oi, cmp.PenaltyPerMiss())
-		r.log("  ptorg %-10s %-12s org=%d  %9d cycles  %5d fills  pen %.1f",
-			n, mc.name, org, subj.Cycles, subj.DTLBMisses, cmp.PenaltyPerMiss())
 		return nil
 	})
 	markFailedCells(t, err, func(i int) [][2]int {
@@ -156,7 +146,7 @@ func FaultInjection(opt Options) (*Table, error) {
 		if f > 0 {
 			w = &workload.Faulty{Inner: b, Fraction: f, Seed: 7}
 		}
-		res, err := r.run(c, cfg, w)
+		res, err := r.exec(c, exactJob(cfg, w))
 		if err != nil {
 			return err
 		}

@@ -1,80 +1,46 @@
 package harness
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"fmt"
-	"strings"
+	"context"
 
 	"mtexc/internal/core"
 	"mtexc/internal/topology"
 	"mtexc/internal/workload"
 )
 
-// clusterRunKey fingerprints one cluster simulation: the per-core
-// configuration, the topology width and the per-core workloads. The
-// "cluster/" prefix keeps the space disjoint from single-machine
-// runKey fingerprints, so a journal can hold both.
-func clusterRunKey(cfg core.Config, cores int, loads []core.Workload) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("cluster/%d|%+v|%s",
-		cores, cfg, strings.Join(workloadKeys(loads), ","))))
-	return hex.EncodeToString(sum[:8])
+// clusterJob is a shared-L2 cluster simulation: one core per
+// workload, private L1s and TLBs, one shared L2 domain, the
+// deterministic round-robin driver.
+func clusterJob(cfg core.Config, loads []core.Workload) job {
+	return job{cfg: cfg, loads: loads, cluster: true, sim: simCluster}
 }
 
-// runCluster simulates a shared-L2 cluster: one core per workload,
-// private L1s and TLBs, one shared L2 domain, the deterministic
-// round-robin driver. The returned Result is the measured core's
-// (core 0) scalars with the cluster-wide merged statistics attached
-// ("coreN."-prefixed counters plus the "l2shared." aggregates), so
-// journaled cluster runs round-trip through lookup like any other
-// simulation.
-func (r *runner) runCluster(c *cell, cfg core.Config, loads []core.Workload) (core.Result, error) {
-	cores := len(loads)
-	key := clusterRunKey(cfg, cores, loads)
-	c.describeCluster(cfg, cores, loads, key)
-	if c != nil && r.failSpec != "" && injectedFailure(r.exp, r.failSpec, c.index) {
-		panic(fmt.Sprintf("injected failure (%s=%q)", FailCellEnv, r.failSpec))
-	}
-	if r.journal != nil {
-		if res, ok := r.journal.lookup(key); ok {
-			r.noteJournalHit(c, key)
-			return res, nil
-		}
-	}
-	cl, err := topology.New(topology.Config{Cores: cores, Core: cfg})
+// simCluster returns the measured core's (core 0) scalars with the
+// cluster-wide merged statistics attached ("coreN."-prefixed counters
+// plus the "l2shared." aggregates), so journaled cluster runs
+// round-trip through lookup like any other simulation.
+func simCluster(ctx context.Context, j job, probe *core.Probe) (core.Result, uint64, error) {
+	cl, err := topology.New(topology.Config{Cores: len(j.loads), Core: j.cfg})
 	if err != nil {
-		return core.Result{}, err
+		return core.Result{}, 0, err
 	}
-	for i, w := range loads {
+	for i, w := range j.loads {
 		if err := cl.Load(i, w); err != nil {
-			return core.Result{}, err
+			return core.Result{}, 0, err
 		}
 	}
-	probe := c.telemetry().SimStarted(r.simPhase(c, key))
 	if probe != nil {
 		cl.Core(0).SetProbe(probe)
 	}
-	results, runErr := cl.Run()
-	var total uint64
+	cl.SetCancel(ctx.Done())
+	results, err := cl.Run()
+	var insts uint64
 	for _, res := range results {
-		total += res.AppInsts
+		insts += res.AppInsts
 	}
 	res := results[0]
 	res.Stats = cl.MergedStats(results)
-	c.telemetry().SimFinished(total, res.Cycles, res.Stats, runErr != nil)
-	r.opt.Meter.AddSimInsts(total)
-	if runErr != nil {
-		return res, runErr
-	}
-	if r.journal != nil {
-		appendDone := c.telemetry().JournalAppendBegin()
-		jerr := r.journal.record(r.exp, key, cfg, loadNames(loads), res)
-		appendDone()
-		if jerr != nil {
-			return res, jerr
-		}
-	}
-	return res, nil
+	return res, insts, err
 }
 
 // SharedL2 measures shared-cache interference with exception
@@ -125,34 +91,13 @@ func SharedL2(opt Options) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		cfg := r.baseConfig(mc.mech, 1, mc.idle)
-		subj, err := r.runCluster(c, cfg, loads)
-		if err != nil {
-			return err
-		}
-		r.log("  sharedl2 %-8s %-12s %9d cycles  %6d fills%s",
-			shape.name, mc.name, subj.Cycles, subj.DTLBMisses, r.opt.Meter.Suffix())
 		// The perfect baseline depends only on the cluster shape, not
 		// the mechanism: one baseline cluster per row, shared by the
-		// four mechanism columns through the singleflight cache.
-		pcfg := cfg
-		pcfg.Mech = core.MechPerfect
-		pcfg.QuickStart = false
-		pcfg.Limit = core.LimitNone
-		ranBaseline := false
-		endWait := c.telemetry().BaselineWaitBegin()
-		perf, err := r.base.get(clusterRunKey(pcfg, shape.cores, loads), func() (core.Result, error) {
-			ranBaseline = true
-			c.telemetry().BaselineRan()
-			return r.runCluster(c, pcfg, loads)
-		})
-		if !ranBaseline {
-			endWait()
-		}
+		// four mechanism columns through the baseline cache.
+		cmp, err := r.compare(c, clusterJob(r.baseConfig(mc.mech, 1, mc.idle), loads))
 		if err != nil {
 			return err
 		}
-		cmp := core.Comparison{Subject: subj, Perfect: perf}
 		t.Set(si, mi, cmp.PenaltyPerMiss())
 		return nil
 	})

@@ -168,6 +168,10 @@ func TestCellStatusClassification(t *testing.T) {
 			t.Errorf("cellStatus(%v) = %q, want %q", tc.err, got, tc.want)
 		}
 	}
+	// A stalled shared-L2 cluster cell is a livelock too.
+	if _, _, err := clusterLivelock(t); cellStatus(err) != "livelock" {
+		t.Errorf("cellStatus(cluster watchdog abort) = %q, want livelock (err: %.120v)", cellStatus(err), err)
+	}
 }
 
 // TestTelemetryRecordsFailuresAndResume checks the event log against

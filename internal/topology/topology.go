@@ -38,6 +38,9 @@ type Cluster struct {
 	dom   *cache.L2Domain
 	cores []*cpu.Machine
 	names []string // workload name per core, for reports
+	// cancel, when non-nil, is polled by Run; once it is closed the
+	// run aborts with a *cpu.CancelledError (SetCancel).
+	cancel <-chan struct{}
 }
 
 // New builds an empty cluster: cfg.Cores machines over one physical
@@ -96,21 +99,14 @@ func (c *Cluster) Load(i int, w core.Workload) error {
 	return nil
 }
 
-// LivelockError reports a core that stopped retiring instructions
-// while the cluster was still running.
-type LivelockError struct {
-	Core       int
-	Cycle      uint64
-	AppRetired uint64
-}
-
-func (e *LivelockError) Error() string {
-	return fmt.Sprintf("topology: core %d made no progress by cycle %d (%d insts retired)",
-		e.Core, e.Cycle, e.AppRetired)
-}
+// SetCancel installs a cancellation channel, mirroring
+// cpu.Machine.SetCancel: Run polls it and returns a *cpu.CancelledError
+// once it is closed. Must be called before Run.
+func (c *Cluster) SetCancel(ch <-chan struct{}) { c.cancel = ch }
 
 // progressCheckInterval is how often (in global cycles) the driver
-// samples per-core retirement for the livelock watchdog.
+// samples per-core retirement for the livelock watchdog and polls the
+// cancel channel.
 const progressCheckInterval = 4096
 
 // Run drives every core to completion under the global round-robin
@@ -118,6 +114,12 @@ const progressCheckInterval = 4096
 // one cycle, in ascending core order. A core is done when it halts,
 // reaches its instruction budget or its cycle budget. The returned
 // slice holds one Result per core, in core order.
+//
+// Two abort paths return the partial per-core Results alongside an
+// error: a core that retires nothing for Config.NoProgressLimit cycles
+// fails the run with a *cpu.LivelockError (wrapped with the core's
+// index), and a closed cancel channel (SetCancel) with a
+// *cpu.CancelledError.
 func (c *Cluster) Run() ([]core.Result, error) {
 	n := len(c.cores)
 	done := make([]bool, n)
@@ -138,16 +140,28 @@ func (c *Cluster) Run() ([]core.Result, error) {
 			m.StepCycle()
 		}
 		global++
-		if limit := c.cfg.Core.NoProgressLimit; limit > 0 && global%progressCheckInterval == 0 {
-			for i, m := range c.cores {
-				if done[i] {
-					continue
-				}
-				if r := m.AppRetired(); r != lastRetired[i] {
-					lastRetired[i], lastChange[i] = r, global
-				} else if global-lastChange[i] > limit {
-					return c.finishAll(), &LivelockError{Core: i, Cycle: m.Now(), AppRetired: r}
-				}
+		if global%progressCheckInterval != 0 {
+			continue
+		}
+		if c.cancel != nil {
+			select {
+			case <-c.cancel:
+				return c.finishAll(), &cpu.CancelledError{Cycle: global}
+			default:
+			}
+		}
+		limit := c.cfg.Core.NoProgressLimit
+		for i, m := range c.cores {
+			if limit == 0 || done[i] {
+				continue
+			}
+			if r := m.AppRetired(); r != lastRetired[i] {
+				lastRetired[i], lastChange[i] = r, global
+			} else if global-lastChange[i] > limit {
+				return c.finishAll(), fmt.Errorf("topology: core %d: %w", i, &cpu.LivelockError{
+					Cycle: m.Now(), LastProgress: lastChange[i], Limit: limit,
+					AppRetired: r, Dump: m.DumpState(),
+				})
 			}
 		}
 	}

@@ -1,10 +1,12 @@
 package topology
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"mtexc/internal/core"
+	"mtexc/internal/cpu"
 	"mtexc/internal/workload"
 )
 
@@ -179,5 +181,53 @@ func TestClusterErrors(t *testing.T) {
 	}
 	if c.Cores() != 1 {
 		t.Errorf("Cores() = %d, want 1", c.Cores())
+	}
+}
+
+// TestClusterWatchdog: a core that stops retiring fails the run with
+// the machine's own *cpu.LivelockError, wrapped with the core index —
+// the one livelock type every caller classifies.
+func TestClusterWatchdog(t *testing.T) {
+	cfg := testConfig(t)
+	cfg.OSFaultCycles = 1 << 40 // a paged-out first touch never returns
+	cfg.NoProgressLimit = 20_000
+	c, err := New(Config{Cores: 2, Core: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Load(0, &workload.Faulty{Inner: mustBench(t, "cmp").(*workload.Bench), Fraction: 0.5, Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Load(1, mustBench(t, "mph")); err != nil {
+		t.Fatal(err)
+	}
+	_, err = c.Run()
+	var ll *cpu.LivelockError
+	if !errors.As(err, &ll) {
+		t.Fatalf("Run returned %v, want a wrapped *cpu.LivelockError", err)
+	}
+	if !strings.HasPrefix(err.Error(), "topology: core 0: ") {
+		t.Errorf("livelock error does not name the stalled core: %.80s", err)
+	}
+	if ll.Limit != cfg.NoProgressLimit || ll.Cycle-ll.LastProgress <= ll.Limit || ll.Dump == "" {
+		t.Errorf("livelock error fields inconsistent: cycle %d, last progress %d, limit %d, dump %d bytes",
+			ll.Cycle, ll.LastProgress, ll.Limit, len(ll.Dump))
+	}
+}
+
+// TestClusterCancel: a closed cancel channel aborts the run at the
+// next progress check with a *cpu.CancelledError, as on a Machine.
+func TestClusterCancel(t *testing.T) {
+	c := buildCluster(t, testConfig(t), "mph", "cmp")
+	ch := make(chan struct{})
+	close(ch)
+	c.SetCancel(ch)
+	results, err := c.Run()
+	var ce *cpu.CancelledError
+	if !errors.As(err, &ce) {
+		t.Fatalf("Run returned %v, want *cpu.CancelledError", err)
+	}
+	if results[0].Cycles > progressCheckInterval {
+		t.Errorf("cancellation observed only at cycle %d, poll interval is %d", results[0].Cycles, progressCheckInterval)
 	}
 }
