@@ -140,24 +140,6 @@ func (m *Module) FuncsOf(pkg *Package) []*FuncInfo {
 	return m.byPkg[pkg]
 }
 
-// PkgOf returns the loaded package whose file set contains pos, or
-// nil: the attribution step that lets a module-wide fact be reported
-// exactly once, by the package that owns the offending line.
-func (m *Module) PkgOf(pos token.Pos) *Package {
-	if !pos.IsValid() {
-		return nil
-	}
-	file := m.Fset.Position(pos).Filename
-	for _, pkg := range m.Pkgs {
-		for _, f := range pkg.Files {
-			if m.Fset.Position(f.Pos()).Filename == file {
-				return pkg
-			}
-		}
-	}
-	return nil
-}
-
 // collectCalls records every call site inside body — including in
 // nested function literals, whose operations are attributed to the
 // enclosing declaration (an over-approximation that errs toward

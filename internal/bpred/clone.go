@@ -1,8 +1,8 @@
 package bpred
 
-// Deep copies and in-place resets for every predictor structure, so a
-// machine can be cloned mid-run (both copies continue with identical
-// prediction state) or recycled without reallocating its tables.
+// Deep copies of every predictor structure, so a machine can be
+// cloned mid-run: both copies continue with identical prediction
+// state.
 
 // Clone returns a deep copy of the bimodal predictor.
 func (b *Bimodal) Clone() *Bimodal {
@@ -11,25 +11,11 @@ func (b *Bimodal) Clone() *Bimodal {
 	return &c
 }
 
-// Reset reinitializes every counter to weakly not-taken.
-func (b *Bimodal) Reset() {
-	for i := range b.table {
-		b.table[i] = 1
-	}
-}
-
 // Clone returns a deep copy of the gshare predictor.
 func (g *GShare) Clone() *GShare {
 	c := *g
 	c.table = append([]counter(nil), g.table...)
 	return &c
-}
-
-// Reset reinitializes every counter to weakly not-taken.
-func (g *GShare) Reset() {
-	for i := range g.table {
-		g.table[i] = 1
-	}
 }
 
 // Clone returns a deep copy of the YAGS predictor: choice table,
@@ -40,21 +26,6 @@ func (y *YAGS) Clone() *YAGS {
 	c.tCache = append([]excEntry(nil), y.tCache...)
 	c.ntCache = append([]excEntry(nil), y.ntCache...)
 	return &c
-}
-
-// Reset reinitializes the choice table to weakly not-taken, empties
-// both exception caches and zeroes the statistics.
-func (y *YAGS) Reset() {
-	for i := range y.choice {
-		y.choice[i] = 1
-	}
-	for i := range y.tCache {
-		y.tCache[i] = excEntry{}
-	}
-	for i := range y.ntCache {
-		y.ntCache[i] = excEntry{}
-	}
-	y.Lookups, y.CacheHits, y.Allocations = 0, 0, 0
 }
 
 // CloneDirPredictor deep-copies any of the package's direction
@@ -71,21 +42,6 @@ func CloneDirPredictor(d DirPredictor) DirPredictor {
 	panic("bpred: cannot clone unknown DirPredictor implementation")
 }
 
-// ResetDirPredictor reinitializes any of the package's direction
-// predictors in place.
-func ResetDirPredictor(d DirPredictor) {
-	switch p := d.(type) {
-	case *YAGS:
-		p.Reset()
-	case *GShare:
-		p.Reset()
-	case *Bimodal:
-		p.Reset()
-	default:
-		panic("bpred: cannot reset unknown DirPredictor implementation")
-	}
-}
-
 // Clone returns a deep copy of the indirect-target predictor.
 func (p *Indirect) Clone() *Indirect {
 	c := *p
@@ -94,30 +50,9 @@ func (p *Indirect) Clone() *Indirect {
 	return &c
 }
 
-// Reset empties both stages and zeroes the statistics.
-func (p *Indirect) Reset() {
-	for i := range p.stage1 {
-		p.stage1[i] = indEntry{}
-	}
-	for i := range p.stage2 {
-		p.stage2[i] = indEntry{}
-	}
-	p.Lookups, p.Stage2Hits = 0, 0
-}
-
 // Clone returns a deep copy of the return address stack.
 func (r *RAS) Clone() *RAS {
 	c := *r
 	c.stack = append([]uint64(nil), r.stack...)
 	return &c
-}
-
-// Reset empties the stack and zeroes the statistics.
-func (r *RAS) Reset() {
-	for i := range r.stack {
-		r.stack[i] = 0
-	}
-	r.top = -1
-	r.depth = 0
-	r.Pushes, r.Pops, r.Underflows = 0, 0, 0
 }

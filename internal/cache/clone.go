@@ -28,23 +28,6 @@ func (c *Cache) privatize() {
 	c.cowShared = false
 }
 
-// Reset invalidates every line and zeroes the LRU clock and
-// statistics, returning the cache to the as-constructed state while
-// keeping its storage (line arrays still shared with a clone are
-// abandoned to it rather than zeroed).
-func (c *Cache) Reset() {
-	if c.cowShared {
-		c.privatize()
-	}
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			c.sets[si][wi] = line{}
-		}
-	}
-	c.stamp = 0
-	c.Hits, c.Misses, c.Evicts, c.Writebks = 0, 0, 0, 0
-}
-
 // Clone returns a deep copy of the L2 domain: the L2 cache (forked
 // copy-on-write), the memory-bus reservation and the MSHRs.
 func (d *L2Domain) Clone() *L2Domain {
@@ -52,13 +35,6 @@ func (d *L2Domain) Clone() *L2Domain {
 	n.L2 = d.L2.Clone()
 	n.mshr2 = cloneMSHR(d.mshr2)
 	return &n
-}
-
-// Reset empties the domain in place.
-func (d *L2Domain) Reset() {
-	d.L2.Reset()
-	d.l2mem = bus{}
-	clear(d.mshr2)
 }
 
 // Clone returns a deep copy of the hierarchy: all three cache levels,
@@ -77,20 +53,6 @@ func (h *Hierarchy) Clone() *Hierarchy {
 	return &n
 }
 
-// CloneWithL2 is Clone for hierarchies in a shared-L2 topology: the
-// private levels are deep-copied and the hierarchy is rebound to dom,
-// an already-cloned domain.
-func (h *Hierarchy) CloneWithL2(dom *L2Domain) *Hierarchy {
-	n := *h
-	n.L1I = h.L1I.Clone()
-	n.L1D = h.L1D.Clone()
-	n.dom = dom
-	n.L2 = dom.L2
-	n.mshrD = cloneMSHR(h.mshrD)
-	n.mshrI = cloneMSHR(h.mshrI)
-	return &n
-}
-
 func cloneMSHR(m map[uint64]uint64) map[uint64]uint64 {
 	c := make(map[uint64]uint64, len(m))
 	// Each key is copied once; map visit order cannot affect the
@@ -99,18 +61,4 @@ func cloneMSHR(m map[uint64]uint64) map[uint64]uint64 {
 		c[k] = v
 	}
 	return c
-}
-
-// Reset empties every level, the buses and the outstanding-miss
-// registers, returning the hierarchy to the as-constructed state
-// while keeping its storage. The L2 domain is reset too — in a
-// shared-L2 topology, reset the cluster as a whole, not one core.
-func (h *Hierarchy) Reset() {
-	h.L1I.Reset()
-	h.L1D.Reset()
-	h.dom.Reset()
-	h.l1l2 = bus{}
-	clear(h.mshrD)
-	clear(h.mshrI)
-	h.DataAccesses, h.InstAccesses, h.MSHRMerges, h.MSHRStalls = 0, 0, 0, 0
 }

@@ -36,22 +36,6 @@ func TestCacheCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestCacheReset(t *testing.T) {
-	c := New(cloneProbeCfg())
-	for pa := uint64(0); pa < 16*64; pa += 64 {
-		c.Access(pa, true)
-	}
-	c.Reset()
-	if c.Hits != 0 || c.Misses != 0 || c.Evicts != 0 || c.Writebks != 0 {
-		t.Fatal("reset left counters")
-	}
-	for pa := uint64(0); pa < 16*64; pa += 64 {
-		if c.Probe(pa) {
-			t.Fatalf("reset left line %#x resident", pa)
-		}
-	}
-}
-
 // TestHierarchyCloneReplay: after cloning mid-stream, the original and
 // the clone must serve an identical access stream with identical
 // latencies — bus occupancy, MSHR state and all.
@@ -81,21 +65,5 @@ func TestHierarchyCloneReplay(t *testing.T) {
 	}
 	if h.L2.Misses != c.L2.Misses || h.L1D.Hits != c.L1D.Hits {
 		t.Fatal("counters diverge after identical streams")
-	}
-}
-
-func TestHierarchyReset(t *testing.T) {
-	h := NewHierarchy(DefaultHierConfig())
-	for i := uint64(0); i < 100; i++ {
-		h.AccessData(i*10, i*64, false)
-	}
-	h.Reset()
-	fresh := NewHierarchy(DefaultHierConfig())
-	for i := uint64(0); i < 100; i++ {
-		lr := h.AccessData(i*10, i*64, false)
-		lf := fresh.AccessData(i*10, i*64, false)
-		if lr != lf {
-			t.Fatalf("access %d: reset hierarchy latency %d != fresh %d", i, lr, lf)
-		}
 	}
 }

@@ -177,15 +177,6 @@ func (c Comparison) RelativeTLBTime() float64 {
 	return float64(d) / float64(c.Subject.Cycles)
 }
 
-// Speedup reports how much faster the subject of `other` is than this
-// comparison's subject (Table 4 reports speedups over traditional).
-func (c Comparison) Speedup(other Comparison) float64 {
-	if other.Subject.Cycles == 0 {
-		return 0
-	}
-	return float64(c.Subject.Cycles)/float64(other.Subject.Cycles) - 1
-}
-
 // PerfectOf derives the perfect-TLB baseline of a subject
 // configuration: the same machine with a TLB that never misses, and
 // with the exception-architecture knobs that only matter on a miss

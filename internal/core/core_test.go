@@ -74,14 +74,6 @@ func TestPenaltyPerMissZeroMisses(t *testing.T) {
 	}
 }
 
-func TestSpeedup(t *testing.T) {
-	slow := Comparison{Subject: Result{Cycles: 1200}}
-	fast := Comparison{Subject: Result{Cycles: 1000}}
-	if got := slow.Speedup(fast); got < 0.199 || got > 0.201 {
-		t.Errorf("Speedup = %v, want 0.2", got)
-	}
-}
-
 // inlineWorkload adapts a hand-built program to the Workload
 // interface, demonstrating (and testing) the custom-workload path the
 // examples use.

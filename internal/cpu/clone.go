@@ -3,7 +3,6 @@ package cpu
 import (
 	"mtexc/internal/bpred"
 	"mtexc/internal/obs"
-	"mtexc/internal/stats"
 	"mtexc/internal/vm"
 )
 
@@ -25,9 +24,9 @@ import (
 // Immutable structure is shared: program images (code is fixed after
 // Load; mutable program state lives in the address space and physical
 // memory, which are cloned), the generated handlers and the PAL
-// image. Run-control attachments — RetireHook, TraceHook, DebugHook,
-// the cancel channel, the probe — are NOT carried over; the clone
-// starts with none, and the caller attaches its own.
+// image. Run-control attachments — RetireHook, TraceHook, the cancel
+// channel, the probe — are NOT carried over; the clone starts with
+// none, and the caller attaches its own.
 func (m *Machine) Clone() *Machine {
 	c := &Machine{
 		cfg:       m.cfg,
@@ -36,7 +35,6 @@ func (m *Machine) Clone() *Machine {
 		dtlb:      m.dtlb.Clone(),
 		hand:      m.hand,
 		pal:       m.pal,
-		physMark:  m.physMark,
 		dir:       bpred.CloneDirPredictor(m.dir),
 		ind:       m.ind.Clone(),
 		emuHand:   m.emuHand,
@@ -133,72 +131,4 @@ func (m *Machine) Clone() *Machine {
 	}
 	c.bindHotStats()
 	return c
-}
-
-// Reset returns the machine to its post-New state — no programs
-// attached, cycle zero, empty pipeline, fresh statistics — while
-// reusing the storage construction paid for: the PAL image and
-// generated handlers survive in physical memory (the allocator
-// rewinds to the construction mark, dropping program frames), and the
-// predictor tables, cache arrays, TLB entries and arenas are cleared
-// in place rather than reallocated. It is the cheap way to run many
-// short simulations on one configuration; Clone is the way to fork a
-// run in progress.
-//
-// Like a fresh machine, a reset one has no hooks, no cancel channel,
-// no probe, no armed fault plan and no injected bug.
-func (m *Machine) Reset() {
-	m.phys.ResetTo(m.physMark)
-	m.dtlb.Reset()
-	m.hier.Reset()
-	bpred.ResetDirPredictor(m.dir)
-	m.ind.Reset()
-	for _, r := range m.ras {
-		r.Reset()
-	}
-
-	m.uops = m.uops[:1]
-	m.uops[0] = uop{gen: 1}
-	m.uopFree = m.uopFree[:0]
-	m.hArena = m.hArena[:1]
-	m.hArena[0] = handlerCtx{gen: 1}
-	m.hFree = m.hFree[:0]
-	for i := range m.threads {
-		m.threads[i] = thread{id: i, state: ctxIdle}
-	}
-	m.window = m.window[:0]
-	m.windowCount = 0
-	m.reserved = 0
-	m.handlers = m.handlers[:0]
-	m.hZombies = m.hZombies[:0]
-	m.rrCursor = 0
-	m.retireBudget = 0
-	m.now = 0
-	m.seqCounter = 0
-	m.appRetired = 0
-	m.lastProgress = 0
-	m.readyScratch = m.readyScratch[:0]
-	m.doneScratch = m.doneScratch[:0]
-	m.orderScratch = m.orderScratch[:0]
-
-	m.cancel = nil
-	m.probe = nil
-	m.RetireHook = nil
-	m.TraceHook = nil
-	m.DebugHook = nil
-	m.InjectBug = BugNone
-	m.fault = FaultPlan{}
-	m.faultArmed = false
-	m.faultRec = FaultRecord{}
-
-	m.Stats = stats.NewSet()
-	m.Observ = &obs.Observations{
-		Slots:  obs.NewSlotAccount(m.cfg.Width),
-		Misses: obs.NewMissRecorder(m.Stats, m.cfg.SpanKeep),
-	}
-	m.Observ.Sampler = nil
-	if m.cfg.SampleInterval > 0 {
-		m.attachSampler(m.cfg.SampleInterval)
-	}
-	m.bindHotStats()
 }

@@ -191,46 +191,6 @@ func TestCloneEquivalenceSampler(t *testing.T) {
 	}
 }
 
-// TestResetVsFresh: a machine Reset after a full run, reloaded with
-// the same program, must replay it exactly as a freshly constructed
-// machine does — same retirement stream, same timing, same
-// statistics. The physical-frame allocator rewinds to the
-// construction mark, so the reloaded image lands on the same frames
-// and even cache indexing is identical.
-func TestResetVsFresh(t *testing.T) {
-	limits := gen.Limits{MaxPages: 96, NoFault: true, NoUnaligned: true}
-	p := gen.Generate(4400, limits)
-	for _, mech := range []Mechanism{MechTraditional, MechMultithreaded, MechHardware} {
-		contexts := 1
-		if mech == MechMultithreaded {
-			contexts = 2
-		}
-		cfg := cloneTestConfig(mech, contexts, false)
-
-		fresh, ftid := buildGenMachine(t, cfg, p)
-		want := finishRun(t, fresh, ftid)
-
-		// Dirty a machine with a different program, then Reset and
-		// replay the reference program on it.
-		other := gen.Generate(4401, limits)
-		m, _ := buildGenMachine(t, cfg, other)
-		if _, err := m.Run(); err != nil {
-			t.Fatal(err)
-		}
-		m.Reset()
-		img, err := p.BuildImage(m.Phys(), 1, cfg.PageTable)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tid, err := m.AddProgram(img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := finishRun(t, m, tid)
-		checkOutcome(t, mech.String()+"/reset", got, want)
-	}
-}
-
 // TestCloneIsolation: writes through a clone must not reach the
 // original's memory, TLB or caches, and vice versa.
 func TestCloneIsolation(t *testing.T) {

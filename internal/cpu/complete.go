@@ -87,7 +87,6 @@ func (m *Machine) completeSideEffects(u *uop) {
 	case u.inst.Op == isa.OpRfe && !u.excFetch:
 		// Traditional handler return: the front end can now follow
 		// the (unpredictable) return to the faulting instruction.
-		m.debugf("rfe-complete tid=%d seq=%d resume=%#x", u.tid, u.seq, u.nextPC)
 		t.fetchStalled = false
 		t.inPAL = false
 		t.pc = u.nextPC
@@ -159,7 +158,6 @@ func (m *Machine) resolveMispredict(u *uop) {
 		m.ras[t.id].Pop()
 	}
 
-	m.debugf("mispredict tid=%d seq=%d op=%v pc=%#x redirect=%#x pal=%v", u.tid, u.seq, u.inst.Op, u.pc, u.nextPC, u.palAfter)
 	t.pc = u.nextPC
 	t.inPAL = u.palAfter
 	t.haltedFetch = false

@@ -23,11 +23,6 @@ type Machine struct {
 	hand *vm.Handler
 	pal  *vm.PALImage
 
-	// physMark is the physical-memory allocation frontier right after
-	// construction (PAL image and handler code loaded, no programs);
-	// Reset rewinds the allocator to it.
-	physMark uint64
-
 	dir bpred.DirPredictor
 	ind *bpred.Indirect
 
@@ -104,10 +99,6 @@ type Machine struct {
 	// TraceHook, when set, receives every instruction's full pipeline
 	// lifecycle at retirement or squash (see the trace package).
 	TraceHook func(trace.Record)
-
-	// DebugHook, when set, receives one line per exception-engine
-	// event (traps, spawns, redirects, reversions) for debugging.
-	DebugHook func(cycle uint64, event string)
 
 	// InjectBug, when not BugNone, seeds a deliberate defect into the
 	// exception machinery (differential-fuzzing self-tests only). Set
@@ -298,7 +289,6 @@ func NewOnSubstrate(cfg Config, phys *mem.Physical, hier *cache.Hierarchy) *Mach
 	if cfg.SampleInterval > 0 {
 		m.attachSampler(cfg.SampleInterval)
 	}
-	m.physMark = phys.Mark()
 	m.bindHotStats()
 	return m
 }
@@ -369,9 +359,6 @@ func (m *Machine) Phys() *mem.Physical { return m.phys }
 // channel. Run polls it every cancelPollMask+1 cycles and returns a
 // CancelledError once it is closed. Must be called before Run.
 func (m *Machine) SetCancel(ch <-chan struct{}) { m.cancel = ch }
-
-// Handler exposes the generated PAL handler (tests, examples).
-func (m *Machine) Handler() *vm.Handler { return m.hand }
 
 // AddProgram binds an image to the next idle hardware context and
 // returns its context id. The image must already be Loaded.
@@ -636,16 +623,6 @@ func (m *Machine) allHalted() bool {
 		}
 	}
 	return true
-}
-
-// debugf reports an exception-engine event to the DebugHook. It is
-// nil-guarded debug instrumentation, never attached in measured runs.
-//
-//mtexc:coldpath
-func (m *Machine) debugf(format string, args ...any) {
-	if m.DebugHook != nil {
-		m.DebugHook(m.now, fmt.Sprintf(format, args...))
-	}
 }
 
 // emitTrace reports a finished (retired or squashed) instruction's

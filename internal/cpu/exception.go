@@ -238,7 +238,6 @@ func (m *Machine) spawnHandler(h *thread, u *uop, kind excKind) {
 	h.lwInt = [32]depRef{}
 	h.lwFP = [32]depRef{}
 	m.Stats.Counter("handler.spawns").Inc()
-	m.debugf("spawn kind=%d tid=%d master seq=%d pc=%#x vpn=%#x", kind, h.id, u.seq, u.pc, u.faultVPN)
 
 	switch {
 	case m.cfg.Limit == LimitInstantFetch:
@@ -297,7 +296,6 @@ func (m *Machine) materializeHandler(h *thread, ctx *handlerCtx, instant bool) {
 func (m *Machine) trapTraditional(u *uop, kind excKind) {
 	t := &m.threads[u.tid]
 	m.Stats.Counter("trap.traps").Inc()
-	m.debugf("trap kind=%d tid=%d seq=%d pc=%#x vpn=%#x prevCtx=%v", kind, u.tid, u.seq, u.pc, u.faultVPN, t.trapCtx != hRef{})
 
 	m.squashFrom(t, u.seq)
 	t.ghr, t.path = u.histBefore, u.pathBefore
@@ -484,7 +482,6 @@ func (m *Machine) killHandler(ctx *handlerCtx) {
 	}
 	ctx.dead = true
 	m.Observ.Misses.Abort(ctx.span)
-	m.debugf("killHandler kind=%d tid=%d masterSeq=%d", ctx.kind, ctx.tid, ctx.masterSeq)
 	m.dtlb.SquashSpec(ctx.specTag)
 	m.reserved -= ctx.reserveLeft
 	ctx.reserveLeft = 0

@@ -153,7 +153,6 @@ func (m *Machine) tryInjectFault() {
 	m.faultArmed = false
 	m.faultRec = FaultRecord{Applied: true, Cycle: m.now, Target: target}
 	m.Stats.Counter("fault.injected").Inc()
-	m.debugf("fault injected: class=%s %s", m.fault.Class, target)
 }
 
 // flipBit XORs a seeded bit of the chosen site.

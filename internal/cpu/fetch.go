@@ -158,7 +158,6 @@ func (m *Machine) postFetchControl(t *thread, u *uop) {
 			t.haltedFetch = true
 		}
 	case isa.OpHalt, isa.OpHardExc:
-		m.debugf("fetch-halt tid=%d op=%v pc=%#x", t.id, u.inst.Op, u.pc)
 		t.haltedFetch = true
 	default:
 		if u.mispred && u.predPC == 0 {

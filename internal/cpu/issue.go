@@ -121,7 +121,6 @@ func (m *Machine) deadlockAvoidSquash(ctx *handlerCtx) {
 		// refetch target comes from the context snapshots.
 		if tc := m.hctx(mt.trapCtx); tc != nil && !tc.dead && tc.masterSeq > ctx.masterSeq {
 			m.Stats.Counter("window.deadlock.trapsquashes").Inc()
-			m.debugf("deadlock-trapsquash tid=%d from=%d refetch=%#x", mt.id, tc.firstSeq, tc.masterPC)
 			refetchPC := tc.masterPC
 			hist, path, cp := tc.masterHist, tc.masterPath, tc.masterRAS
 			m.squashFrom(mt, tc.firstSeq)
@@ -143,8 +142,6 @@ func (m *Machine) deadlockAvoidSquash(ctx *handlerCtx) {
 	}
 	victim := victims[need-1]
 	m.Stats.Counter("window.deadlock.squashes").Inc()
-	m.debugf("deadlock-squash tid=%d from=%d victims=%d redirect=%#x pal=%v",
-		mt.id, victim.seq, need, victim.pc, victim.pal)
 	m.squashFrom(mt, victim.seq)
 	// Fetch state rewinds to just before the victim.
 	mt.ghr, mt.path = victim.histBefore, victim.pathBefore

@@ -211,7 +211,6 @@ func (m *Machine) osPageFaultService(t *thread, u *uop) {
 		// reclaimed) must still unwedge the thread: flush and resume
 		// at the thread's recorded exception PC.
 		m.Stats.Counter("os.orphan.hardexc").Inc()
-		m.debugf("orphan-hardexc tid=%d pc=%#x resume=%#x", t.id, u.pc, t.priv[isa.PrExcPC])
 		m.squashFrom(t, u.seq+1)
 		t.inPAL = false
 		t.pc = t.priv[isa.PrExcPC]
@@ -221,7 +220,6 @@ func (m *Machine) osPageFaultService(t *thread, u *uop) {
 	}
 	m.Stats.Counter("os.pagefaults").Inc()
 	m.Observ.Misses.Abort(ctx.span)
-	m.debugf("os-fault tid=%d vpn=%#x resume=%#x", t.id, ctx.faultVPN, ctx.excPC)
 	mt := &m.threads[ctx.masterTid]
 	if pfn, err := mt.as.MapPage(ctx.faultVPN); err == nil {
 		m.dtlb.Insert(mt.as.ASN, ctx.faultVPN, pfn, 0)
@@ -315,7 +313,6 @@ func (m *Machine) finishSquash(t *thread, from uint64) {
 	// A traditional trap handler whose first instruction fell inside
 	// the squashed range dies with it.
 	if ctx := m.hctx(t.trapCtx); ctx != nil && !ctx.dead && from <= ctx.firstSeq {
-		m.debugf("trapctx-killed tid=%d from=%d firstSeq=%d", t.id, from, ctx.firstSeq)
 		ctx.dead = true
 		m.dtlb.SquashSpec(ctx.specTag)
 		m.Observ.Misses.Abort(ctx.span)

@@ -195,17 +195,6 @@ func (p *Program) HasUnaligned() bool {
 	return false
 }
 
-// HasPopc reports whether any fragment executes POPC (the emulated
-// instruction under EmulatePopc configurations).
-func (p *Program) HasPopc() bool {
-	for _, f := range p.Frags {
-		if f.Kind == FragPopc {
-			return true
-		}
-	}
-	return false
-}
-
 // regionBytes is the initialized data-region size.
 func (p *Program) regionBytes() uint64 {
 	return uint64(p.Knobs.Pages) * vm.PageSize

@@ -40,10 +40,6 @@ type Options struct {
 	// compared machine's TrapUnaligned setting — the flag changes the
 	// architecture, uniformly across all mechanisms.
 	Unaligned bool
-	// TraceCap bounds the retained committed-instruction trace
-	// (default: unlimited). Execution continues past the cap; only
-	// retention stops.
-	TraceCap int
 }
 
 // Entry is one committed instruction of the architectural trace.
@@ -86,9 +82,7 @@ func Run(img *vm.Image, opt Options) (*Result, error) {
 			return nil, fmt.Errorf("refemu: pc %#x outside the code segment after %d steps", pc, res.Steps)
 		}
 		res.Steps++
-		if opt.TraceCap <= 0 || len(res.Trace) < opt.TraceCap {
-			res.Trace = append(res.Trace, Entry{PC: pc, Op: in.Op})
-		}
+		res.Trace = append(res.Trace, Entry{PC: pc, Op: in.Op})
 		next := pc + 4
 
 		switch isa.ClassOf(in.Op) {

@@ -118,124 +118,6 @@ func checkParity(t *testing.T, name string, p *gen.Program, unaligned bool, org 
 	}
 }
 
-// TestCheckpointRestoreProperty: Checkpoint -> FastForward(k) ->
-// Restore replays to identical architectural state, and the replay's
-// continuation matches an uninterrupted run — over generated programs
-// that store, fault and map pages across the checkpoint boundary.
-func TestCheckpointRestoreProperty(t *testing.T) {
-	seeds := 25
-	if testing.Short() {
-		seeds = 8
-	}
-	for seed := int64(1); seed <= int64(seeds); seed++ {
-		p := gen.Generate(seed*13+5, gen.Limits{})
-		unaligned := p.HasUnaligned()
-
-		// Uninterrupted reference run to find the total step count.
-		straightImg, err := p.BuildImage(mem.NewPhysical(), 1, vm.PTLinear)
-		if err != nil {
-			t.Fatalf("seed %d: build: %v", seed, err)
-		}
-		straight, err := New(straightImg, Options{Unaligned: unaligned})
-		if err != nil {
-			t.Fatalf("seed %d: New: %v", seed, err)
-		}
-		if _, err := straight.FastForward(2_000_000); err != nil || !straight.Halted() {
-			// Programs refemu rejects are covered by TestRefemuParity.
-			continue
-		}
-		total := straight.Steps()
-		j, k := total/3, total/2
-
-		img, err := p.BuildImage(mem.NewPhysical(), 1, vm.PTLinear)
-		if err != nil {
-			t.Fatalf("seed %d: build: %v", seed, err)
-		}
-		eng, err := New(img, Options{Unaligned: unaligned})
-		if err != nil {
-			t.Fatalf("seed %d: New: %v", seed, err)
-		}
-		if _, err := eng.FastForward(j); err != nil {
-			t.Fatalf("seed %d: prefix: %v", seed, err)
-		}
-		cpRegs, cpPC, cpHash := eng.Regs(), eng.PC(), img.Space.ContentHash()
-		cp := eng.Checkpoint()
-
-		if _, err := eng.FastForward(k); err != nil {
-			t.Fatalf("seed %d: window: %v", seed, err)
-		}
-		runRegs, runPC, runSteps, runHash := eng.Regs(), eng.PC(), eng.Steps(), img.Space.ContentHash()
-
-		if err := eng.Restore(cp); err != nil {
-			t.Fatalf("seed %d: restore: %v", seed, err)
-		}
-		if eng.Regs() != cpRegs || eng.PC() != cpPC || eng.Steps() != j {
-			t.Fatalf("seed %d: restore did not rewind registers/pc/steps", seed)
-		}
-		if h := img.Space.ContentHash(); h != cpHash {
-			t.Fatalf("seed %d: restore memory hash %#x, want %#x", seed, h, cpHash)
-		}
-
-		// Replay the same k instructions: every observable must match.
-		if _, err := eng.FastForward(k); err != nil {
-			t.Fatalf("seed %d: replay: %v", seed, err)
-		}
-		if eng.Regs() != runRegs || eng.PC() != runPC || eng.Steps() != runSteps {
-			t.Fatalf("seed %d: replay diverged from first pass", seed)
-		}
-		if h := img.Space.ContentHash(); h != runHash {
-			t.Fatalf("seed %d: replay memory hash %#x, want %#x", seed, h, runHash)
-		}
-
-		// A second restore of the same checkpoint still works, and the
-		// continuation to HALT matches the uninterrupted run.
-		if err := eng.Restore(cp); err != nil {
-			t.Fatalf("seed %d: second restore: %v", seed, err)
-		}
-		if _, err := eng.FastForward(2_000_000); err != nil {
-			t.Fatalf("seed %d: run to halt: %v", seed, err)
-		}
-		if !eng.Halted() || eng.Steps() != total {
-			t.Fatalf("seed %d: post-restore run halted=%v steps=%d, want halt at %d",
-				seed, eng.Halted(), eng.Steps(), total)
-		}
-		if eng.Regs() != straight.Regs() {
-			t.Fatalf("seed %d: post-restore final registers diverge from uninterrupted run", seed)
-		}
-		if got, want := img.Space.ContentHash(), straightImg.Space.ContentHash(); got != want {
-			t.Fatalf("seed %d: post-restore memory hash %#x, want %#x", seed, got, want)
-		}
-	}
-}
-
-// TestRestoreRequiresActiveCheckpoint: only the engine's most recent
-// checkpoint is restorable.
-func TestRestoreRequiresActiveCheckpoint(t *testing.T) {
-	b := asm.NewBuilder()
-	b.I(isa.OpAddi, 1, 1, 1)
-	b.Emit(isa.Instruction{Op: isa.OpHalt})
-	code, err := b.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(buildImage(t, code), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := eng.Checkpoint()
-	eng.Checkpoint()
-	if err := eng.Restore(old); err == nil {
-		t.Fatal("restoring a superseded checkpoint succeeded")
-	}
-	if err := eng.Restore(nil); err == nil {
-		t.Fatal("restoring nil succeeded")
-	}
-	eng.Release()
-	if err := eng.Restore(old); err == nil {
-		t.Fatal("restoring after Release succeeded")
-	}
-}
-
 // TestStoreToCodePageInvalidatesDecode: the decoded-instruction cache
 // is rebuilt when a store lands in a code page.
 func TestStoreToCodePageInvalidatesDecode(t *testing.T) {

@@ -2,12 +2,16 @@ package faultinject
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
 	"testing"
 
 	"mtexc/internal/cpu"
 	"mtexc/internal/diffsim"
 	"mtexc/internal/diffsim/gen"
+	"mtexc/internal/isa"
 	"mtexc/internal/obs"
+	"mtexc/internal/workload"
 )
 
 // testProgram is one deterministic no-fault generated program shared
@@ -196,5 +200,115 @@ func TestUnfiredTrialIsMasked(t *testing.T) {
 	}
 	if tr.Outcome != Masked {
 		t.Errorf("unfired trial classified %s, want masked", tr.Outcome)
+	}
+}
+
+// armedRun is everything one armed run observably produced.
+type armedRun struct {
+	retired     []cpu.RetiredInst
+	fingerprint []byte // stats table + obs snapshot; nil after a panic
+	cycles      uint64
+	regs        isa.RegFile
+	rec         cpu.FaultRecord
+	err         string
+}
+
+// runArmed runs p under cfg with plan armed. With fork set, the
+// machine steps unarmed to plan.At and the plan is armed on a clone
+// taken there, which finishes the run; otherwise the plan is armed
+// before cycle 0. The retirement stream spans both machines.
+func runArmed(t *testing.T, p *gen.Program, cfg cpu.Config, plan cpu.FaultPlan, fork bool) armedRun {
+	t.Helper()
+	var out armedRun
+	m := cpu.New(cfg)
+	img, err := p.BuildImage(m.Phys(), 1, cfg.PageTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tid, err := m.AddProgram(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func(ri cpu.RetiredInst) { out.retired = append(out.retired, ri) }
+	m.RetireHook = record
+	if fork {
+		for m.Now() < plan.At && m.StepCycle() {
+		}
+		if m.Now() != plan.At {
+			t.Fatalf("unarmed prefix halted at cycle %d, before injection cycle %d", m.Now(), plan.At)
+		}
+		m = m.Clone()
+		m.RetireHook = record
+	}
+	m.SetFaultPlan(plan)
+	res, err := func() (res cpu.Result, err error) {
+		defer func() {
+			if r := recover(); r != nil {
+				err = fmt.Errorf("panic: %v", r)
+			}
+		}()
+		return m.Run()
+	}()
+	if res.Stats != nil {
+		out.fingerprint = runFingerprint(t, res)
+	}
+	out.cycles = m.Now()
+	out.regs = m.ArchRegs(tid)
+	out.rec = m.FaultRecord()
+	if err != nil {
+		out.err = err.Error()
+	}
+	return out
+}
+
+// TestCloneAtInjectionMatchesReplay is the property that lets a
+// campaign fork trials off one unfaulted machine instead of replaying
+// each trial's prefix from cycle 0: stepping to the plan's injection
+// cycle, cloning and arming the clone yields the same retirement
+// stream, result, statistics, registers, fault record and error as
+// arming the plan before cycle 0. It sweeps the campaign's own grid
+// under the trial configuration, so the clone is exercised with the
+// invariant checker off, unaligned and POPC traps on, and flips in
+// every state class.
+func TestCloneAtInjectionMatchesReplay(t *testing.T) {
+	trials := 6
+	if testing.Short() {
+		trials = 2
+	}
+	for _, spec := range workload.FaultInjectionSuite() {
+		p, err := gen.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mc := range DefaultMechs() {
+			b, err := NewBaseline(p, mc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := TrialConfig(mc.DiffCase(p), b.Ref.Res.Steps)
+			for _, class := range DefaultClasses() {
+				key := fmt.Sprintf("%s|%s|%s", class, mc.Name, spec)
+				for i := 0; i < trials; i++ {
+					plan := PlanFor(1, key, i, class, b.Cycles, 0.85)
+					replay := runArmed(t, p, cfg, plan, false)
+					fork := runArmed(t, p, cfg, plan, true)
+					name := fmt.Sprintf("%s trial %d (at %d)", key, i, plan.At)
+					switch {
+					case !slices.Equal(fork.retired, replay.retired):
+						t.Errorf("%s: retirement streams differ (%d vs %d retired)",
+							name, len(fork.retired), len(replay.retired))
+					case !bytes.Equal(fork.fingerprint, replay.fingerprint):
+						t.Errorf("%s: result or statistics differ", name)
+					case fork.cycles != replay.cycles || fork.regs != replay.regs:
+						t.Errorf("%s: final cycle or registers differ (%d vs %d cycles)",
+							name, fork.cycles, replay.cycles)
+					case fork.rec != replay.rec:
+						t.Errorf("%s: fault record %+v, replay %+v", name, fork.rec, replay.rec)
+					case fork.err != replay.err:
+						t.Errorf("%s: error %q, replay %q", name, fork.err, replay.err)
+					}
+				}
+			}
+		}
 	}
 }

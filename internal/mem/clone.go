@@ -31,23 +31,3 @@ func (p *Physical) Clone() *Physical {
 	}
 	return c
 }
-
-// Mark captures the current allocation frontier. Together with
-// ResetTo it lets an owner snapshot the post-construction state (PAL
-// image, handler code) and later drop everything allocated since —
-// program code, page tables, data pages — without rebuilding the
-// preserved prefix.
-func (p *Physical) Mark() uint64 { return p.nextFree }
-
-// ResetTo rewinds the allocator to a previously captured Mark,
-// discarding every frame allocated at or beyond it. Frames below the
-// mark keep their contents.
-func (p *Physical) ResetTo(mark uint64) {
-	for fn := range p.frames {
-		if fn >= mark {
-			delete(p.frames, fn)
-			delete(p.priv, fn)
-		}
-	}
-	p.nextFree = mark
-}

@@ -37,29 +37,3 @@ func TestPhysicalCloneSameFrameNumbers(t *testing.T) {
 		t.Fatalf("post-clone allocations diverge: %d != %d", pf, cf)
 	}
 }
-
-func TestPhysicalMarkResetTo(t *testing.T) {
-	p := NewPhysical()
-	keep := p.AllocFrame() * FrameSize
-	p.WriteU64(keep, 42)
-	mark := p.Mark()
-
-	drop := p.AllocFrames(4) * FrameSize
-	p.WriteU64(drop, 99)
-	p.ResetTo(mark)
-
-	if got := p.ReadU64(keep); got != 42 {
-		t.Fatalf("frame below the mark lost its contents: %d", got)
-	}
-	if p.Mark() != mark {
-		t.Fatalf("frontier not rewound: %d != %d", p.Mark(), mark)
-	}
-	// Frames past the mark were freed: the next allocation reuses the
-	// first dropped frame number and its storage reads as zero.
-	if got := p.AllocFrames(4) * FrameSize; got != drop {
-		t.Fatalf("re-allocation landed at %#x, want %#x", got, drop)
-	}
-	if got := p.ReadU64(drop); got != 0 {
-		t.Fatalf("dropped frame retained stale contents: %d", got)
-	}
-}

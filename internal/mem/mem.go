@@ -62,7 +62,7 @@ func (p *Physical) FramesAllocated() uint64 { return p.nextFree - 1 }
 // allocating the backing store on first touch. The functional
 // execution tier caches these pointers so its hot loop can read and
 // write page bytes without a map lookup per access; whole-page copies
-// (checkpointing, architectural state transfer) use it too. The
+// (architectural state transfer) use it too. The
 // returned array is writable: a frame still aliased with a clone is
 // privatized first. Pointers cached across a Clone of this Physical
 // are stale for writing; re-fetch them.

@@ -50,9 +50,6 @@ func NewSampler(every uint64) *Sampler {
 	return &Sampler{every: every}
 }
 
-// Every reports the epoch length in cycles.
-func (s *Sampler) Every() uint64 { return s.every }
-
 // Register adds a source. fn is read at every epoch boundary; for
 // SampleDelta and SampleRate it must be cumulative (monotonic).
 func (s *Sampler) Register(name string, mode SampleMode, fn func() float64) {

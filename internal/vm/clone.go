@@ -11,17 +11,6 @@ func (t *TLB) Clone() *TLB {
 	return &c
 }
 
-// Reset empties the TLB and zeroes its LRU clock and statistics,
-// returning it to the as-constructed state while keeping the entry
-// storage.
-func (t *TLB) Reset() {
-	for i := range t.entries {
-		t.entries[i] = tlbEntry{}
-	}
-	t.stamp = 0
-	t.Hits, t.Misses, t.Fills, t.SpecKills = 0, 0, 0, 0
-}
-
 // CloneInto returns a deep copy of the address space bound to phys,
 // which must be (a clone of) the physical memory the original's page
 // table lives in: frame numbers — the page-table base, the mapped

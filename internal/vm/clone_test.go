@@ -34,18 +34,6 @@ func TestTLBCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestTLBReset(t *testing.T) {
-	tlb := NewTLB(8)
-	tlb.Insert(1, 2, 7, 0)
-	tlb.Lookup(1, 2)
-	tlb.Lookup(1, 9)
-	tlb.Reset()
-	if tlb.Occupancy() != 0 || tlb.Hits != 0 || tlb.Misses != 0 || tlb.Fills != 0 {
-		t.Fatalf("reset left residue: occ=%d hits=%d misses=%d fills=%d",
-			tlb.Occupancy(), tlb.Hits, tlb.Misses, tlb.Fills)
-	}
-}
-
 func TestAddressSpaceCloneInto(t *testing.T) {
 	for _, org := range []PTOrg{PTLinear, PTTwoLevel} {
 		phys := mem.NewPhysical()

@@ -55,10 +55,6 @@ func (f *FuzzProg) Build(phys *mem.Physical, asn uint8) (*vm.Image, error) {
 	return f.prog.BuildImage(phys, asn, f.ptOrg)
 }
 
-// Prog exposes the generated program (the fault-injection campaign
-// derives oracle runs and trial configurations from it).
-func (f *FuzzProg) Prog() *gen.Program { return f.prog }
-
 // FaultInjectionSuite is the default workload axis of the
 // transient-fault campaign: three fixed-seed generated programs,
 // fault-free so every TLB miss is a normal handled miss (the campaign
