@@ -31,19 +31,28 @@ type line struct {
 	lru   uint64 // last-touch stamp; higher is more recent
 }
 
+// blockSets is the copy-on-write granule: a cache stores its lines in
+// blocks of this many sets, a Clone shares every block, and each side
+// copies a block on its first mutating access to it.
+const blockSets = 64
+
 // Cache is one level of set-associative, write-back, write-allocate
 // cache with true-LRU replacement.
 type Cache struct {
-	cfg       Config
-	sets      [][]line
-	cowShared bool // line arrays aliased by a Clone; privatize before mutating
-	stamp     uint64
-	shift     uint // log2(LineSize)
-	setMask   uint64
-	Hits      uint64
-	Misses    uint64
-	Evicts    uint64
-	Writebks  uint64
+	cfg Config
+	// blocks holds blockSets consecutive sets of Assoc ways each (all
+	// sets, when the cache has fewer).
+	blocks [][]line
+	// shared marks the blocks a Clone still aliases; nil when the
+	// cache has never been cloned.
+	shared   []bool
+	stamp    uint64
+	shift    uint // log2(LineSize)
+	setMask  uint64
+	Hits     uint64
+	Misses   uint64
+	Evicts   uint64
+	Writebks uint64
 }
 
 // New returns an empty cache with the given geometry. It panics on a
@@ -53,14 +62,16 @@ func New(cfg Config) *Cache {
 	if nsets == 0 || nsets&(nsets-1) != 0 || cfg.LineSize&(cfg.LineSize-1) != 0 {
 		panic("cache: size/linesize/assoc must yield a power-of-two set count")
 	}
-	sets := make([][]line, nsets)
+	per := min(nsets, blockSets) * uint64(cfg.Assoc)
 	backing := make([]line, nsets*uint64(cfg.Assoc))
-	for i := range sets {
-		sets[i] = backing[uint64(i)*uint64(cfg.Assoc) : (uint64(i)+1)*uint64(cfg.Assoc)]
+	blocks := make([][]line, uint64(len(backing))/per)
+	for b := range blocks {
+		lo := uint64(b) * per
+		blocks[b] = backing[lo : lo+per : lo+per]
 	}
 	return &Cache{
 		cfg:     cfg,
-		sets:    sets,
+		blocks:  blocks,
 		shift:   log2(cfg.LineSize),
 		setMask: nsets - 1,
 	}
@@ -81,14 +92,28 @@ func (c *Cache) Config() Config { return c.cfg }
 // LineAddr reports the line-aligned address containing pa.
 func (c *Cache) LineAddr(pa uint64) uint64 { return pa &^ (c.cfg.LineSize - 1) }
 
-func (c *Cache) set(pa uint64) []line { return c.sets[pa>>c.shift&c.setMask] }
+// set returns pa's set.
+func (c *Cache) set(pa uint64) []line {
+	si := pa >> c.shift & c.setMask
+	off := si % blockSets * uint64(c.cfg.Assoc)
+	return c.blocks[si/blockSets][off : off+uint64(c.cfg.Assoc)]
+}
+
+// unshare gives the cache its own copy of block b if a Clone still
+// shares it. Every mutating path calls it before it touches a line.
+func (c *Cache) unshare(b uint64) {
+	if c.shared != nil && c.shared[b] {
+		c.own(b)
+	}
+}
 
 // Probe reports whether pa currently hits, without perturbing LRU or
 // statistics.
 func (c *Cache) Probe(pa uint64) bool {
 	tag := pa >> c.shift
-	for i := range c.set(pa) {
-		l := &c.set(pa)[i]
+	set := c.set(pa)
+	for i := range set {
+		l := &set[i]
 		if l.valid && l.tag == tag {
 			return true
 		}
@@ -110,10 +135,8 @@ type Victim struct {
 // the miss; the caller is responsible for the timing of the refill
 // path.
 func (c *Cache) Access(pa uint64, write bool) (hit bool, victim Victim) {
-	if c.cowShared {
-		c.privatize()
-	}
 	tag := pa >> c.shift
+	c.unshare((tag & c.setMask) / blockSets)
 	set := c.set(pa)
 	c.stamp++
 	for i := range set {
@@ -157,10 +180,8 @@ func (c *Cache) Access(pa uint64, write bool) (hit bool, victim Victim) {
 // Invalidate drops the line containing pa if present, reporting
 // whether it was dirty.
 func (c *Cache) Invalidate(pa uint64) (present, dirty bool) {
-	if c.cowShared {
-		c.privatize()
-	}
 	tag := pa >> c.shift
+	c.unshare((tag & c.setMask) / blockSets)
 	set := c.set(pa)
 	for i := range set {
 		l := &set[i]
@@ -175,16 +196,14 @@ func (c *Cache) Invalidate(pa uint64) (present, dirty bool) {
 // Flush invalidates every line, reporting how many dirty lines were
 // dropped.
 func (c *Cache) Flush() (dirty uint64) {
-	if c.cowShared {
-		c.privatize()
-	}
-	for si := range c.sets {
-		for wi := range c.sets[si] {
-			l := &c.sets[si][wi]
-			if l.valid && l.dirty {
+	for b := range c.blocks {
+		c.unshare(uint64(b))
+		blk := c.blocks[b]
+		for i := range blk {
+			if blk[i].valid && blk[i].dirty {
 				dirty++
 			}
-			l.valid = false
+			blk[i].valid = false
 		}
 	}
 	return dirty

@@ -1,31 +1,37 @@
 package cache
 
+import "slices"
+
 // Clone forks the cache copy-on-write: tags, LRU stamps, dirty bits
-// and statistics all carry over, but the line arrays stay shared
-// until either side's first mutating access privatizes its copy
-// (privatize). Fork cost is therefore O(1) in the cache size.
+// and statistics all carry over, but the line blocks stay shared
+// until either side's first mutating access to a block copies it
+// (unshare). A fork copies one slice header per blockSets sets, and
+// afterwards each side copies only the blocks it touches.
 func (c *Cache) Clone() *Cache {
 	n := *c
-	c.cowShared = true
-	n.cowShared = true
+	n.blocks = slices.Clone(c.blocks)
+	c.shared = markShared(c.shared, len(c.blocks))
+	n.shared = markShared(nil, len(c.blocks))
 	return &n
 }
 
-// privatize rebuilds the set slices over a fresh backing array,
-// unsharing the line storage from any clone. Called by every mutating
-// path before it touches a line.
+// markShared marks all n blocks as aliased, reusing s when it exists.
+func markShared(s []bool, n int) []bool {
+	if s == nil {
+		s = make([]bool, n)
+	}
+	for i := range s {
+		s[i] = true
+	}
+	return s
+}
+
+// own gives the cache a private copy of block b.
 //
 //mtexc:coldpath
-func (c *Cache) privatize() {
-	assoc := uint64(c.cfg.Assoc)
-	backing := make([]line, uint64(len(c.sets))*assoc)
-	sets := make([][]line, len(c.sets))
-	for i := range c.sets {
-		sets[i] = backing[uint64(i)*assoc : (uint64(i)+1)*assoc]
-		copy(sets[i], c.sets[i])
-	}
-	c.sets = sets
-	c.cowShared = false
+func (c *Cache) own(b uint64) {
+	c.blocks[b] = slices.Clone(c.blocks[b])
+	c.shared[b] = false
 }
 
 // Clone returns a deep copy of the L2 domain: the L2 cache (forked

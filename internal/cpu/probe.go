@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"mtexc/internal/isa"
+	"mtexc/internal/vm"
 )
 
 // Probe publishes a running machine's coarse progress for concurrent
@@ -81,6 +82,10 @@ func (m *Machine) SetProbe(p *Probe) {
 func (m *Machine) ArchRegs(tid int) isa.RegFile {
 	return m.threads[tid].rf
 }
+
+// Space returns context tid's address space: the loaded image's, or
+// on a Clone its copy over the clone's physical memory.
+func (m *Machine) Space(tid int) *vm.AddressSpace { return m.threads[tid].as }
 
 // ThreadHalted reports whether context tid has retired a HALT.
 func (m *Machine) ThreadHalted(tid int) bool {

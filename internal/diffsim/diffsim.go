@@ -16,6 +16,7 @@
 package diffsim
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -235,7 +236,10 @@ func CheckProgram(p *gen.Program, opt Options) ([]Divergence, error) {
 				divs = append(divs, *d)
 			}
 		}
-		if d := runCase(p, c, ref, opt.Inject); d != nil {
+		rr := RunCaseConfigured(p, c, c.Config(ref.Res.Steps), ref, func(m *cpu.Machine) {
+			m.InjectBug = opt.Inject
+		})
+		if d := rr.Div; d != nil {
 			d.Spec = p.Spec()
 			divs = append(divs, *d)
 		}
@@ -252,11 +256,7 @@ func CheckProgram(p *gen.Program, opt Options) ([]Divergence, error) {
 // it is held to the same oracle as the cycle-accurate machines.
 func runFastpath(p *gen.Program, unaligned bool, ref *RefRun) (div *Divergence) {
 	c := Case{Name: "fastpath", TrapUnaligned: unaligned}
-	defer func() {
-		if r := recover(); r != nil {
-			div = &Divergence{Case: c, Kind: "panic", Detail: fmt.Sprint(r)}
-		}
-	}()
+	defer recoverDiv(&div, c)
 	img, err := p.BuildImage(mem.NewPhysical(), 1, vm.PTLinear)
 	if err != nil {
 		return &Divergence{Case: c, Kind: "error", Detail: err.Error()}
@@ -274,11 +274,7 @@ func runFastpath(p *gen.Program, unaligned bool, ref *RefRun) (div *Divergence) 
 				eng.Steps(), ref.Res.Steps)}
 	}
 	tr, want := eng.Trace(), ref.Res.Trace
-	n := len(tr)
-	if len(want) < n {
-		n = len(want)
-	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < min(len(tr), len(want)); i++ {
 		if tr[i].PC != want[i].PC || tr[i].Op != want[i].Op {
 			return &Divergence{Case: c, Kind: "trace",
 				Detail: fmt.Sprintf("committed inst %d: functional tier pc=%#x op=%v, reference expects pc=%#x op=%v",
@@ -300,6 +296,14 @@ func runFastpath(p *gen.Program, unaligned bool, ref *RefRun) (div *Divergence) 
 	return nil
 }
 
+// recoverDiv reports a panic inside the core (invariant checker,
+// splice machinery) or the functional tier as the run's divergence.
+func recoverDiv(div **Divergence, c Case) {
+	if r := recover(); r != nil {
+		*div = &Divergence{Case: c, Kind: "panic", Detail: fmt.Sprint(r)}
+	}
+}
+
 // skippable reports whether a reference-trace instruction is allowed
 // to be absent from the machine's committed stream: under software
 // mechanisms, emulated POPCs and trapped unaligned loads are squashed
@@ -307,13 +311,8 @@ func runFastpath(p *gen.Program, unaligned bool, ref *RefRun) (div *Divergence) 
 // retire as application instructions. Their architectural effect is
 // still checked — through the final register and memory signatures.
 func skippable(op isa.Op, cfg cpu.Config) bool {
-	if cfg.EmulatePopc && op == isa.OpPopc {
-		return true
-	}
-	if cfg.TrapUnaligned && (op == isa.OpLdq || op == isa.OpLdl) {
-		return true
-	}
-	return false
+	return cfg.EmulatePopc && op == isa.OpPopc ||
+		cfg.TrapUnaligned && (op == isa.OpLdq || op == isa.OpLdl)
 }
 
 // RunResult is the outcome of one oracle-checked machine execution:
@@ -325,107 +324,179 @@ type RunResult struct {
 	Res cpu.Result
 }
 
-// RunCaseConfigured executes the program under one configuration and
-// compares the committed-instruction stream (streamed through
-// RetireHook), the final architectural registers and the
-// mapped-memory signature against the reference run. A panic inside
-// the core (invariant checker, splice machinery) is itself a
-// divergence. pre, if non-nil, runs after the program is loaded and
-// before the machine starts — the seam where the fuzzer arms
-// InjectBug and the fault injector arms its FaultPlan.
-func RunCaseConfigured(p *gen.Program, c Case, cfg cpu.Config, ref *RefRun, pre func(*cpu.Machine)) (out RunResult) {
-	defer func() {
-		if r := recover(); r != nil {
-			out.Div = &Divergence{Case: c, Kind: "panic", Detail: fmt.Sprint(r)}
-		}
-	}()
+// oracle streams one hardware context's committed instructions
+// against its reference run, then checks the context's final
+// registers and memory. It is a plain value: a copy forks the
+// comparison along with a cloned machine.
+type oracle struct {
+	ref      *RefRun
+	cfg      cpu.Config
+	tid      int
+	idx      int    // reference instructions matched or skipped so far
+	mismatch string // the first committed-stream disagreement
+}
 
-	m := cpu.New(cfg)
-	img, err := p.BuildImage(m.Phys(), 1, cfg.PageTable)
-	if err != nil {
-		out.Div = &Divergence{Case: c, Kind: "error", Detail: err.Error()}
-		return out
+// retire is the machine's RetireHook.
+func (o *oracle) retire(ri cpu.RetiredInst) {
+	if ri.Tid != o.tid || ri.PAL || o.mismatch != "" {
+		return
 	}
-	tid, err := m.AddProgram(img)
-	if err != nil {
-		out.Div = &Divergence{Case: c, Kind: "error", Detail: err.Error()}
-		return out
-	}
-	if pre != nil {
-		pre(m)
-	}
-
-	trace := ref.Res.Trace
-	idx := 0
-	var mismatch string
-	m.RetireHook = func(ri cpu.RetiredInst) {
-		if ri.Tid != tid || ri.PAL || mismatch != "" {
+	trace := o.ref.Res.Trace
+	for o.idx < len(trace) {
+		e := trace[o.idx]
+		if e.PC == ri.PC && e.Op == ri.Op {
+			o.idx++
 			return
 		}
-		for idx < len(trace) {
-			e := trace[idx]
-			if e.PC == ri.PC && e.Op == ri.Op {
-				idx++
-				return
-			}
-			if skippable(e.Op, cfg) {
-				idx++
-				continue
-			}
-			mismatch = fmt.Sprintf("committed inst %d: machine retired pc=%#x op=%v, reference expects pc=%#x op=%v",
-				idx, ri.PC, ri.Op, e.PC, e.Op)
-			return
+		if skippable(e.Op, o.cfg) {
+			o.idx++
+			continue
 		}
-		mismatch = fmt.Sprintf("machine retired pc=%#x op=%v past the end of the %d-entry reference trace",
-			ri.PC, ri.Op, len(trace))
+		o.mismatch = fmt.Sprintf("committed inst %d: machine retired pc=%#x op=%v, reference expects pc=%#x op=%v",
+			o.idx, ri.PC, ri.Op, e.PC, e.Op)
+		return
 	}
+	o.mismatch = fmt.Sprintf("machine retired pc=%#x op=%v past the end of the %d-entry reference trace",
+		ri.PC, ri.Op, len(trace))
+}
 
-	res, err := m.Run()
-	out.Res = res
+// verify checks the context's state on m after its run, returning
+// the divergence kind and detail ("" if it matches the reference).
+// Memory is read through the machine's own address space, which for
+// a clone is not the image's.
+func (o *oracle) verify(m *cpu.Machine) (kind, detail string) {
+	trace := o.ref.Res.Trace
+	if !m.ThreadHalted(o.tid) {
+		return "nohalt", fmt.Sprintf("application thread not halted after %d committed of %d reference instructions",
+			o.idx, len(trace))
+	}
+	if o.mismatch != "" {
+		return "trace", o.mismatch
+	}
+	for ; o.idx < len(trace); o.idx++ {
+		if !skippable(trace[o.idx].Op, o.cfg) {
+			return "trace", fmt.Sprintf("machine halted with reference inst %d (pc=%#x op=%v) never committed",
+				o.idx, trace[o.idx].PC, trace[o.idx].Op)
+		}
+	}
+	if regs := m.ArchRegs(o.tid); regs != o.ref.Res.Regs {
+		return "registers", regsDiff(regs, o.ref.Res.Regs)
+	}
+	if h := m.Space(o.tid).ContentHash(); h != o.ref.Hash {
+		return "memory", fmt.Sprintf("mapped-memory hash %#x != reference %#x", h, o.ref.Hash)
+	}
+	return "", ""
+}
+
+// run finishes m under o and compares the outcome with the reference.
+// A machine forked after its program halted is already finished, and
+// is not stepped: Run would advance it one more cycle.
+func (o *oracle) run(m *cpu.Machine, c Case) (out RunResult) {
+	m.RetireHook = o.retire
+	var err error
+	if m.Halted() {
+		out.Res = m.Finish()
+	} else {
+		out.Res, err = m.Run()
+	}
 	if err != nil {
-		kind := "error"
-		if _, ok := err.(*cpu.LivelockError); ok {
-			kind = "livelock"
-		}
-		out.Div = &Divergence{Case: c, Kind: kind, Detail: err.Error()}
-		return out
-	}
-	if !m.ThreadHalted(tid) {
-		out.Div = &Divergence{Case: c, Kind: "nohalt",
-			Detail: fmt.Sprintf("application thread not halted after %d committed of %d reference instructions", idx, len(trace))}
-		return out
-	}
-	if mismatch != "" {
-		out.Div = &Divergence{Case: c, Kind: "trace", Detail: mismatch}
-		return out
-	}
-	for ; idx < len(trace); idx++ {
-		if !skippable(trace[idx].Op, cfg) {
-			out.Div = &Divergence{Case: c, Kind: "trace",
-				Detail: fmt.Sprintf("machine halted with reference inst %d (pc=%#x op=%v) never committed",
-					idx, trace[idx].PC, trace[idx].Op)}
-			return out
-		}
-	}
-	if regs := m.ArchRegs(tid); regs != ref.Res.Regs {
-		out.Div = &Divergence{Case: c, Kind: "registers", Detail: regsDiff(regs, ref.Res.Regs)}
-		return out
-	}
-	if h := img.Space.ContentHash(); h != ref.Hash {
-		out.Div = &Divergence{Case: c, Kind: "memory",
-			Detail: fmt.Sprintf("mapped-memory hash %#x != reference %#x", h, ref.Hash)}
-		return out
+		out.Div = &Divergence{Case: c, Kind: errKind(err), Detail: err.Error()}
+	} else if kind, detail := o.verify(m); kind != "" {
+		out.Div = &Divergence{Case: c, Kind: kind, Detail: detail}
 	}
 	return out
 }
 
-// runCase is the fuzzer's view of RunCaseConfigured: canonical case
-// configuration, optional injected bug, divergence-only result.
-func runCase(p *gen.Program, c Case, ref *RefRun, inject cpu.InjectedBug) *Divergence {
-	rr := RunCaseConfigured(p, c, c.Config(ref.Res.Steps), ref, func(m *cpu.Machine) {
-		m.InjectBug = inject
-	})
-	return rr.Div
+// errKind classifies a run error: the no-progress watchdog is a
+// livelock, anything else an error.
+func errKind(err error) string {
+	var ll *cpu.LivelockError
+	if errors.As(err, &ll) {
+		return "livelock"
+	}
+	return "error"
+}
+
+// RunCaseConfigured executes the program under one configuration and
+// compares the committed-instruction stream (streamed through
+// RetireHook), the final architectural registers and the
+// mapped-memory signature against the reference run. A panic inside
+// the core is itself a divergence. pre, if non-nil, runs after the
+// program is loaded and before the machine starts — the seam where
+// the fuzzer arms InjectBug and the fault injector arms its
+// FaultPlan.
+func RunCaseConfigured(p *gen.Program, c Case, cfg cpu.Config, ref *RefRun, pre func(*cpu.Machine)) (out RunResult) {
+	defer recoverDiv(&out.Div, c)
+	f := NewFork(p, c, cfg, ref)
+	if err := f.load(); err != nil {
+		return RunResult{Div: &Divergence{Case: c, Kind: "error", Detail: err.Error()}}
+	}
+	if pre != nil {
+		pre(f.m)
+	}
+	return f.o.run(f.m, c)
+}
+
+// Fork runs RunCaseConfigured's check on clones of one unarmed
+// machine, so runs that differ only from some cycle on simulate their
+// common prefix once.
+type Fork struct {
+	p   *gen.Program
+	c   Case
+	cfg cpu.Config
+	ref *RefRun
+	m   *cpu.Machine // the unarmed machine; nil until loaded
+	o   oracle       // m's comparison so far
+}
+
+// NewFork prepares forked runs of p under cfg, checked against ref.
+func NewFork(p *gen.Program, c Case, cfg cpu.Config, ref *RefRun) *Fork {
+	return &Fork{p: p, c: c, cfg: cfg, ref: ref}
+}
+
+// load builds the unarmed machine with p on its first context, under
+// the oracle that checks that context.
+func (f *Fork) load() error {
+	f.m = cpu.New(f.cfg)
+	img, err := f.p.BuildImage(f.m.Phys(), 1, f.cfg.PageTable)
+	if err != nil {
+		return err
+	}
+	tid, err := f.m.AddProgram(img)
+	f.o = oracle{ref: f.ref, cfg: f.cfg, tid: tid}
+	f.m.RetireHook = f.o.retire
+	return err
+}
+
+// RunFrom is RunCaseConfigured with pre applied at cycle at: it steps
+// the unarmed machine to at (or to its halt or cycle or instruction
+// cap), applies pre to a clone and finishes the clone under a copy of
+// the oracle. For a pre that takes effect from cycle at, such as a
+// FaultPlan with that At, it returns what RunCaseConfigured does
+// unless the unarmed run trips the no-progress watchdog. An at behind
+// the unarmed machine reloads it, so callers going in increasing at
+// simulate each prefix cycle once.
+func (f *Fork) RunFrom(at uint64, pre func(*cpu.Machine)) (out RunResult) {
+	defer recoverDiv(&out.Div, f.c)
+	if f.m == nil || f.m.Now() > at {
+		if err := f.load(); err != nil {
+			f.m = nil
+			return RunResult{Div: &Divergence{Case: f.c, Kind: "error", Detail: err.Error()}}
+		}
+	}
+	// A panic while stepping leaves no half-stepped machine behind.
+	m := f.m
+	f.m = nil
+	for m.Now() < at && m.Now() < f.cfg.MaxCycles && m.AppRetired() < f.cfg.MaxInsts && !m.Halted() {
+		m.StepCycle()
+	}
+	f.m = m
+	fork := m.Clone()
+	if pre != nil {
+		pre(fork)
+	}
+	o := f.o
+	return o.run(fork, f.c)
 }
 
 // regsDiff names the first few differing registers.

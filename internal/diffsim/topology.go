@@ -1,13 +1,11 @@
 package diffsim
 
 import (
-	"errors"
 	"fmt"
 
 	"mtexc/internal/cpu"
 	"mtexc/internal/diffsim/gen"
 	"mtexc/internal/topology"
-	"mtexc/internal/vm"
 )
 
 // clusterGrid is the mechanism grid for shared-L2 cluster checks:
@@ -22,70 +20,6 @@ func clusterGrid(unal bool) []Case {
 			TrapUnaligned: unal, EmulatePopc: true},
 		{Name: "hardware", Mech: cpu.MechHardware, Contexts: 1},
 	}
-}
-
-// coreOracle tracks one cluster core's cross-check against its own
-// reference run: the committed-instruction cursor, the first
-// mismatch, and the state needed for the final register/memory
-// comparison.
-type coreOracle struct {
-	tid      int
-	img      *vm.Image
-	ref      *RefRun
-	idx      int
-	mismatch string
-}
-
-// attach wires the oracle's retirement check into the machine,
-// mirroring RunCaseConfigured's single-machine streaming comparison.
-func (o *coreOracle) attach(m *cpu.Machine, cfg cpu.Config) {
-	trace := o.ref.Res.Trace
-	m.RetireHook = func(ri cpu.RetiredInst) {
-		if ri.Tid != o.tid || ri.PAL || o.mismatch != "" {
-			return
-		}
-		for o.idx < len(trace) {
-			e := trace[o.idx]
-			if e.PC == ri.PC && e.Op == ri.Op {
-				o.idx++
-				return
-			}
-			if skippable(e.Op, cfg) {
-				o.idx++
-				continue
-			}
-			o.mismatch = fmt.Sprintf("committed inst %d: machine retired pc=%#x op=%v, reference expects pc=%#x op=%v",
-				o.idx, ri.PC, ri.Op, e.PC, e.Op)
-			return
-		}
-		o.mismatch = fmt.Sprintf("machine retired pc=%#x op=%v past the end of the %d-entry reference trace",
-			ri.PC, ri.Op, len(trace))
-	}
-}
-
-// verify checks the post-run architectural state of one core.
-func (o *coreOracle) verify(m *cpu.Machine, cfg cpu.Config) (kind, detail string) {
-	trace := o.ref.Res.Trace
-	if !m.ThreadHalted(o.tid) {
-		return "nohalt", fmt.Sprintf("application thread not halted after %d committed of %d reference instructions",
-			o.idx, len(trace))
-	}
-	if o.mismatch != "" {
-		return "trace", o.mismatch
-	}
-	for ; o.idx < len(trace); o.idx++ {
-		if !skippable(trace[o.idx].Op, cfg) {
-			return "trace", fmt.Sprintf("machine halted with reference inst %d (pc=%#x op=%v) never committed",
-				o.idx, trace[o.idx].PC, trace[o.idx].Op)
-		}
-	}
-	if regs := m.ArchRegs(o.tid); regs != o.ref.Res.Regs {
-		return "registers", regsDiff(regs, o.ref.Res.Regs)
-	}
-	if h := o.img.Space.ContentHash(); h != o.ref.Hash {
-		return "memory", fmt.Sprintf("mapped-memory hash %#x != reference %#x", h, o.ref.Hash)
-	}
-	return "", ""
 }
 
 // runClusterCase executes program p on core 0 and q on every other
@@ -105,7 +39,7 @@ func runClusterCase(progs []*programRef, cores int, c Case, cfg cpu.Config) (div
 	if err != nil {
 		return append(divs, Divergence{Case: c, Cores: cores, Kind: "error", Detail: err.Error()})
 	}
-	oracles := make([]*coreOracle, cores)
+	oracles := make([]oracle, cores)
 	for i := 0; i < cores; i++ {
 		pr := progs[0]
 		if i > 0 {
@@ -123,21 +57,15 @@ func runClusterCase(progs []*programRef, cores int, c Case, cfg cpu.Config) (div
 				Detail: fmt.Sprintf("core %d: %v", i, err)})
 		}
 		m.WarmPageTable(img.Space)
-		o := &coreOracle{tid: tid, img: img, ref: pr.ref}
-		o.attach(m, cfg)
-		oracles[i] = o
+		oracles[i] = oracle{ref: pr.ref, cfg: cfg, tid: tid}
+		m.RetireHook = oracles[i].retire
 	}
 
 	if _, err := cl.Run(); err != nil {
-		kind := "error"
-		var ll *cpu.LivelockError
-		if errors.As(err, &ll) {
-			kind = "livelock"
-		}
-		divs = append(divs, Divergence{Case: c, Cores: cores, Kind: kind, Detail: err.Error()})
+		divs = append(divs, Divergence{Case: c, Cores: cores, Kind: errKind(err), Detail: err.Error()})
 	}
-	for i, o := range oracles {
-		if kind, detail := o.verify(cl.Core(i), cfg); kind != "" {
+	for i := range oracles {
+		if kind, detail := oracles[i].verify(cl.Core(i)); kind != "" {
 			divs = append(divs, Divergence{Case: c, Cores: cores, Kind: kind,
 				Detail: fmt.Sprintf("core %d: %s", i, detail)})
 		}

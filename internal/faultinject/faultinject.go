@@ -25,7 +25,10 @@
 package faultinject
 
 import (
+	"cmp"
+	"context"
 	"fmt"
+	"slices"
 
 	"mtexc/internal/cpu"
 	"mtexc/internal/diffsim"
@@ -232,16 +235,47 @@ type Trial struct {
 	Detail string
 }
 
-// RunTrial executes one armed run and classifies it against the
-// baseline. Equal (p, mc, plan) inputs produce equal Trials.
-func RunTrial(p *gen.Program, mc MechCase, b *Baseline, plan cpu.FaultPlan) Trial {
+// RunTrials classifies one trial per plan against the baseline and
+// returns them in plan order. It simulates the unfaulted prefix once:
+// one unfaulted machine steps through the plans' injection cycles in
+// increasing order, and each trial runs on a clone taken at its
+// plan's At (diffsim.Fork), yielding the Trial a run armed before
+// cycle 0 would. ctx is checked between trials.
+func RunTrials(ctx context.Context, p *gen.Program, mc MechCase, b *Baseline, plans []cpu.FaultPlan) ([]Trial, error) {
 	c := mc.DiffCase(p)
-	var m *cpu.Machine
-	rr := diffsim.RunCaseConfigured(p, c, TrialConfig(c, b.Ref.Res.Steps), b.Ref,
-		func(mm *cpu.Machine) {
+	fork := diffsim.NewFork(p, c, TrialConfig(c, b.Ref.Res.Steps), b.Ref)
+	order := make([]int, len(plans))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(plans[i].At, plans[j].At) })
+	trials := make([]Trial, len(plans))
+	for _, i := range order {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		var m *cpu.Machine
+		rr := fork.RunFrom(plans[i].At, func(mm *cpu.Machine) {
 			m = mm
-			mm.SetFaultPlan(plan)
+			mm.SetFaultPlan(plans[i])
 		})
+		trials[i] = classify(b, plans[i], m, rr)
+	}
+	return trials, nil
+}
+
+// RunTrial executes one armed run and classifies it against the
+// baseline: RunTrials with a single plan. Equal (p, mc, plan) inputs
+// produce equal Trials.
+func RunTrial(p *gen.Program, mc MechCase, b *Baseline, plan cpu.FaultPlan) Trial {
+	// A background context is never cancelled, so there is no error.
+	trials, _ := RunTrials(context.Background(), p, mc, b, []cpu.FaultPlan{plan})
+	return trials[0]
+}
+
+// classify turns one armed run on machine m (nil if it never loaded)
+// into its Trial.
+func classify(b *Baseline, plan cpu.FaultPlan, m *cpu.Machine, rr diffsim.RunResult) Trial {
 	t := Trial{Plan: plan}
 	if m != nil {
 		rec := m.FaultRecord()

@@ -312,3 +312,52 @@ func TestCloneAtInjectionMatchesReplay(t *testing.T) {
 		}
 	}
 }
+
+// TestForkedCloneMatchesReplayAtEdges: diffsim.Fork.RunFrom, fed plans out of
+// order, with a repeated injection cycle, at cycle 1, at the
+// unfaulted run's last cycle and far past it, returns exactly what
+// RunCaseConfigured returns with the plan armed before cycle 0: the
+// same divergence, cycle count, statistics and observations, and
+// fault record. The last two plans fork a prefix that has already
+// halted.
+func TestForkedCloneMatchesReplayAtEdges(t *testing.T) {
+	p := testProgram(t)
+	for _, name := range []string{"trad", "multi3"} {
+		mc, _ := MechByName(name)
+		b, err := NewBaseline(p, mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := mc.DiffCase(p)
+		cfg := TrialConfig(c, b.Ref.Res.Steps)
+		key := "edges|" + name
+		mid := PlanFor(1, key, 0, cpu.FaultArchReg, b.Cycles, 0.85)
+		plans := []cpu.FaultPlan{
+			mid,
+			PlanFor(1, key, 1, cpu.FaultWindow, b.Cycles, 0.85),
+			{Class: cpu.FaultTLB, At: mid.At, Seed: mid.Seed + 1},
+			{Class: cpu.FaultArchReg, At: 1, Seed: 3},
+			PlanFor(1, key, 2, cpu.FaultHandlerCtx, b.Cycles, 0.85),
+			{Class: cpu.FaultArchReg, At: b.Cycles, Seed: 4},
+			{Class: cpu.FaultArchReg, At: 1 << 40, Seed: 5},
+			{Class: cpu.FaultWindow, At: b.Cycles / 3, Seed: 6},
+		}
+		fork := diffsim.NewFork(p, c, cfg, b.Ref)
+		for i, plan := range plans {
+			var fm, rm *cpu.Machine
+			got := fork.RunFrom(plan.At, func(m *cpu.Machine) { fm = m; m.SetFaultPlan(plan) })
+			want := diffsim.RunCaseConfigured(p, c, cfg, b.Ref, func(m *cpu.Machine) { rm = m; m.SetFaultPlan(plan) })
+			where := fmt.Sprintf("%s plan %d (at %d, baseline %d cycles)", name, i, plan.At, b.Cycles)
+			switch {
+			case (got.Div == nil) != (want.Div == nil) || got.Div != nil && *got.Div != *want.Div:
+				t.Errorf("%s: divergence %v, replay %v", where, got.Div, want.Div)
+			case got.Res.Cycles != want.Res.Cycles:
+				t.Errorf("%s: %d cycles, replay %d", where, got.Res.Cycles, want.Res.Cycles)
+			case !bytes.Equal(runFingerprint(t, got.Res), runFingerprint(t, want.Res)):
+				t.Errorf("%s: statistics or observations differ", where)
+			case fm.FaultRecord() != rm.FaultRecord():
+				t.Errorf("%s: fault record %+v, replay %+v", where, fm.FaultRecord(), rm.FaultRecord())
+			}
+		}
+	}
+}

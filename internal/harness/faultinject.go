@@ -141,18 +141,21 @@ func RunFaultCampaign(opt Options, fc FaultCampaign) (*faultinject.Report, error
 			if err != nil {
 				return core.Result{}, 0, err
 			}
-			var cr faultinject.CellResult
 			cellKey := fmt.Sprintf("%s|%s|%s", class, mc.Name, spec)
-			for i := 0; i < fc.Trials; i++ {
-				if err := ctx.Err(); err != nil {
-					return core.Result{}, 0, &cpu.CancelledError{Cause: err}
-				}
-				plan := faultinject.PlanFor(fc.Seed, cellKey, i, class, b.Cycles, fc.WindowFrac)
-				t := faultinject.RunTrial(prog, mc, b, plan)
+			plans := make([]cpu.FaultPlan, fc.Trials)
+			for i := range plans {
+				plans[i] = faultinject.PlanFor(fc.Seed, cellKey, i, class, b.Cycles, fc.WindowFrac)
+			}
+			trials, err := faultinject.RunTrials(ctx, prog, mc, b, plans)
+			if err != nil {
+				return core.Result{}, 0, &cpu.CancelledError{Cause: err}
+			}
+			var cr faultinject.CellResult
+			for _, t := range trials {
 				cr.Trials = append(cr.Trials, faultinject.TrialResult{
-					Outcome: t.Outcome, At: plan.At, Seed: plan.Seed, Fired: t.Fired,
+					Outcome: t.Outcome, At: t.Plan.At, Seed: t.Plan.Seed, Fired: t.Fired,
 				})
-				r.noteTrial(c, spec, mc.Name, class, plan, t)
+				r.noteTrial(c, spec, mc.Name, class, t)
 			}
 			return trialResult(b, cr), 0, nil
 		}
@@ -179,10 +182,11 @@ func RunFaultCampaign(opt Options, fc FaultCampaign) (*faultinject.Report, error
 	return rep, err
 }
 
-// noteTrial streams one live trial into the telemetry plane: the
-// outcome counter, and an event for every silent corruption carrying
-// its ready-to-run replay command.
-func (r *runner) noteTrial(c *cell, spec, mech string, class cpu.FaultClass, plan cpu.FaultPlan, t faultinject.Trial) {
+// noteTrial streams one trial into the telemetry plane: the outcome
+// counter, and an event for every silent corruption carrying its
+// ready-to-run replay command. A cell's trials are noted in trial
+// order once the cell's last trial has run.
+func (r *runner) noteTrial(c *cell, spec, mech string, class cpu.FaultClass, t faultinject.Trial) {
 	p := r.opt.Telemetry
 	if p == nil {
 		return
@@ -197,7 +201,7 @@ func (r *runner) noteTrial(c *cell, spec, mech string, class cpu.FaultClass, pla
 		Experiment: r.exp, Cell: c.index, Fingerprint: c.subjectKey(),
 		Workloads: []string{workload.FuzzPrefix + spec},
 		Detail: fmt.Sprintf("%s; target=%s; %s", t.Kind, t.Target,
-			faultinject.ReplayCommand(spec, mech, class, plan.At, plan.Seed, t.Outcome)),
+			faultinject.ReplayCommand(spec, mech, class, t.Plan.At, t.Plan.Seed, t.Outcome)),
 	})
 }
 

@@ -13,6 +13,7 @@ import (
 	"mtexc/internal/core"
 	"mtexc/internal/cpu"
 	"mtexc/internal/faultinject"
+	"mtexc/internal/telemetry"
 	"mtexc/internal/workload"
 )
 
@@ -267,5 +268,68 @@ func TestReproCarriesCellTimeout(t *testing.T) {
 	ce.Cause = errors.New("plain failure")
 	if repro := ce.Repro(); strings.Contains(repro, "-cell-timeout") {
 		t.Errorf("non-timeout repro gained -cell-timeout: %q", repro)
+	}
+}
+
+// TestFaultCampaignSDCEventsInTrialOrder: a cell runs its trials in
+// injection-cycle order, yet its faultinject.sdc events come in trial
+// index order, as they did when each trial ran from cycle 0.
+func TestFaultCampaignSDCEventsInTrialOrder(t *testing.T) {
+	fc := smallCampaign()
+	fc.Trials = 8
+	path := filepath.Join(t.TempDir(), "events.ndjson")
+	events, err := telemetry.OpenLog(path, telemetry.LevelInfo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane := telemetry.NewPlane()
+	plane.Events = events
+	rep, err := RunFaultCampaign(Options{Parallelism: 1, Telemetry: plane}, fc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := events.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logged, err := telemetry.ReadEvents(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// index maps a cell's (at, seed) to its trial index in the report.
+	index := map[string]int{}
+	for _, cr := range rep.Cells {
+		for i, tr := range cr.Trials {
+			index[fmt.Sprintf("%s|%s|%s|%d|%#x", cr.Class, cr.Mech, cr.Spec, tr.At, tr.Seed)] = i
+		}
+	}
+	type seen struct{ index, at uint64 }
+	perCell := map[int][]seen{}
+	for _, e := range logged {
+		if e.Type != "faultinject.sdc" {
+			continue
+		}
+		_, tok, _ := strings.Cut(e.Detail, "-replay '")
+		rt, err := faultinject.ParseReplayToken(strings.TrimSuffix(tok, "'"))
+		if err != nil {
+			t.Fatalf("sdc event detail %q: %v", e.Detail, err)
+		}
+		i, ok := index[fmt.Sprintf("%s|%s|%s|%d|%#x", rt.Plan.Class, rt.Mech.Name, rt.Spec, rt.Plan.At, rt.Plan.Seed)]
+		if !ok {
+			t.Fatalf("sdc event for a trial the report does not hold: %q", e.Detail)
+		}
+		perCell[e.Cell] = append(perCell[e.Cell], seen{uint64(i), rt.Plan.At})
+	}
+	inverted := false
+	for cell, s := range perCell {
+		for k := 1; k < len(s); k++ {
+			if s[k].index <= s[k-1].index {
+				t.Errorf("cell %d: sdc event for trial %d after trial %d", cell, s[k].index, s[k-1].index)
+			}
+			inverted = inverted || s[k].at < s[k-1].at
+		}
+	}
+	if !inverted {
+		t.Fatalf("no cell logged sdc events out of injection-cycle order (%d cells with events); the test checks nothing", len(perCell))
 	}
 }
