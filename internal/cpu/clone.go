@@ -40,6 +40,7 @@ func (m *Machine) Clone() *Machine {
 		emuHand:   m.emuHand,
 		unalpHand: m.unalpHand,
 
+		dispatched:  m.dispatched,
 		windowCount: m.windowCount,
 		reserved:    m.reserved,
 
@@ -65,7 +66,8 @@ func (m *Machine) Clone() *Machine {
 	c.uopFree = append([]uopIdx(nil), m.uopFree...)
 	c.hArena = append([]handlerCtx(nil), m.hArena...)
 	c.hFree = append([]hIdx(nil), m.hFree...)
-	c.window = append([]uopIdx(nil), m.window...)
+	c.issued = append([]depRef(nil), m.issued...)
+	c.cands = append([]depRef(nil), m.cands...)
 	c.handlers = append([]hIdx(nil), m.handlers...)
 	c.hZombies = append([]hIdx(nil), m.hZombies...)
 	for i := range c.hArena {

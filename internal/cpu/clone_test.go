@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"mtexc/internal/diffsim/gen"
 	"mtexc/internal/vm"
@@ -243,4 +244,16 @@ func FuzzCloneEquivalence(f *testing.F) {
 		want := finishRun(t, m, tid)
 		checkOutcome(t, "fuzz", got, want)
 	})
+}
+
+// TestUopSize holds the uop to the 360 bytes it had before event-driven
+// scheduling added its wakeup fields. Clone copies the whole uop arena
+// once per fault trial, and the fault-campaign benchmark's alloc_mb
+// bound is 2%: growing every uop (plus dense buckets on every
+// histogram) once moved that metric by 6.5%. New fields fit by
+// grouping the struct's fields by alignment.
+func TestUopSize(t *testing.T) {
+	if got := unsafe.Sizeof(uop{}); got > 360 {
+		t.Fatalf("uop is %d bytes, want at most 360", got)
+	}
 }

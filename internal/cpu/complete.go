@@ -11,16 +11,24 @@ import (
 // walk completions.
 func (m *Machine) complete() {
 	done := m.doneScratch[:0]
-	for _, i := range m.window {
-		u := m.at(i)
-		if u.stage == stageIssued && u.doneAt <= m.now {
+	keep := m.issued[:0]
+	for _, r := range m.issued {
+		u := m.uopAt(r)
+		if u == nil || u.stage != stageIssued {
+			continue // released by a squash
+		}
+		if u.doneAt <= m.now {
 			//lint:allow hotpathlint append into capacity-retained scratch; grows only until the window's high-water mark
-			done = append(done, i)
+			done = append(done, r.idx)
+		} else {
+			//lint:allow hotpathlint in-place compaction into the issued list's own backing array; never grows
+			keep = append(keep, r)
 		}
 	}
+	m.issued = keep
 	// Oldest first: an older mispredict squashes younger completions
-	// before their (wrong-path) side effects apply. The window is
-	// nearly fetch-ordered, so insertion sort runs in linear time.
+	// before their (wrong-path) side effects apply. Uops issue in
+	// roughly age order, so insertion sort runs in near-linear time.
 	for i := 1; i < len(done); i++ {
 		for j := i; j > 0 && m.at(done[j]).seq < m.at(done[j-1]).seq; j-- {
 			done[j], done[j-1] = done[j-1], done[j]
@@ -71,8 +79,7 @@ func (m *Machine) completeSideEffects(u *uop) {
 		}
 		if mu := m.uopAt(ctx.master); mu != nil && mu.stage == stageWindow {
 			mu.dtlbWait = false
-			mu.stage = stageIssued
-			mu.doneAt = m.now + 1
+			m.markIssued(mu, m.now+1)
 			if ctx.span != nil && ctx.span.FillAt == 0 {
 				// The destination write is the service point of an
 				// emulation/unaligned exception.

@@ -52,9 +52,20 @@ type Machine struct {
 	threads []thread
 	ras     []*bpred.RAS // per-context return address stacks
 
-	window      []uopIdx // dispatched, unretired instructions (unsorted)
-	windowCount int      // occupancy charged against WindowSize
-	reserved    int      // slots reserved for in-flight handlers
+	// Scheduling is event-driven; no stage walks the whole window.
+	// The window's contents are the dispatched entries of the
+	// threads' in-flight lists. issued lists the executing uops, which
+	// complete scans for the ones finishing this cycle. cands lists
+	// the window uops with no pending producer that are not parked on
+	// an exception, which issue filters by readyAt and sorts by age.
+	// Both hold generation-checked references: a uop is released the
+	// moment it retires or is squashed, and its stale entries drop out
+	// on the next scan.
+	issued      []depRef
+	cands       []depRef
+	dispatched  uint64 // dispatch counter, stamped as uop.dispatchSeq
+	windowCount int    // occupancy charged against WindowSize
+	reserved    int    // slots reserved for in-flight handlers
 
 	handlers []hIdx // live exception handlers / walks, spawn order
 	// hZombies holds reaped-but-unrecycled handler contexts: a spent
@@ -173,8 +184,8 @@ func (m *Machine) bindHotStats() {
 		walkerFills:     s.Cached("walker.fills"),
 		walkerFaults:    s.Cached("walker.pagefaults"),
 		fetchOffEnd:     s.Cached("fetch.offend"),
-		windowOcc:       s.CachedHist("window.occupancy"),
-		issueReady:      s.CachedHist("issue.ready"),
+		windowOcc:       s.CachedDenseHist("window.occupancy", m.cfg.WindowSize+1),
+		issueReady:      s.CachedDenseHist("issue.ready", m.cfg.WindowSize+1),
 	}
 	for c := 0; c < numClasses; c++ {
 		m.hot.retireClass[c] = s.Cached("retire.class." + classNames[c])
@@ -203,14 +214,14 @@ func (m *Machine) newUop() *uop {
 // releaseUop returns a retired or squashed uop to the free list and
 // bumps its generation so every outstanding depRef to it goes stale.
 //
-// Release safety: a uop is released only once it has left every
-// by-pointer structure — the window (compactWindow drops it in the
-// same pass), the per-thread inflight list (retirement pops the head;
-// squash truncates the tail before finishSquash runs), the fetch
-// buffer and the speculative store buffer (finishSquash strips both
-// before releasing fetch-buffer-only squashed uops). Remaining
-// references — consumer srcs, writer tables, fwdStore, lastTLBWR —
-// are generation-checked depRefs that resolve to nil from here on.
+// Release safety: retireUop releases a uop after popping it off its
+// thread's in-flight list and the speculative store buffer; squashFrom
+// releases the squashed tail once it is cut from the in-flight list
+// and finishSquash has stripped it from the store and fetch buffers,
+// and squashUop has already taken it off its producers' wake lists.
+// Remaining references — the issued and candidate lists, consumer
+// srcs, writer tables, fwdStore, lastTLBWR — are generation-checked
+// depRefs that resolve to nil from here on.
 func (m *Machine) releaseUop(u *uop) {
 	if u.pooled {
 		return
@@ -375,6 +386,7 @@ func (m *Machine) AddProgram(img *vm.Image) (int, error) {
 		t.state = ctxRunning
 		t.img = img
 		t.as = img.Space
+		t.xlate = [xlateSize]xlateEntry{}
 		t.pc = img.EntryVA
 		t.priv[isa.PrPTBase] = img.Space.PTBase()
 		t.priv[isa.PrPageSize] = vm.PageSize
@@ -671,8 +683,14 @@ func (m *Machine) windowFreeFor(t *thread) bool {
 func (m *Machine) addToWindow(u *uop, when uint64) {
 	u.stage = stageWindow
 	u.windowAt = when
-	//lint:allow hotpathlint window slice reuses capacity bounded by WindowSize; grows only at warm-up
-	m.window = append(m.window, u.idx)
+	m.dispatched++
+	u.dispatchSeq = m.dispatched
+	if r := when + uint64(m.cfg.RegReadStages); u.readyAt < r {
+		u.readyAt = r
+	}
+	if u.pending == 0 {
+		m.addCand(u)
+	}
 	if !(u.excFetch && m.cfg.Limit == LimitNoWindow) {
 		m.windowCount++
 	}
@@ -685,25 +703,6 @@ func (m *Machine) addToWindow(u *uop, when uint64) {
 	}
 }
 
-// compactWindow drops retired/squashed entries out of the window
-// slice and recycles their storage. Occupancy is decremented eagerly
-// by retire/squash; this drops the handles and releases the uops —
-// by this point they have left the inflight, fetch-buffer and
-// store-buffer structures (see releaseUop).
-func (m *Machine) compactWindow() {
-	w := m.window[:0]
-	for _, i := range m.window {
-		u := m.at(i)
-		if u.stage != stageRetired && u.stage != stageSquashed {
-			//lint:allow hotpathlint in-place compaction into the window's own backing array; never grows
-			w = append(w, i)
-		} else {
-			m.releaseUop(u)
-		}
-	}
-	m.window = w
-}
-
 // releaseWindowSlot gives back u's occupancy charge.
 func (m *Machine) releaseWindowSlot(u *uop) {
 	if u.excFetch && m.cfg.Limit == LimitNoWindow {
@@ -712,24 +711,92 @@ func (m *Machine) releaseWindowSlot(u *uop) {
 	m.windowCount--
 }
 
-// collectReady gathers window-resident instructions ready to issue,
-// oldest fetched first (the paper's scheduling policy).
-func (m *Machine) collectReady() []uopIdx {
-	regRead := uint64(m.cfg.RegReadStages)
-	ready := m.readyScratch[:0]
-	for _, i := range m.window {
-		u := m.at(i)
-		if u.stage != stageWindow {
-			continue
+// linkSrc records that u reads producer p through srcs[slot]. A
+// producer that has not issued puts u on its wake list and counts
+// against u.pending; an issued one only bounds u.readyAt.
+func (m *Machine) linkSrc(u, p *uop, slot int) {
+	if p.unissued() {
+		u.pending++
+		u.wakeNext[slot] = p.wakeHead
+		p.wakeHead = linkOf(u.idx, slot)
+		return
+	}
+	if u.readyAt < p.doneAt {
+		u.readyAt = p.doneAt
+	}
+}
+
+// markIssued starts u's execution, finishing at doneAt, and wakes the
+// consumers on its wake list: each learns when u's result arrives,
+// and one left with no pending producer becomes a candidate. Every
+// path that moves a uop into execution goes through here.
+func (m *Machine) markIssued(u *uop, doneAt uint64) {
+	u.stage = stageIssued
+	u.doneAt = doneAt
+	//lint:allow hotpathlint append into capacity retained across cycles; bounded by the window's high-water mark
+	m.issued = append(m.issued, ref(u))
+	for l := u.wakeHead; l != 0; {
+		c := m.at(l.idx())
+		s := l.slot()
+		l = c.wakeNext[s]
+		c.wakeNext[s] = 0
+		c.pending--
+		if c.readyAt < doneAt {
+			c.readyAt = doneAt
 		}
-		if m.uopReady(u, m.now, regRead) {
-			//lint:allow hotpathlint append into capacity-retained scratch (readyScratch); amortized zero alloc
-			ready = append(ready, i)
+		if c.pending == 0 && c.stage == stageWindow {
+			m.addCand(c)
 		}
 	}
-	// Insertion sort on (schedSeq, seq): the window is scanned in
-	// dispatch order, so the list is nearly sorted already and the
-	// sort runs in linear time without sort.Slice's allocations.
+	u.wakeHead = 0
+}
+
+// unpark releases a uop parked on an exception so it can issue again.
+func (m *Machine) unpark(u *uop) {
+	u.dtlbWait = false
+	if u.stage == stageWindow && u.pending == 0 {
+		m.addCand(u)
+	}
+}
+
+// addCand puts a window uop with no pending producer on the candidate
+// list, unless an earlier entry for it is still there.
+func (m *Machine) addCand(u *uop) {
+	if u.inCand || u.dtlbWait {
+		return
+	}
+	u.inCand = true
+	//lint:allow hotpathlint append into capacity retained across cycles; bounded by the window's high-water mark
+	m.cands = append(m.cands, ref(u))
+}
+
+// collectReady gathers window-resident instructions ready to issue,
+// oldest scheduled age first (the paper's scheduling policy). It
+// compacts the candidate list on the way: entries whose uop was
+// released, issued or parked since they joined drop out.
+func (m *Machine) collectReady() []uopIdx {
+	ready := m.readyScratch[:0]
+	keep := m.cands[:0]
+	for _, r := range m.cands {
+		u := m.uopAt(r)
+		if u == nil {
+			continue
+		}
+		if u.stage != stageWindow || u.dtlbWait {
+			u.inCand = false
+			continue
+		}
+		//lint:allow hotpathlint in-place compaction into the candidate list's own backing array; never grows
+		keep = append(keep, r)
+		if u.readyAt <= m.now {
+			//lint:allow hotpathlint append into capacity-retained scratch (readyScratch); amortized zero alloc
+			ready = append(ready, r.idx)
+		}
+	}
+	m.cands = keep
+	// Insertion sort on (schedSeq, seq): candidates join in roughly
+	// age order, so the list is nearly sorted already and the sort
+	// runs in linear time without sort.Slice's allocations.
 	for i := 1; i < len(ready); i++ {
 		for j := i; j > 0 && uopLess(m.at(ready[j]), m.at(ready[j-1])); j-- {
 			ready[j], ready[j-1] = ready[j-1], ready[j]

@@ -18,7 +18,6 @@ func (m *Machine) DumpState() string {
 		fmt.Fprintf(&sb, "thread %d: state=%d pc=%#x pal=%v halted=%v stalled=%v blockedUntil=%d icount=%d fetchbuf=%d ssb=%d\n",
 			t.id, t.state, t.pc, t.inPAL, t.haltedFetch, t.fetchStalled,
 			t.fetchBlockedUntil, t.icount, len(t.fetchBuf), len(t.ssb))
-		m.pruneInflight(t)
 		for i, ui := range t.inflight {
 			if i >= 4 {
 				fmt.Fprintf(&sb, "  ... %d more in flight\n", len(t.inflight)-i)

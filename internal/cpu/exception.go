@@ -446,14 +446,14 @@ func (m *Machine) wakeWaiters(ctx *handlerCtx) {
 		ctx.span.WakeAt = m.now
 	}
 	if mu := m.uopAt(ctx.master); mu != nil && mu.stage != stageSquashed {
-		mu.dtlbWait = false
+		m.unpark(mu)
 		mu.wokeAt = m.now
 		m.Stats.Histogram("fill.latency").Observe(int64(m.now - mu.missAt))
 	}
 	for _, wi := range ctx.waiters {
 		w := m.at(wi)
 		if w.stage != stageSquashed {
-			w.dtlbWait = false
+			m.unpark(w)
 			w.wokeAt = m.now
 		}
 	}
@@ -495,7 +495,7 @@ func (m *Machine) killHandler(ctx *handlerCtx) {
 	if mu := m.uopAt(ctx.master); mu != nil && mu.handlerBy == self {
 		mu.handlerBy = hRef{}
 		if mu.stage != stageSquashed && mu.dtlbWait && !ctx.filled {
-			mu.dtlbWait = false // re-issue, re-detect
+			m.unpark(mu) // re-issue, re-detect
 		}
 	}
 	for _, wi := range ctx.waiters {
@@ -503,7 +503,7 @@ func (m *Machine) killHandler(ctx *handlerCtx) {
 		if w.handlerBy == self {
 			w.handlerBy = hRef{}
 			if w.stage != stageSquashed && w.dtlbWait && !ctx.filled {
-				w.dtlbWait = false
+				m.unpark(w)
 			}
 		}
 	}

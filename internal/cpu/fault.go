@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"sort"
 
 	"mtexc/internal/isa"
 )
@@ -261,12 +262,18 @@ func (m *Machine) flipHandlerState(r *faultRng) (string, bool) {
 // that is the "extra state live across contexts" the campaign
 // measures.
 func (m *Machine) flipWindowPayload(r *faultRng) (string, bool) {
-	var sites []faultSite
-	for _, ui := range m.window {
-		u := m.at(ui)
-		if u.stage != stageWindow && u.stage != stageIssued && u.stage != stageDone {
-			continue
+	// Sites are enumerated in dispatch order, the window's age order.
+	var window []*uop
+	for ti := range m.threads {
+		for _, ui := range m.threads[ti].inflight {
+			if u := m.at(ui); u.stage != stageFetched {
+				window = append(window, u)
+			}
 		}
+	}
+	sort.Slice(window, func(i, j int) bool { return window[i].dispatchSeq < window[j].dispatchSeq })
+	var sites []faultSite
+	for _, u := range window {
 		tag := fmt.Sprintf("w.seq%d.%v", u.seq, u.inst.Op)
 		sites = append(sites, faultSite{tag + ".result", &u.result})
 		if u.isMem() {

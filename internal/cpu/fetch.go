@@ -229,8 +229,9 @@ func (m *Machine) execFunctional(t *thread, u *uop) {
 	// dependency is already satisfied.
 	ns := 0
 	addSrc := func(w depRef) {
-		if m.uopAt(w) != nil && ns < len(u.srcs) {
+		if p := m.uopAt(w); p != nil && ns < len(u.srcs) {
 			u.srcs[ns] = w
+			m.linkSrc(u, p, ns)
 			ns++
 		}
 	}
@@ -480,7 +481,7 @@ func (m *Machine) loadValue(t *thread, u *uop) uint64 {
 	if u.pal {
 		return m.physReadSized(ea, u.memBytes)
 	}
-	pa, ok := t.as.Translate(ea)
+	pa, ok := m.translate(t, ea)
 	var v uint64
 	if ok {
 		v = m.physReadBytes(pa, u.memBytes)

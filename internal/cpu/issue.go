@@ -1,8 +1,6 @@
 package cpu
 
 import (
-	"sort"
-
 	"mtexc/internal/isa"
 	"mtexc/internal/obs"
 	"mtexc/internal/vm"
@@ -94,24 +92,25 @@ func (m *Machine) deadlockAvoidSquash(ctx *handlerCtx) {
 	if need < 1 {
 		need = 1
 	}
-	var victims []*uop
-	for _, ui := range m.window {
-		u := m.at(ui)
-		if u.stage != stageWindow && u.stage != stageIssued && u.stage != stageDone {
+	// The victim is the need-th youngest dispatched, non-PAL
+	// instruction younger than the master (or the oldest such one when
+	// there are fewer); the in-flight list is in fetch order.
+	var victim *uop
+	for i, n := len(mt.inflight)-1, 0; i >= 0 && n < need; i-- {
+		u := m.at(mt.inflight[i])
+		if u.seq <= ctx.masterSeq {
+			break
+		}
+		if u.stage == stageFetched || u.pal {
+			// PAL: never rewind fetch into the middle of a PAL
+			// handler: the refetched tail would run under a stale
+			// context.
 			continue
 		}
-		if u.tid != ctx.masterTid || u.seq <= ctx.masterSeq {
-			continue
-		}
-		if u.pal {
-			// Never rewind fetch into the middle of a PAL handler:
-			// the refetched tail would run under a stale context.
-			continue
-		}
-		//lint:allow hotpathlint deadlock-avoidance squash is a rare recovery event, not per-instruction work
-		victims = append(victims, u)
+		victim = u
+		n++
 	}
-	if len(victims) == 0 {
+	if victim == nil {
 		// The master's tail may be occupied by a younger traditional
 		// trap handler (PAL instructions are never rewind targets).
 		// Squash that whole handler instance and refetch its
@@ -135,12 +134,6 @@ func (m *Machine) deadlockAvoidSquash(ctx *handlerCtx) {
 		m.Stats.Counter("window.deadlock.stalls").Inc()
 		return
 	}
-	//lint:allow hotpathlint sort runs only on the rare deadlock-recovery event
-	sort.Slice(victims, func(i, j int) bool { return victims[i].seq > victims[j].seq })
-	if need > len(victims) {
-		need = len(victims)
-	}
-	victim := victims[need-1]
 	m.Stats.Counter("window.deadlock.squashes").Inc()
 	m.squashFrom(mt, victim.seq)
 	// Fetch state rewinds to just before the victim.
@@ -287,8 +280,7 @@ func (m *Machine) executeUop(u *uop) {
 		m.executeMem(t, u)
 		return
 	}
-	u.stage = stageIssued
-	u.doneAt = m.now + m.cfg.latencyOf(u.inst.Op)
+	m.markIssued(u, m.now+m.cfg.latencyOf(u.inst.Op))
 }
 
 func (m *Machine) executeMem(t *thread, u *uop) {
@@ -298,13 +290,12 @@ func (m *Machine) executeMem(t *thread, u *uop) {
 	case u.pal:
 		pa = ea // PAL memory references are physical
 	case m.cfg.Mech == MechPerfect:
-		oraclePA, ok := t.as.Translate(ea)
+		oraclePA, ok := m.translate(t, ea)
 		if !ok {
 			// Wrong-path access to an unmapped page: a perfect TLB
 			// still translates nothing; model as a dropped access
 			// with load latency only.
-			u.stage = stageIssued
-			u.doneAt = m.now + m.cfg.latencyOf(u.inst.Op)
+			m.markIssued(u, m.now+m.cfg.latencyOf(u.inst.Op))
 			return
 		}
 		pa = oraclePA
@@ -320,7 +311,6 @@ func (m *Machine) executeMem(t *thread, u *uop) {
 
 	if m.trapUnalignedLoad(u) {
 		// Unaligned integer load under software handling.
-		m.pruneInflight(t)
 		if hasOlderStores(t, u.seq) {
 			// The handler reads memory directly; serialize behind
 			// older (unretired) stores so it observes their data.
@@ -330,25 +320,27 @@ func (m *Machine) executeMem(t *thread, u *uop) {
 		m.onUnalignedException(u, pa|(u.ea&7))
 		return
 	}
-	u.stage = stageIssued
 	if u.isStore() {
 		// Stores complete into the store buffer at store latency;
 		// the cache access happens for its tag/bus side effects.
 		m.hier.AccessData(m.now, pa, true)
-		u.doneAt = m.now + m.cfg.Hier.StoreLat
+		m.markIssued(u, m.now+m.cfg.Hier.StoreLat)
 		return
 	}
-	if st := m.uopAt(u.fwdStore); st != nil && st.stage != stageRetired {
-		// Store-to-load forwarding from the speculative store buffer.
-		u.doneAt = m.now + 1
+	if m.uopAt(u.fwdStore) != nil {
+		// Store-to-load forwarding from the speculative store buffer
+		// (a store that has retired is released, so its reference no
+		// longer resolves).
 		m.hot.memForwards.Inc()
+		m.markIssued(u, m.now+1)
 		return
 	}
-	u.doneAt = m.hier.AccessData(m.now, pa, false)
+	doneAt := m.hier.AccessData(m.now, pa, false)
 	if m.cfg.TrapUnaligned && !u.pal && u.ea%u.memBytes != 0 {
 		// Hardware-handled unaligned access: one extra cycle.
-		u.doneAt++
+		doneAt++
 	}
+	m.markIssued(u, doneAt)
 	if u.pal {
 		m.Stats.Histogram("handler.pteload.lat").Observe(int64(u.doneAt - m.now))
 		m.Stats.Histogram("handler.pteload.issuedelay").Observe(int64(m.now - u.availAt))

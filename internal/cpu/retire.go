@@ -22,7 +22,6 @@ func (m *Machine) retire() {
 			continue
 		}
 		for t.state == ctxRunning && m.retireBudget > 0 {
-			m.pruneInflight(t)
 			if len(t.inflight) == 0 {
 				break
 			}
@@ -40,7 +39,6 @@ func (m *Machine) retire() {
 			m.retireUop(t, u)
 		}
 	}
-	m.compactWindow()
 }
 
 // pendingSplice returns the oldest live multithreaded handler that
@@ -70,7 +68,6 @@ func (m *Machine) pendingSplice(u *uop) *handlerCtx {
 func (m *Machine) drainHandler(ctx *handlerCtx) {
 	h := &m.threads[ctx.tid]
 	for m.retireBudget > 0 {
-		m.pruneInflight(h)
 		if len(h.inflight) == 0 {
 			return
 		}
@@ -138,6 +135,7 @@ func (m *Machine) retireUop(t *thread, u *uop) {
 			m.Stats.Counter("dtlb.fills.committed").Inc()
 		}
 	}
+	m.releaseUop(u)
 }
 
 // commitStore performs the architectural memory write at retirement.
@@ -148,7 +146,7 @@ func (m *Machine) commitStore(t *thread, u *uop) {
 		panic("cpu: speculative store buffer out of sync at store retire")
 	}
 	ea := u.ea &^ (u.memBytes - 1)
-	pa, ok := t.as.Translate(ea)
+	pa, ok := m.translate(t, ea)
 	if !ok {
 		return // unmapped commit cannot happen on a correct path
 	}
@@ -248,43 +246,34 @@ func (m *Machine) osPageFaultService(t *thread, u *uop) {
 // squashFrom squashes every in-flight instruction of t with sequence
 // number >= from, undoing their speculative register writes youngest
 // first and rebuilding the fetch-order writer tables from the
-// survivors.
+// survivors. The squashed uops are released last, once no by-pointer
+// structure holds them.
 func (m *Machine) squashFrom(t *thread, from uint64) {
 	idx := len(t.inflight)
 	for idx > 0 && m.at(t.inflight[idx-1]).seq >= from {
 		idx--
 	}
-	if idx == len(t.inflight) {
-		m.finishSquash(t, from)
-		return
-	}
-	for i := len(t.inflight) - 1; i >= idx; i-- {
-		m.squashUop(t, m.at(t.inflight[i]))
+	squashed := t.inflight[idx:]
+	for i := len(squashed) - 1; i >= 0; i-- {
+		m.squashUop(t, m.at(squashed[i]))
 	}
 	t.inflight = t.inflight[:idx]
 	m.finishSquash(t, from)
+	for _, ui := range squashed {
+		m.releaseUop(m.at(ui))
+	}
 }
 
 func (m *Machine) finishSquash(t *thread, from uint64) {
-	// The store buffer is stripped before the fetch buffer so a
-	// squashed store's storage (it can sit in both) is never released
-	// while the SSB still points at it.
 	t.removeSSBFrom(from)
 
-	// Drop squashed entries from the fetch buffer and recycle their
-	// storage: a squashed fetch-buffer entry never entered the window,
-	// so compactWindow would never see it.
-	fb := t.fetchBuf[:0]
-	for _, ui := range t.fetchBuf {
-		u := m.at(ui)
-		if u.stage != stageSquashed {
-			//lint:allow hotpathlint in-place compaction into the fetch buffer's own backing array; never grows
-			fb = append(fb, ui)
-		} else {
-			m.releaseUop(u)
-		}
+	// The fetch buffer is the youngest part of the in-flight list, so
+	// the squash cut its tail.
+	fb := len(t.fetchBuf)
+	for fb > 0 && m.at(t.fetchBuf[fb-1]).stage == stageSquashed {
+		fb--
 	}
-	t.fetchBuf = fb
+	t.fetchBuf = t.fetchBuf[:fb]
 
 	// Rebuild last-writer tables from the surviving instructions.
 	t.lwInt = [32]depRef{}
@@ -318,7 +307,6 @@ func (m *Machine) finishSquash(t *thread, from uint64) {
 		m.Observ.Misses.Abort(ctx.span)
 		t.trapCtx = hRef{}
 	}
-	m.compactWindow()
 }
 
 // squashUop removes one instruction from the machine.
@@ -327,6 +315,18 @@ func (m *Machine) squashUop(t *thread, u *uop) {
 		return
 	}
 	inWindow := u.stage == stageWindow || u.stage == stageIssued || u.stage == stageDone
+	// Leave the wake lists of producers that have not issued. Squash
+	// runs youngest first and a uop's producers are older instructions
+	// of its own thread, so every younger consumer has already left
+	// and u heads each list (later slots were linked later).
+	for s := len(u.srcs) - 1; s >= 0; s-- {
+		if p := m.uopAt(u.srcs[s]); p != nil && p.unissued() {
+			if p.wakeHead != linkOf(u.idx, s) {
+				panic("cpu: squashed uop does not head its producer's wake list")
+			}
+			p.wakeHead = u.wakeNext[s]
+		}
+	}
 	u.stage = stageSquashed
 	if inWindow {
 		m.releaseWindowSlot(u)

@@ -42,6 +42,8 @@ type thread struct {
 	// Program binding (application threads).
 	img *vm.Image
 	as  *vm.AddressSpace
+	// xlate caches resident pages of as (Machine.translate).
+	xlate [xlateSize]xlateEntry
 
 	// Fetch-time (speculative) architectural state. It follows the
 	// predicted path and is repaired from the journal on squash.
@@ -76,7 +78,9 @@ type thread struct {
 	lastTLBWR depRef
 
 	// In-flight instructions in fetch order (the per-thread FIFO
-	// view of the shared window plus fetch/decode pipes).
+	// view of the shared window plus fetch/decode pipes). Retirement
+	// pops the head and squash cuts the tail, releasing the uops, so
+	// every entry is live.
 	inflight []uopIdx
 
 	icount int // fetched-not-retired count for the ICOUNT chooser
@@ -240,21 +244,31 @@ func (t *thread) writerTables() (*[32]depRef, *[32]depRef) {
 	return &t.lwInt, &t.lwFP
 }
 
-// pruneInflight drops already-retired/squashed entries off the head
-// of the thread's FIFO (they are pruned lazily).
-func (m *Machine) pruneInflight(t *thread) {
-	i := 0
-	for i < len(t.inflight) {
-		s := m.at(t.inflight[i]).stage
-		if s == stageRetired || s == stageSquashed {
-			i++
-			continue
+// xlateSize is the entry count of each thread's direct-mapped
+// translation cache.
+const xlateSize = 32
+
+// xlateEntry caches one resident page: vpn+1 (zero marks an empty
+// entry) and its frame.
+type xlateEntry struct{ vpn1, pfn uint64 }
+
+// translate is t.as.Translate behind the thread's translation cache.
+// Only resident pages are cached, and nothing unmaps a page while a
+// machine runs (the OS fault service only maps), so an entry never
+// goes stale; a clone copies the cache with the frames its cloned
+// address space keeps.
+func (m *Machine) translate(t *thread, va uint64) (uint64, bool) {
+	vpn := va >> vm.PageShift
+	e := &t.xlate[vpn%xlateSize]
+	if e.vpn1 != vpn+1 {
+		pa, ok := t.as.Translate(va)
+		if !ok {
+			return 0, false
 		}
-		break
+		e.vpn1, e.pfn = vpn+1, pa>>vm.PageShift
+		return pa, true
 	}
-	if i > 0 {
-		t.inflight = t.inflight[i:]
-	}
+	return e.pfn<<vm.PageShift | va&(vm.PageSize-1), true
 }
 
 // lookupSSB searches the speculative store buffer for the youngest

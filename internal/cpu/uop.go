@@ -91,44 +91,63 @@ func (m *Machine) at(i uopIdx) *uop { return &m.uops[i] }
 // uop is one dynamic instruction. Functional results are computed at
 // fetch time along the predicted path; the timing fields track its
 // progress through the machine.
+//
+// Fields are grouped by alignment, with the ones the scheduler reads
+// every cycle (stage, parking, readiness, age, the wake list) in the
+// first 64 bytes. Clone copies the whole arena once per fault trial,
+// so TestUopSize holds the struct to its size before event-driven
+// scheduling.
 type uop struct {
 	// idx is this uop's own arena handle, fixed when its slot is first
 	// carved out of the arena; gen is the pool-recycling generation,
-	// bumped every time the uop is released; pooled marks a uop
-	// currently in the free list.
-	idx    uopIdx
-	gen    uint32
-	pooled bool
+	// bumped every time the uop is released.
+	idx uopIdx
+	gen uint32
 
-	seq uint64 // global fetch order (also the window age ordering)
+	stage    uopStage
+	dtlbWait bool // parked waiting for a TLB fill (or an exception's service)
+	// inCand marks a uop on the machine's candidate list (see
+	// Machine.cands); pending counts its producers that have not
+	// issued yet. Both are maintained by the dataflow wakeup.
+	inCand  bool
+	pending uint8
+	pooled  bool // in the free list
+	pal     bool // fetched in PAL (handler) mode
+	// excFetch marks instructions fetched by an exception-handler
+	// context (multithreaded mechanism); they are subject to the
+	// Table 3 limit-study exemptions.
+	excFetch bool
+	// instant marks a handler instruction materialized under the
+	// LimitInstantFetch study: it dispatches with zero decode and
+	// schedule latency and consumes no decode bandwidth, but still
+	// obeys window-space rules.
+	instant bool
+
+	seq uint64 // global fetch order
 	// schedSeq is the age used for oldest-first scheduling. Handler
 	// instructions inherit their master's age: they retire before the
 	// excepting instruction, so they compete for issue slots as if
 	// fetched in its place.
 	schedSeq uint64
-	tid      int // hardware context
-	pc       uint64
-	inst     isa.Instruction
-	pal      bool // fetched in PAL (handler) mode
-	// excFetch marks instructions fetched by an exception-handler
-	// context (multithreaded mechanism); they are subject to the
-	// Table 3 limit-study exemptions.
-	excFetch bool
+	// readyAt is the first cycle u may issue once pending reaches
+	// zero: the register-read delay after dispatch and every issued
+	// producer's completion, folded in as each becomes known.
+	readyAt uint64
+	doneAt  uint64 // completion time, valid once issued
+	// wakeHead is the newest consumer still waiting on this uop;
+	// wakeNext[s] continues the list of the producer in srcs[s].
+	// Lists are linked at fetch and walked when the producer issues.
+	wakeHead wakeLink
+	wakeNext [3]wakeLink
+
+	tid  int // hardware context
+	pc   uint64
+	inst isa.Instruction
 
 	// Functional (oracle) results, valid along the fetched path.
-	nextPC   uint64      // architectural next PC
-	predPC   uint64      // predicted next PC at fetch time
-	mispred  bool        // predPC != nextPC
-	taken    bool        // actual direction for conditional branches
-	result   uint64      // destination value (int or FP bits)
-	destKind regFileKind // which file result targets
-	destReg  uint8
-	// slotKind/slotReg name the register slot written (the journal
-	// target) as a location, not a pointer, so the journal survives a
-	// deep copy of the machine; Machine.slotPtr resolves it against
-	// the owning thread's register state.
-	slotKind slotKind
-	slotReg  uint8
+	nextPC   uint64 // architectural next PC
+	predPC   uint64 // predicted next PC at fetch time
+	result   uint64 // destination value (int or FP bits)
 	oldVal   uint64 // journal: previous value of the slot, for squash undo
 	srcVal   uint64 // first source operand value (emulated instructions)
 	ea       uint64 // effective address for memory ops
@@ -140,13 +159,13 @@ type uop struct {
 	srcs [3]depRef
 
 	// Timing.
-	stage      uopStage
-	fetchAt    uint64 // cycle the uop was fetched
-	availAt    uint64 // cycle the uop leaves the fetch pipe (decode-ready)
-	windowAt   uint64 // cycle it entered the window
-	issueAt    uint64 // cycle of the (last) issue
-	doneAt     uint64 // completion time, valid once issued
-	issuedOnce bool   // has occupied an FU at least once (stats)
+	fetchAt  uint64 // cycle the uop was fetched
+	availAt  uint64 // cycle the uop leaves the fetch pipe (decode-ready)
+	windowAt uint64 // cycle it entered the window
+	issueAt  uint64 // cycle of the (last) issue
+	// dispatchSeq orders window entries by dispatch, the order the
+	// window-payload fault class enumerates its sites in.
+	dispatchSeq uint64
 
 	// Branch prediction repair state.
 	histBefore uint64 // GHR before this branch's outcome was shifted in
@@ -154,38 +173,54 @@ type uop struct {
 	rasCp      bpred.Checkpoint
 
 	// Exception state.
-	dtlbWait bool   // parked waiting for a TLB fill
 	faultVPN uint64 // VPN it missed on (while dtlbWait)
 	// handlerBy is the handler/walk this uop's miss is linked to
 	// (as master or as a buffered secondary miss).
 	handlerBy hRef
-	hadMiss   bool   // experienced a DTLB miss (retire-time accounting)
 	missAt    uint64 // cycle the miss was detected
 	wokeAt    uint64 // cycle the fill released it
-	missMain  bool   // was the master of a fill (not a merged secondary)
-
 	// palCtx links PAL-mode instructions to their handler instance.
 	palCtx hRef
-	// palAfter is the thread's fetch mode after this instruction;
-	// squash recovery restores it.
-	palAfter bool
-	// instant marks a handler instruction materialized under the
-	// LimitInstantFetch study: it dispatches with zero decode and
-	// schedule latency and consumes no decode bandwidth, but still
-	// obeys window-space rules.
-	instant bool
 	// fwdStore is the buffered store this load forwards from, if any
 	// (stale once the store retires).
 	fwdStore depRef
 
+	// span is the miss-latency span this uop masters, stamped with
+	// its retirement (the splice point).
+	span *obs.MissSpan
 	// issueSlots counts the issue slots this uop consumed (a parked
 	// TLB-miss instruction issues more than once); squash moves them
 	// to the waste category of the slot account.
 	issueSlots uint32
-	// span is the miss-latency span this uop masters, stamped with
-	// its retirement (the splice point).
-	span *obs.MissSpan
+
+	mispred  bool        // predPC != nextPC
+	taken    bool        // actual direction for conditional branches
+	destKind regFileKind // which file result targets
+	destReg  uint8
+	// slotKind/slotReg name the register slot written (the journal
+	// target) as a location, not a pointer, so the journal survives a
+	// deep copy of the machine; Machine.slotPtr resolves it against
+	// the owning thread's register state.
+	slotKind   slotKind
+	slotReg    uint8
+	issuedOnce bool // has occupied an FU at least once (stats)
+	hadMiss    bool // experienced a DTLB miss (retire-time accounting)
+	missMain   bool // was the master of a fill (not a merged secondary)
+	// palAfter is the thread's fetch mode after this instruction;
+	// squash recovery restores it.
+	palAfter bool
 }
+
+// wakeLink names one edge on a producer's wake list: the consumer's
+// arena handle and which of its srcs slots the edge fills. The zero
+// link (slot 0 of the sentinel handle) ends a list.
+type wakeLink int32
+
+func linkOf(i uopIdx, slot int) wakeLink { return wakeLink(i)<<2 | wakeLink(slot) }
+
+func (l wakeLink) idx() uopIdx { return uopIdx(l >> 2) }
+
+func (l wakeLink) slot() int { return int(l & 3) }
 
 // numClasses sizes per-class lookup tables.
 const numClasses = int(isa.ClassHalt) + 1
@@ -198,6 +233,10 @@ var classNames = [numClasses]string{
 	isa.ClassBranch: "branch", isa.ClassJump: "jump", isa.ClassPriv: "priv",
 	isa.ClassRfe: "rfe", isa.ClassHardExc: "hardexc", isa.ClassHalt: "halt",
 }
+
+// unissued reports whether u has not yet started executing: its
+// consumers still wait on it through the wake list.
+func (u *uop) unissued() bool { return u.stage == stageFetched || u.stage == stageWindow }
 
 func (u *uop) isBranch() bool { return isa.ClassOf(u.inst.Op) == isa.ClassBranch }
 
@@ -242,26 +281,6 @@ func (m *Machine) slotPtr(u *uop) *uint64 {
 		return &t.priv[u.slotReg]
 	}
 	return nil
-}
-
-// uopReady reports whether all producers have completed by cycle now
-// and the register-read delay has elapsed.
-//
-//mtexc:hotpath
-func (m *Machine) uopReady(u *uop, now uint64, regRead uint64) bool {
-	if u.dtlbWait {
-		return false
-	}
-	if now < u.windowAt+regRead {
-		return false
-	}
-	for _, s := range u.srcs {
-		p := m.uopAt(s)
-		if p != nil && (p.stage != stageDone && p.stage != stageRetired || p.doneAt > now) {
-			return false
-		}
-	}
-	return true
 }
 
 // latencyClass maps an opcode to its functional-unit class and

@@ -10,6 +10,9 @@ func (h *Histogram) Clone() *Histogram {
 	for k, v := range h.buckets {
 		c.buckets[k] = v
 	}
+	if h.dense != nil {
+		c.dense = append([]uint64(nil), h.dense...)
+	}
 	c.sorted = nil
 	return &c
 }

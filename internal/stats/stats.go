@@ -32,6 +32,9 @@ type Histogram struct {
 	min     int64
 	max     int64
 	buckets map[int64]uint64
+	// dense, when set (Set.CachedDenseHist), counts the samples in
+	// [0, len(dense)) in place of their buckets entries.
+	dense []uint64
 	// sorted caches the bucket keys in ascending order for percentile
 	// queries; Observe invalidates it.
 	sorted []int64
@@ -61,10 +64,40 @@ func (h *Histogram) Observe(v int64) {
 	if v > h.max {
 		h.max = v
 	}
+	if uint64(v) < uint64(len(h.dense)) {
+		if h.dense[v] == 0 {
+			h.sorted = nil // new bucket key: the sorted cache is stale
+		}
+		h.dense[v]++
+		return
+	}
 	if _, seen := h.buckets[v]; !seen {
-		h.sorted = nil // new bucket key: the sorted cache is stale
+		h.sorted = nil
 	}
 	h.buckets[v]++
+}
+
+// add counts n samples of value v in its bucket.
+func (h *Histogram) add(v int64, n uint64) {
+	if uint64(v) < uint64(len(h.dense)) {
+		if h.dense[v] == 0 {
+			h.sorted = nil // new bucket key: the sorted cache is stale
+		}
+		h.dense[v] += n
+		return
+	}
+	if _, seen := h.buckets[v]; !seen {
+		h.sorted = nil
+	}
+	h.buckets[v] += n
+}
+
+// bucket reports how many samples of value v were observed.
+func (h *Histogram) bucket(v int64) uint64 {
+	if uint64(v) < uint64(len(h.dense)) {
+		return h.dense[v]
+	}
+	return h.buckets[v]
 }
 
 // Merge folds every sample of other into h, bucket by bucket, so an
@@ -88,10 +121,12 @@ func (h *Histogram) Merge(other *Histogram) {
 	// Each key is touched once; insertion order cannot affect the
 	// resulting bucket contents.
 	for k, n := range other.buckets {
-		if _, seen := h.buckets[k]; !seen {
-			h.sorted = nil
+		h.add(k, n)
+	}
+	for k, n := range other.dense {
+		if n > 0 {
+			h.add(int64(k), n)
 		}
-		h.buckets[k] += n
 	}
 }
 
@@ -149,6 +184,11 @@ func (h *Histogram) Percentile(p float64) int64 {
 	keys := h.sorted
 	if keys == nil {
 		keys = make([]int64, 0, len(h.buckets))
+		for k, n := range h.dense {
+			if n > 0 {
+				keys = append(keys, int64(k))
+			}
+		}
 		for k := range h.buckets {
 			keys = append(keys, k)
 		}
@@ -161,7 +201,7 @@ func (h *Histogram) Percentile(p float64) int64 {
 	}
 	var seen uint64
 	for _, k := range keys {
-		seen += h.buckets[k]
+		seen += h.bucket(k)
 		if seen >= rank {
 			return k
 		}
@@ -226,7 +266,7 @@ type CachedCounter struct {
 }
 
 // Cached returns a lazily bound handle on the named counter. The
-// counter is created and registered on the handle's first Inc or Add.
+// counter is created and registered on the handle's first Inc.
 func (s *Set) Cached(name string) *CachedCounter {
 	return &CachedCounter{set: s, name: name}
 }
@@ -239,19 +279,12 @@ func (cc *CachedCounter) Inc() {
 	cc.c.Value++
 }
 
-// Add increments the counter by n, binding it on first use.
-func (cc *CachedCounter) Add(n uint64) {
-	if cc.c == nil {
-		cc.c = cc.set.Counter(cc.name)
-	}
-	cc.c.Value += n
-}
-
 // CachedHistogram is the histogram analogue of CachedCounter.
 type CachedHistogram struct {
-	set  *Set
-	name string
-	h    *Histogram
+	set   *Set
+	name  string
+	h     *Histogram
+	dense []uint64 // handed to the histogram when the handle binds it
 }
 
 // CachedHist returns a lazily bound handle on the named histogram,
@@ -260,10 +293,25 @@ func (s *Set) CachedHist(name string) *CachedHistogram {
 	return &CachedHistogram{set: s, name: name}
 }
 
+// CachedDenseHist is CachedHist for a histogram observed every cycle
+// whose samples mostly lie in [0, n): those are counted in a dense
+// array, allocated here rather than on the first Observe, instead of
+// the bucket map. A histogram the set already holds (a cloned set)
+// is bound as it is.
+func (s *Set) CachedDenseHist(name string, n int) *CachedHistogram {
+	if h, ok := s.hists[name]; ok {
+		return &CachedHistogram{set: s, name: name, h: h}
+	}
+	return &CachedHistogram{set: s, name: name, dense: make([]uint64, n)}
+}
+
 // Observe records a sample, binding the histogram on first use.
 func (ch *CachedHistogram) Observe(v int64) {
 	if ch.h == nil {
 		ch.h = ch.set.Histogram(ch.name)
+		if ch.h.count == 0 && ch.h.dense == nil {
+			ch.h.dense = ch.dense
+		}
 	}
 	ch.h.Observe(v)
 }
@@ -282,15 +330,6 @@ func (s *Set) Get(name string) uint64 {
 		return c.Value
 	}
 	return 0
-}
-
-// Ratio reports counter a divided by counter b, or zero when b is zero.
-func (s *Set) Ratio(a, b string) float64 {
-	den := s.Get(b)
-	if den == 0 {
-		return 0
-	}
-	return float64(s.Get(a)) / float64(den)
 }
 
 // Each visits every registered statistic in registration order.

@@ -22,18 +22,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	s := NewSet()
-	s.Counter("a").Add(30)
-	s.Counter("b").Add(10)
-	if got := s.Ratio("a", "b"); got != 3 {
-		t.Errorf("Ratio = %v, want 3", got)
-	}
-	if got := s.Ratio("a", "zero"); got != 0 {
-		t.Errorf("Ratio with zero denominator = %v, want 0", got)
-	}
-}
-
 func TestHistogramMoments(t *testing.T) {
 	h := NewHistogram("h")
 	for _, v := range []int64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -138,4 +126,57 @@ func TestSetString(t *testing.T) {
 	if strings.Index(out, "first") > strings.Index(out, "second") {
 		t.Error("registration order not preserved")
 	}
+}
+
+// TestDenseHistMatchesMap: a dense-bucketed histogram renders exactly
+// like a map-only one, for samples inside and outside the dense range,
+// through Merge and Clone, and whether the handle binds a fresh
+// histogram or one a cloned set already holds.
+func TestDenseHistMatchesMap(t *testing.T) {
+	samples := []int64{0, 3, 3, 7, 8, 9, 100, -4, 5, 5, 5, 8, 0, 64}
+	plain, dense := NewSet(), NewSet()
+	ph := plain.CachedHist("h")
+	dh := dense.CachedDenseHist("h", 9)
+	for _, v := range samples {
+		ph.Observe(v)
+		dh.Observe(v)
+	}
+	if got, want := dense.String(), plain.String(); got != want {
+		t.Fatalf("dense histogram renders differently:\n%s\n--\n%s", got, want)
+	}
+
+	// Merge both into a map-only and a dense histogram.
+	for _, into := range []*Histogram{NewHistogram("m"), {Name: "m", buckets: map[int64]uint64{}, dense: make([]uint64, 4)}} {
+		into.Merge(mustHist(t, plain, "h"))
+		into.Merge(mustHist(t, dense, "h"))
+		for _, p := range []float64{0, 10, 50, 90, 100} {
+			if got, want := into.Percentile(p), mustHist(t, plain, "h").Percentile(p); got != want {
+				t.Errorf("merged p%v = %d, want %d", p, got, want)
+			}
+		}
+		if into.Count() != 2*uint64(len(samples)) {
+			t.Errorf("merged count %d", into.Count())
+		}
+	}
+
+	// A clone's handle binds the cloned histogram, dense array and all.
+	c := dense.Clone()
+	ch := c.CachedDenseHist("h", 9)
+	ch.Observe(2)
+	ph.Observe(2)
+	if got, want := c.String(), plain.String(); got != want {
+		t.Fatalf("cloned dense histogram renders differently:\n%s\n--\n%s", got, want)
+	}
+	if mustHist(t, dense, "h").Count() != uint64(len(samples)) {
+		t.Fatal("clone observation leaked into original")
+	}
+}
+
+func mustHist(t *testing.T, s *Set, name string) *Histogram {
+	t.Helper()
+	h, ok := s.Hist(name)
+	if !ok {
+		t.Fatalf("no histogram %q", name)
+	}
+	return h
 }

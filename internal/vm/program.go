@@ -22,6 +22,11 @@ type Image struct {
 	InitInt map[uint8]uint64
 	// InitFP seeds FP registers (raw float64 bits).
 	InitFP map[uint8]uint64
+
+	// codeFrames holds the frame of each code page from CodeVA on,
+	// fixed by Load like CodePA; InstPA reads it instead of
+	// translating every fetched instruction.
+	codeFrames []uint64
 }
 
 // Conventional layout for generated programs.
@@ -59,6 +64,14 @@ func (img *Image) Load(phys *mem.Physical) error {
 		return fmt.Errorf("vm: image %q code page not mapped after load", img.Name)
 	}
 	img.CodePA = pa
+	img.codeFrames = nil
+	for va := img.CodeVA &^ (PageSize - 1); va < img.CodeVA+uint64(len(words))*4; va += PageSize {
+		pa, ok := img.Space.Translate(va)
+		if !ok {
+			break
+		}
+		img.codeFrames = append(img.codeFrames, pa>>PageShift)
+	}
 	return nil
 }
 
@@ -76,9 +89,13 @@ func (img *Image) FetchInst(va uint64) (isa.Instruction, bool) {
 }
 
 // InstPA maps a code VA to the physical address used for I-cache
-// timing. Code pages are mapped contiguously by Load for typical
-// segment sizes; page-accurate translation is used when available.
+// timing: the code page's frame as Load found it. An address outside
+// the loaded code pages falls back to page-accurate translation, then
+// to an offset from CodePA.
 func (img *Image) InstPA(va uint64) uint64 {
+	if i := va>>PageShift - img.CodeVA>>PageShift; va >= img.CodeVA && i < uint64(len(img.codeFrames)) {
+		return img.codeFrames[i]<<PageShift | va&(PageSize-1)
+	}
 	if pa, ok := img.Space.Translate(va); ok {
 		return pa
 	}

@@ -396,6 +396,37 @@ func TestImageLoadAndFetch(t *testing.T) {
 	}
 }
 
+// TestInstPAMatchesTranslation: the code-frame table Load builds
+// gives every code address the frame page-accurate translation does,
+// for a segment that starts mid-page and spans several pages whose
+// frames are not contiguous.
+func TestInstPAMatchesTranslation(t *testing.T) {
+	phys := mem.NewPhysical()
+	as := NewAddressSpace(phys, 1, 1<<20)
+	code := make([]isa.Instruction, 3*PageSize/4)
+	for i := range code {
+		code[i] = isa.Instruction{Op: isa.OpNop}
+	}
+	img := &Image{Name: "pages", Code: code, CodeVA: DefaultCodeVA + PageSize - 64, Space: as}
+	// Map a page between the code pages first so they get scattered
+	// frames.
+	if _, err := as.MapPage((img.CodeVA >> PageShift) + 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := img.Load(phys); err != nil {
+		t.Fatal(err)
+	}
+	for va := img.CodeVA; va < img.CodeVA+uint64(len(code))*4; va += 4 {
+		want, ok := as.Translate(va)
+		if !ok {
+			t.Fatalf("code va %#x unmapped after load", va)
+		}
+		if got := img.InstPA(va); got != want {
+			t.Fatalf("InstPA(%#x) = %#x, want %#x", va, got, want)
+		}
+	}
+}
+
 func TestPALImage(t *testing.T) {
 	phys := mem.NewPhysical()
 	h := GenerateDTBMissHandler(DefaultHandlerConfig())
