@@ -8,6 +8,7 @@
 #   make bench-compare  headline benchmarks -> out/BENCH_<stamp>.json
 #   make bench-json   machine-readable snapshots of the headline runs
 #   make lint         go vet + mtexc-lint invariant analyzers
+#   make deadcode     functions no binary links, gated by deadcode.baseline.txt
 #   make experiments  regenerate every table and figure (minutes)
 #   make report       automated claim-by-claim reproduction report
 #   make fuzz         short burst of every fuzz target
@@ -18,7 +19,7 @@
 GO ?= go
 FUZZTIME ?= 30s
 
-.PHONY: build test test-short bench bench-compare bench-json experiments report vet lint lint-sarif fmt clean cover fuzz fuzz-long resume-check faultinject-smoke
+.PHONY: build test test-short bench bench-compare bench-json experiments report vet lint lint-sarif deadcode fmt clean cover fuzz fuzz-long resume-check faultinject-smoke
 
 build:
 	$(GO) build ./...
@@ -41,6 +42,13 @@ lint: vet
 lint-sarif:
 	mkdir -p out
 	$(GO) run ./cmd/mtexc-lint -sarif out/lint.sarif -baseline lint.baseline.json ./...
+
+# Reachability audit: builds every cmd/*, examples/* and
+# bench/mtexcbench with inlining off and fails on any non-test
+# function none of them links that deadcode.baseline.txt does not
+# list. Regenerate the baseline with scripts/deadcode.sh -write.
+deadcode:
+	GO=$(GO) bash scripts/deadcode.sh
 
 fmt:
 	gofmt -l -w .

@@ -220,9 +220,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		collector = trace.NewCollector(*traceN)
 		m.TraceHook = collector.Add
-		if ctx.Done() != nil {
-			m.SetCancel(ctx.Done())
-		}
+		m.SetCancel(ctx)
 		var err error
 		res, err = m.Run()
 		if err != nil {

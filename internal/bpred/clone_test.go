@@ -76,19 +76,16 @@ func TestRASCloneAndReset(t *testing.T) {
 		r.Push(0x100 * i)
 	}
 	c := r.Clone()
-	if c.Depth() != r.Depth() {
-		t.Fatal("clone depth differs")
-	}
-	// Popping the clone dry must not disturb the original.
-	for {
-		if _, ok := c.Pop(); !ok {
-			break
+	// Popping the clone dry must not disturb the original: both hold
+	// the same five entries.
+	for _, s := range []*RAS{c, r} {
+		for i := uint64(5); i >= 1; i-- {
+			if a, ok := s.Pop(); !ok || a != 0x100*i {
+				t.Fatalf("pop %d = %#x,%v, want %#x", 6-i, a, ok, 0x100*i)
+			}
 		}
-	}
-	if r.Depth() != 5 {
-		t.Fatalf("clone pops drained the original: depth %d", r.Depth())
-	}
-	if a, ok := r.Pop(); !ok || a != 0x500 {
-		t.Fatalf("original top = %#x, want 0x500", a)
+		if a, ok := s.Pop(); ok {
+			t.Fatalf("pop past five entries returned %#x", a)
+		}
 	}
 }

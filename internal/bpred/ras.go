@@ -71,6 +71,3 @@ func (r *RAS) Restore(cp Checkpoint) {
 		r.stack[cp.top] = cp.topValue
 	}
 }
-
-// Depth reports the number of live entries.
-func (r *RAS) Depth() int { return r.depth }

@@ -7,7 +7,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"mtexc/internal/cpu"
@@ -110,22 +109,8 @@ func RunObserved(ctx context.Context, cfg Config, probe *Probe, workloads ...Wor
 		// with the page-table entries cache-warm accordingly.
 		m.WarmPageTable(img.Space)
 	}
-	if ctx != nil && ctx.Done() != nil {
-		m.SetCancel(ctx.Done())
-	}
-	res, err := m.Run()
-	return res, withCancelCause(ctx, err)
-}
-
-// withCancelCause fills a *cpu.CancelledError's missing cause with
-// ctx.Err(), so errors.Is(err, context.DeadlineExceeded) identifies a
-// timed-out run however deeply the error is wrapped.
-func withCancelCause(ctx context.Context, err error) error {
-	var cancelled *cpu.CancelledError
-	if errors.As(err, &cancelled) && cancelled.Cause == nil {
-		cancelled.Cause = ctx.Err()
-	}
-	return err
+	m.SetCancel(ctx)
+	return m.Run()
 }
 
 // Snapshot assembles the machine-readable export of a completed run:

@@ -130,11 +130,11 @@ func SampleCompareCtx(ctx context.Context, cfg Config, spec SampleSpec, w Worklo
 		if pos+detail <= budget {
 			subj, err := runDetailedWindow(ctx, cfg, eng, spec)
 			if err != nil {
-				return out, fmt.Errorf("core: window %d (subject): %w", len(ds), withCancelCause(ctx, err))
+				return out, fmt.Errorf("core: window %d (subject): %w", len(ds), err)
 			}
 			perf, err := runDetailedWindow(ctx, pcfg, eng, spec)
 			if err != nil {
-				return out, fmt.Errorf("core: window %d (perfect): %w", len(ds), withCancelCause(ctx, err))
+				return out, fmt.Errorf("core: window %d (perfect): %w", len(ds), err)
 			}
 			out.DetailedInsts += subj.warmInsts + subj.insts + perf.warmInsts + perf.insts
 			if subj.insts > 0 {
@@ -214,9 +214,7 @@ func runDetailedWindow(ctx context.Context, cfg Config, eng *fastpath.Engine, sp
 	// The functional tier stands in for the OS having run this far:
 	// page-table entries start cache-warm, as in full runs.
 	m.WarmPageTable(img.Space)
-	if ctx.Done() != nil {
-		m.SetCancel(ctx.Done())
-	}
+	m.SetCancel(ctx)
 	var warm cpu.Result
 	if spec.Warmup > 0 {
 		if warm, err = m.RunUntil(spec.Warmup); err != nil {

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"context"
 	"fmt"
 
 	"mtexc/internal/bpred"
@@ -85,9 +86,9 @@ type Machine struct {
 	// watchdog's notion of forward progress (Config.NoProgressLimit).
 	lastProgress uint64
 
-	// cancel, when non-nil, is polled periodically by Run; once it is
-	// closed the run aborts with a CancelledError (SetCancel).
-	cancel <-chan struct{}
+	// ctx, when non-nil, is polled periodically by StepCycle; once it
+	// is done the run aborts with a CancelledError (SetCancel).
+	ctx context.Context
 
 	// probe, when non-nil, receives periodic progress snapshots for
 	// concurrent readers (SetProbe). Published on the cancel-poll
@@ -366,10 +367,10 @@ func (m *Machine) attachSampler(every uint64) {
 // Phys exposes the physical memory for program construction.
 func (m *Machine) Phys() *mem.Physical { return m.phys }
 
-// SetCancel installs an abort channel, typically a context's Done
-// channel. Run polls it every cancelPollMask+1 cycles and returns a
-// CancelledError once it is closed. Must be called before Run.
-func (m *Machine) SetCancel(ch <-chan struct{}) { m.cancel = ch }
+// SetCancel installs a context to abort the run by. StepCycle polls
+// it every cancelPollMask+1 cycles and, once it is done, returns a
+// CancelledError carrying ctx.Err(). Must be called before Run.
+func (m *Machine) SetCancel(ctx context.Context) { m.ctx = ctx }
 
 // AddProgram binds an image to the next idle hardware context and
 // returns its context id. The image must already be Loaded.
@@ -477,65 +478,29 @@ type Result struct {
 	Obs *obs.Observations
 }
 
-// cancelPollMask gates how often Run polls the cancel channel: every
-// (mask+1) cycles, cheap enough to leave on unconditionally.
+// cancelPollMask gates how often StepCycle publishes the probe and
+// polls the cancel context: every (mask+1) cycles, cheap enough to
+// leave on unconditionally.
 const cancelPollMask = 0x3FF
 
-// Run simulates until MaxInsts application instructions retire or
-// MaxCycles elapse, returning the run summary. A Machine runs once;
-// build a fresh one per simulation.
+// Run simulates until the machine is Done and returns the run
+// summary. A Machine runs once; build a fresh one per simulation.
 //
-// Two abort paths return a partial Result alongside an error: the
-// retirement-progress watchdog (Config.NoProgressLimit) returns a
-// *LivelockError with a machine dump when no instruction retires for
-// the configured span, and a closed cancel channel (SetCancel)
-// returns a *CancelledError.
-func (m *Machine) Run() (Result, error) { return m.runTo(m.cfg.MaxInsts) }
+// Two abort paths return a partial Result alongside StepCycle's
+// error: a *LivelockError from the retirement-progress watchdog, or a
+// *CancelledError from the SetCancel context.
+func (m *Machine) Run() (Result, error) { return m.RunUntil(m.cfg.MaxInsts) }
 
 // RunUntil continues the simulation until the cumulative application
-// retirement count reaches target (clamped to MaxInsts), MaxCycles
-// elapses, or every context halts, and returns the summary so far.
-// Unlike Run it is meant to be called repeatedly on one machine:
-// sampled simulation runs a warm-up prefix, snapshots the counters,
-// then continues through the measured window and differences the two
-// Results. Counters are cumulative across calls.
+// retirement count reaches target or the machine is Done, and returns
+// the summary so far. Unlike Run it is meant to be called repeatedly
+// on one machine: sampled simulation runs a warm-up prefix, snapshots
+// the counters, then continues through the measured window and
+// differences the two Results. Counters are cumulative across calls.
 func (m *Machine) RunUntil(target uint64) (Result, error) {
-	if target > m.cfg.MaxInsts {
-		target = m.cfg.MaxInsts
-	}
-	return m.runTo(target)
-}
-
-func (m *Machine) runTo(target uint64) (Result, error) {
-	limit := m.cfg.NoProgressLimit
-	for m.appRetired < target && m.now < m.cfg.MaxCycles {
-		if m.faultArmed && m.now >= m.fault.At {
-			m.tryInjectFault()
-		}
-		m.step()
-		if m.allHalted() {
-			break
-		}
-		if limit > 0 && m.now-m.lastProgress > limit {
-			return m.finish(), &LivelockError{
-				Cycle:        m.now,
-				LastProgress: m.lastProgress,
-				Limit:        limit,
-				AppRetired:   m.appRetired,
-				Dump:         m.DumpState(),
-			}
-		}
-		if m.now&cancelPollMask == 0 {
-			if m.probe != nil {
-				m.probe.publish(m.now, m.appRetired, m.lastProgress)
-			}
-			if m.cancel != nil {
-				select {
-				case <-m.cancel:
-					return m.finish(), &CancelledError{Cycle: m.now}
-				default:
-				}
-			}
+	for m.appRetired < target && !m.Done() {
+		if err := m.StepCycle(); err != nil {
+			return m.finish(), err
 		}
 	}
 	return m.finish(), nil
@@ -600,28 +565,54 @@ func (m *Machine) step() {
 	}
 }
 
-// StepCycle advances the machine exactly one cycle — fault injection
-// included — and reports whether any context can still make progress.
-// It is the building block external cycle drivers (N-core topologies)
-// use in place of Run: interleave StepCycle across machines in a
-// fixed order, then call Finish on each once stepping is done.
-func (m *Machine) StepCycle() bool {
+// StepCycle advances the machine one cycle under run control, the one
+// place a run's cycle advances: it fires an armed fault plan, steps
+// the pipeline and runs the no-progress watchdog, and every
+// cancelPollMask+1 cycles publishes the probe and polls the cancel
+// context. Run and RunUntil loop it; external drivers (N-core
+// topologies, forked fault trials) interleave it across machines while
+// they are not Done, then call Finish on each.
+//
+// It fails a run two ways, after which the machine is only finished:
+// a *LivelockError with a machine dump once no instruction has retired
+// for Config.NoProgressLimit cycles, and a *CancelledError once the
+// SetCancel context is done.
+func (m *Machine) StepCycle() error {
 	if m.faultArmed && m.now >= m.fault.At {
 		m.tryInjectFault()
 	}
 	m.step()
-	return !m.allHalted()
+	if limit := m.cfg.NoProgressLimit; limit > 0 && m.now-m.lastProgress > limit {
+		return &LivelockError{
+			Cycle:        m.now,
+			LastProgress: m.lastProgress,
+			Limit:        limit,
+			AppRetired:   m.appRetired,
+			Dump:         m.DumpState(),
+		}
+	}
+	if m.now&cancelPollMask == 0 {
+		if m.probe != nil {
+			m.probe.publish(m.now, m.appRetired, m.lastProgress)
+		}
+		if m.ctx != nil {
+			if err := m.ctx.Err(); err != nil {
+				return &CancelledError{Cycle: m.now, Cause: err}
+			}
+		}
+	}
+	return nil
 }
 
-// Halted reports whether every context has halted.
-func (m *Machine) Halted() bool { return m.allHalted() }
+// Done reports whether the run is over: every context has halted,
+// MaxInsts application instructions have retired or MaxCycles have
+// elapsed.
+func (m *Machine) Done() bool {
+	return m.appRetired >= m.cfg.MaxInsts || m.now >= m.cfg.MaxCycles || m.allHalted()
+}
 
 // Now reports the current cycle.
 func (m *Machine) Now() uint64 { return m.now }
-
-// AppRetired reports how many application instructions have retired
-// so far.
-func (m *Machine) AppRetired() uint64 { return m.appRetired }
 
 // Finish closes out the statistics and assembles the run summary for
 // a machine driven by StepCycle rather than Run.

@@ -9,9 +9,9 @@ import (
 
 // Probe publishes a running machine's coarse progress for concurrent
 // readers — the live-telemetry plane's view into a simulation that is
-// otherwise a single-goroutine black box until it returns. The cycle
-// loop stores into it every cancelPollMask+1 cycles (and once more at
-// finish), so readers see values at most ~1k cycles stale. Every
+// otherwise a single-goroutine black box until it returns. StepCycle
+// stores into it every cancelPollMask+1 cycles (and finish once more),
+// so readers see values at most ~1k cycles stale. Every
 // field is an atomic: a probe is typically handed to an observer
 // before SetProbe copies the machine limits in, so even the
 // "write-once" configuration mirrors need publication safety.

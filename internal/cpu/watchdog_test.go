@@ -1,9 +1,12 @@
 package cpu
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
+
+	"mtexc/internal/diffsim/gen"
 )
 
 // livelockedMachine builds a machine with one context wedged in a
@@ -86,15 +89,40 @@ func TestCancelAbortsRun(t *testing.T) {
 	cfg.NoProgressLimit = 0
 
 	m := livelockedMachine(cfg)
-	ch := make(chan struct{})
-	close(ch)
-	m.SetCancel(ch)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m.SetCancel(ctx)
 	res, err := m.Run()
 	var ce *CancelledError
 	if !errors.As(err, &ce) {
 		t.Fatalf("Run returned %v, want *CancelledError", err)
 	}
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("CancelledError cause is %v, want the context's %v", ce.Cause, context.Canceled)
+	}
 	if res.Cycles > cancelPollMask+1 {
 		t.Errorf("cancellation observed only at cycle %d, poll interval is %d", res.Cycles, cancelPollMask+1)
+	}
+}
+
+// TestRunUntilOnDoneMachine: a machine whose program has halted is
+// Done, and running it again returns without stepping it.
+func TestRunUntilOnDoneMachine(t *testing.T) {
+	cfg := cloneTestConfig(MechMultithreaded, 2, false)
+	p := gen.Generate(4200, gen.Limits{MaxPages: 64, NoFault: true, NoUnaligned: true})
+	m, tid := buildGenMachine(t, cfg, p)
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !m.ThreadHalted(tid) {
+		t.Fatalf("program did not halt within cycle %d", m.Now())
+	}
+	now := m.Now()
+	res, err := m.RunUntil(cfg.MaxInsts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Now() != now || res.Cycles != now {
+		t.Errorf("RunUntil on a halted machine moved it from cycle %d to %d (result %d)", now, m.Now(), res.Cycles)
 	}
 }

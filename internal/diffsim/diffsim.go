@@ -389,16 +389,10 @@ func (o *oracle) verify(m *cpu.Machine) (kind, detail string) {
 }
 
 // run finishes m under o and compares the outcome with the reference.
-// A machine forked after its program halted is already finished, and
-// is not stepped: Run would advance it one more cycle.
 func (o *oracle) run(m *cpu.Machine, c Case) (out RunResult) {
 	m.RetireHook = o.retire
 	var err error
-	if m.Halted() {
-		out.Res = m.Finish()
-	} else {
-		out.Res, err = m.Run()
-	}
+	out.Res, err = m.Run()
 	if err != nil {
 		out.Div = &Divergence{Case: c, Kind: errKind(err), Detail: err.Error()}
 	} else if kind, detail := o.verify(m); kind != "" {
@@ -469,13 +463,12 @@ func (f *Fork) load() error {
 }
 
 // RunFrom is RunCaseConfigured with pre applied at cycle at: it steps
-// the unarmed machine to at (or to its halt or cycle or instruction
-// cap), applies pre to a clone and finishes the clone under a copy of
-// the oracle. For a pre that takes effect from cycle at, such as a
-// FaultPlan with that At, it returns what RunCaseConfigured does
-// unless the unarmed run trips the no-progress watchdog. An at behind
-// the unarmed machine reloads it, so callers going in increasing at
-// simulate each prefix cycle once.
+// the unarmed machine to at (or until it is Done), applies pre to a
+// clone and finishes the clone under a copy of the oracle. For a pre
+// that takes effect from cycle at, such as a FaultPlan with that At,
+// it returns what RunCaseConfigured does. An at behind the unarmed
+// machine reloads it, so callers going in increasing at simulate each
+// prefix cycle once.
 func (f *Fork) RunFrom(at uint64, pre func(*cpu.Machine)) (out RunResult) {
 	defer recoverDiv(&out.Div, f.c)
 	if f.m == nil || f.m.Now() > at {
@@ -484,11 +477,18 @@ func (f *Fork) RunFrom(at uint64, pre func(*cpu.Machine)) (out RunResult) {
 			return RunResult{Div: &Divergence{Case: f.c, Kind: "error", Detail: err.Error()}}
 		}
 	}
-	// A panic while stepping leaves no half-stepped machine behind.
+	// A panic or error while stepping leaves no half-stepped machine
+	// behind: the next call reloads.
 	m := f.m
 	f.m = nil
-	for m.Now() < at && m.Now() < f.cfg.MaxCycles && m.AppRetired() < f.cfg.MaxInsts && !m.Halted() {
-		m.StepCycle()
+	for m.Now() < at && !m.Done() {
+		if err := m.StepCycle(); err != nil {
+			// The run with pre applied failed the same way, before at.
+			if pre != nil {
+				pre(m)
+			}
+			return RunResult{Div: &Divergence{Case: f.c, Kind: errKind(err), Detail: err.Error()}, Res: m.Finish()}
+		}
 	}
 	f.m = m
 	fork := m.Clone()

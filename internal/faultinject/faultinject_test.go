@@ -232,7 +232,10 @@ func runArmed(t *testing.T, p *gen.Program, cfg cpu.Config, plan cpu.FaultPlan, 
 	record := func(ri cpu.RetiredInst) { out.retired = append(out.retired, ri) }
 	m.RetireHook = record
 	if fork {
-		for m.Now() < plan.At && m.StepCycle() {
+		for m.Now() < plan.At && !m.Done() {
+			if err := m.StepCycle(); err != nil {
+				t.Fatalf("unarmed prefix: %v", err)
+			}
 		}
 		if m.Now() != plan.At {
 			t.Fatalf("unarmed prefix halted at cycle %d, before injection cycle %d", m.Now(), plan.At)
@@ -358,6 +361,38 @@ func TestForkedCloneMatchesReplayAtEdges(t *testing.T) {
 			case fm.FaultRecord() != rm.FaultRecord():
 				t.Errorf("%s: fault record %+v, replay %+v", where, fm.FaultRecord(), rm.FaultRecord())
 			}
+		}
+	}
+}
+
+// TestForkedPrefixLivelockMatchesReplay: when the unarmed prefix
+// itself trips the no-progress watchdog before a plan's injection
+// cycle, Fork.RunFrom reports the livelock RunCaseConfigured reports
+// for the armed run, at the same cycle, and keeps doing so for later
+// plans.
+func TestForkedPrefixLivelockMatchesReplay(t *testing.T) {
+	p := testProgram(t)
+	mc, _ := MechByName("trad")
+	b, err := NewBaseline(p, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mc.DiffCase(p)
+	cfg := TrialConfig(c, b.Ref.Res.Steps)
+	cfg.NoProgressLimit = 40
+	fork := diffsim.NewFork(p, c, cfg, b.Ref)
+	for _, at := range []uint64{b.Cycles / 2, b.Cycles / 2, b.Cycles} {
+		plan := cpu.FaultPlan{Class: cpu.FaultArchReg, At: at, Seed: 9}
+		got := fork.RunFrom(at, func(m *cpu.Machine) { m.SetFaultPlan(plan) })
+		want := diffsim.RunCaseConfigured(p, c, cfg, b.Ref, func(m *cpu.Machine) { m.SetFaultPlan(plan) })
+		if want.Div == nil || want.Div.Kind != "livelock" || want.Res.Cycles >= at {
+			t.Fatalf("at %d: replay %v after %d cycles, want a livelock before the injection cycle", at, want.Div, want.Res.Cycles)
+		}
+		switch {
+		case got.Div == nil || *got.Div != *want.Div:
+			t.Errorf("at %d: divergence %v, replay %v", at, got.Div, want.Div)
+		case !bytes.Equal(runFingerprint(t, got.Res), runFingerprint(t, want.Res)):
+			t.Errorf("at %d: statistics or observations differ (%d vs %d cycles)", at, got.Res.Cycles, want.Res.Cycles)
 		}
 	}
 }

@@ -4,12 +4,10 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"errors"
 	"fmt"
 	"strings"
 
 	"mtexc/internal/core"
-	"mtexc/internal/cpu"
 )
 
 // job is one simulation a cell asks runner.exec for: the machine
@@ -96,10 +94,6 @@ func (r *runner) exec(c *cell, j job) (core.Result, error) {
 	}
 	probe := c.tel.SimStarted(r.simPhase(c, key))
 	res, insts, err := j.sim(ctx, j, probe)
-	var cancelled *cpu.CancelledError
-	if errors.As(err, &cancelled) && cancelled.Cause == nil {
-		cancelled.Cause = ctx.Err()
-	}
 	c.tel.SimFinished(insts, res.Cycles, res.Stats, err != nil)
 	r.opt.Meter.AddSimInsts(insts)
 	if err != nil {

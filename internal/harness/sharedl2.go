@@ -32,7 +32,7 @@ func simCluster(ctx context.Context, j job, probe *core.Probe) (core.Result, uin
 	if probe != nil {
 		cl.Core(0).SetProbe(probe)
 	}
-	cl.SetCancel(ctx.Done())
+	cl.SetCancel(ctx)
 	results, err := cl.Run()
 	var insts uint64
 	for _, res := range results {

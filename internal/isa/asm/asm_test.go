@@ -15,7 +15,7 @@ func TestBuilderBranchResolution(t *testing.T) {
 	b.Branch(isa.OpBne, 1, "top") // 1 -> disp -2
 	b.Jump(isa.OpBr, "end")       // 2 -> disp +0? end at 3: 3-(2+1)=0
 	b.Label("end")
-	b.Nop() // 3
+	b.Emit(isa.Instruction{Op: isa.OpNop}) // 3
 	insts, err := b.Finish()
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestBuilderUndefinedLabel(t *testing.T) {
 func TestBuilderDuplicateLabel(t *testing.T) {
 	b := NewBuilder()
 	b.Label("x")
-	b.Nop()
+	b.Emit(isa.Instruction{Op: isa.OpNop})
 	b.Label("x")
 	if _, err := b.Finish(); err == nil {
 		t.Error("duplicate label not reported")
@@ -211,6 +211,42 @@ func TestAssembleErrors(t *testing.T) {
 	for _, src := range bad {
 		if _, err := Assemble(src); err == nil {
 			t.Errorf("Assemble(%q) succeeded, want error", src)
+		}
+	}
+}
+
+// TestAssembleImmediateRange: numeric operands are checked against
+// their encoding field, so a source the assembler accepts always
+// encodes; the field bounds themselves assemble.
+func TestAssembleImmediateRange(t *testing.T) {
+	for _, tc := range []struct {
+		src string
+		ok  bool
+	}{
+		{"ldi r0,10000", false},
+		{"addi r1, r1, 9000", false},
+		{"ldq r3, 9000(sp)", false},
+		{"stq r3, -8193(r2)", false},
+		{"ldi r1, -8193", false},
+		{"beq r1, 262144", false},
+		{"br -8388609", false},
+		{"ldi r1, 8191", true},
+		{"addi r1, r1, -8192", true},
+		{"ldq r3, -8192(sp)", true},
+		{"beq r1, -262144", true},
+		{"br 8388607", true},
+		{"limm r1, 10000", true},
+	} {
+		insts, err := Assemble(tc.src)
+		if (err == nil) != tc.ok {
+			t.Errorf("Assemble(%q) error = %v, want ok=%v", tc.src, err, tc.ok)
+			continue
+		}
+		if err != nil {
+			continue
+		}
+		if _, err := EncodeAll(insts); err != nil {
+			t.Errorf("Assemble(%q) accepted an unencodable program: %v", tc.src, err)
 		}
 	}
 }

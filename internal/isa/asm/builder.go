@@ -71,9 +71,6 @@ func (b *Builder) I(op isa.Op, rd, ra uint8, imm int64) {
 	b.Emit(isa.Instruction{Op: op, Rd: rd, Ra: ra, Imm: imm})
 }
 
-// Nop emits a no-op.
-func (b *Builder) Nop() { b.Emit(isa.Instruction{Op: isa.OpNop}) }
-
 // Branch emits a conditional branch to a label.
 func (b *Builder) Branch(op isa.Op, ra uint8, label string) {
 	b.fixups = append(b.fixups, fixup{len(b.insts), label})

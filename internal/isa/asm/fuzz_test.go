@@ -13,6 +13,9 @@ func FuzzAssemble(f *testing.F) {
 	f.Add("popc r2, r3\nwrtdest r2\n")
 	f.Add("x: y: nop ; comment")
 	f.Add("br 8\nbeq r0, -4\n")
+	f.Add("ldi r0,10000")
+	f.Add("addi r1, r1, 9000")
+	f.Add("ldq r3, 9000(sp)")
 	f.Fuzz(func(t *testing.T, src string) {
 		insts, err := Assemble(src)
 		if err != nil {

@@ -140,6 +140,9 @@ func assembleStmt(b *Builder, line string) error {
 			return fmt.Errorf("%s needs 1 operand", op)
 		}
 		if d, err := strconv.ParseInt(ops[0], 0, 64); err == nil {
+			if err := inRange(d, isa.MinDispJ, isa.MaxDispJ); err != nil {
+				return err
+			}
 			b.Emit(isa.Instruction{Op: op, Imm: d})
 		} else {
 			b.Jump(op, ops[0])
@@ -154,6 +157,9 @@ func assembleStmt(b *Builder, line string) error {
 			return err
 		}
 		if d, err := strconv.ParseInt(ops[1], 0, 64); err == nil {
+			if err := inRange(d, isa.MinDispB, isa.MaxDispB); err != nil {
+				return err
+			}
 			b.Emit(isa.Instruction{Op: op, Ra: ra, Imm: d})
 		} else {
 			b.Branch(op, ra, ops[1])
@@ -298,7 +304,7 @@ func assembleI(b *Builder, op isa.Op, ops []string) error {
 		if err != nil {
 			return err
 		}
-		imm, err := strconv.ParseInt(ops[1], 0, 64)
+		imm, err := parseImm(ops[1])
 		if err != nil {
 			return err
 		}
@@ -344,7 +350,7 @@ func assembleI(b *Builder, op isa.Op, ops []string) error {
 	if err != nil {
 		return err
 	}
-	imm, err := strconv.ParseInt(ops[2], 0, 64)
+	imm, err := parseImm(ops[2])
 	if err != nil {
 		return err
 	}
@@ -403,12 +409,34 @@ func parseMemOperand(s string) (int64, uint8, error) {
 		if err != nil {
 			return 0, 0, fmt.Errorf("bad displacement in %q", s)
 		}
+		if err := inRange(disp, isa.MinImm, isa.MaxImm); err != nil {
+			return 0, 0, err
+		}
 	}
 	ra, err := parseIntReg(s[open+1 : len(s)-1])
 	if err != nil {
 		return 0, 0, err
 	}
 	return disp, ra, nil
+}
+
+// parseImm parses an I-format immediate, which must fit the
+// encoding's signed 14-bit field (limm materializes wider constants).
+func parseImm(s string) (int64, error) {
+	v, err := strconv.ParseInt(s, 0, 64)
+	if err != nil {
+		return 0, err
+	}
+	return v, inRange(v, isa.MinImm, isa.MaxImm)
+}
+
+// inRange rejects a numeric operand its encoding field cannot hold,
+// so that everything Assemble accepts also encodes.
+func inRange(v, lo, hi int64) error {
+	if v < lo || v > hi {
+		return fmt.Errorf("operand %d out of range [%d, %d]", v, lo, hi)
+	}
+	return nil
 }
 
 func parseUint64(s string) (uint64, error) {

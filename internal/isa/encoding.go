@@ -149,46 +149,6 @@ func (in Instruction) String() string {
 	}
 }
 
-// WritesIntReg reports whether the instruction writes an integer
-// destination register, and which one. JAL/JALR link into RegLR.
-func (in Instruction) WritesIntReg() (uint8, bool) {
-	switch ClassOf(in.Op) {
-	case ClassIntALU, ClassIntMul, ClassIntDiv:
-		return in.Rd, in.Rd != RegZero
-	case ClassLoad:
-		if in.Op == OpLdf {
-			return 0, false
-		}
-		return in.Rd, in.Rd != RegZero
-	case ClassFPAdd:
-		if in.Op == OpCvtfi || in.Op == OpFcmpEq || in.Op == OpFcmpLt {
-			return in.Rd, in.Rd != RegZero
-		}
-		return 0, false
-	case ClassJump:
-		if in.Op == OpJal || in.Op == OpJalr {
-			return RegLR, true
-		}
-		return 0, false
-	case ClassPriv:
-		if in.Op == OpMfpr {
-			return in.Rd, in.Rd != RegZero
-		}
-		return 0, false
-	}
-	return 0, false
-}
-
-// WritesFPReg reports whether the instruction writes an FP
-// destination register, and which one.
-func (in Instruction) WritesFPReg() (uint8, bool) {
-	switch in.Op {
-	case OpFadd, OpFsub, OpFmul, OpFdiv, OpFsqrt, OpCvtif, OpFmov, OpLdf:
-		return in.Rd, true
-	}
-	return 0, false
-}
-
 // IntSrcRegs reports the integer registers the instruction reads (up
 // to two, RegZero excluded) without allocating: the registers occupy
 // srcs[:n].
@@ -239,16 +199,6 @@ func (in Instruction) IntSrcRegs() (srcs [2]uint8, n int) {
 	return srcs, n
 }
 
-// IntSources reports the integer registers the instruction reads (up
-// to two, RegZero excluded).
-func (in Instruction) IntSources() []uint8 {
-	srcs, n := in.IntSrcRegs()
-	if n == 0 {
-		return nil
-	}
-	return srcs[:n:n]
-}
-
 // FPSrcRegs reports the FP registers the instruction reads without
 // allocating: the registers occupy srcs[:n].
 func (in Instruction) FPSrcRegs() (srcs [2]uint8, n int) {
@@ -261,13 +211,4 @@ func (in Instruction) FPSrcRegs() (srcs [2]uint8, n int) {
 		return [2]uint8{in.Rd}, 1
 	}
 	return srcs, 0
-}
-
-// FPSources reports the FP registers the instruction reads.
-func (in Instruction) FPSources() []uint8 {
-	srcs, n := in.FPSrcRegs()
-	if n == 0 {
-		return nil
-	}
-	return srcs[:n:n]
 }

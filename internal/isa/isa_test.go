@@ -207,59 +207,46 @@ func TestRegFileZeroRegister(t *testing.T) {
 }
 
 func TestSourceDestExtraction(t *testing.T) {
+	intSrcs := func(in Instruction) []uint8 {
+		srcs, n := in.IntSrcRegs()
+		return srcs[:n]
+	}
+	fpSrcs := func(in Instruction) []uint8 {
+		srcs, n := in.FPSrcRegs()
+		return srcs[:n]
+	}
 	// Store reads both base and data registers.
 	st := Instruction{Op: OpStq, Rd: 3, Ra: 7, Imm: 8}
-	srcs := st.IntSources()
+	srcs := intSrcs(st)
 	if len(srcs) != 2 || srcs[0] != 7 || srcs[1] != 3 {
 		t.Errorf("store sources = %v, want [7 3]", srcs)
 	}
-	if _, writes := st.WritesIntReg(); writes {
-		t.Error("store claims to write an int register")
-	}
-	// Load writes rd, reads ra.
-	ld := Instruction{Op: OpLdq, Rd: 3, Ra: 7}
-	if rd, ok := ld.WritesIntReg(); !ok || rd != 3 {
-		t.Errorf("load dest = %d,%v want 3,true", rd, ok)
-	}
-	// JAL writes the link register.
-	jal := Instruction{Op: OpJal, Imm: 10}
-	if rd, ok := jal.WritesIntReg(); !ok || rd != RegLR {
-		t.Errorf("jal dest = %d,%v want %d,true", rd, ok, RegLR)
-	}
 	// RET reads the link register.
 	ret := Instruction{Op: OpRet}
-	srcs = ret.IntSources()
+	srcs = intSrcs(ret)
 	if len(srcs) != 1 || srcs[0] != RegLR {
 		t.Errorf("ret sources = %v, want [%d]", srcs, RegLR)
 	}
 	// TLBWR reads both operands.
 	tw := Instruction{Op: OpTlbwr, Ra: 1, Rb: 5}
-	srcs = tw.IntSources()
+	srcs = intSrcs(tw)
 	if len(srcs) != 2 {
 		t.Errorf("tlbwr sources = %v, want two registers", srcs)
 	}
-	// FP add reads two FP regs, writes one, no int regs involved.
+	// FP add reads two FP regs, no int regs involved.
 	fa := Instruction{Op: OpFadd, Rd: 1, Ra: 2, Rb: 3}
-	if len(fa.IntSources()) != 0 {
-		t.Errorf("fadd int sources = %v, want none", fa.IntSources())
+	if len(intSrcs(fa)) != 0 {
+		t.Errorf("fadd int sources = %v, want none", intSrcs(fa))
 	}
-	if fps := fa.FPSources(); len(fps) != 2 {
+	if fps := fpSrcs(fa); len(fps) != 2 {
 		t.Errorf("fadd fp sources = %v, want two", fps)
-	}
-	if rd, ok := fa.WritesFPReg(); !ok || rd != 1 {
-		t.Errorf("fadd fp dest = %d,%v", rd, ok)
-	}
-	// Writes to r31 are discarded, so they are not real destinations.
-	z := Instruction{Op: OpAdd, Rd: RegZero, Ra: 1, Rb: 2}
-	if _, ok := z.WritesIntReg(); ok {
-		t.Error("add rd=r31 claims to write a register")
 	}
 	// STF reads its FP data register and int base.
 	stf := Instruction{Op: OpStf, Rd: 2, Ra: 9}
-	if fps := stf.FPSources(); len(fps) != 1 || fps[0] != 2 {
+	if fps := fpSrcs(stf); len(fps) != 1 || fps[0] != 2 {
 		t.Errorf("stf fp sources = %v, want [2]", fps)
 	}
-	if srcs := stf.IntSources(); len(srcs) != 1 || srcs[0] != 9 {
+	if srcs := intSrcs(stf); len(srcs) != 1 || srcs[0] != 9 {
 		t.Errorf("stf int sources = %v, want [9]", srcs)
 	}
 }

@@ -229,12 +229,6 @@ func FormatOf(o Op) Format {
 // Valid reports whether o names a defined opcode.
 func (o Op) Valid() bool { return o < numOps }
 
-// IsMem reports whether the opcode is a load or store.
-func (o Op) IsMem() bool {
-	c := ClassOf(o)
-	return c == ClassLoad || c == ClassStore
-}
-
 // IsControl reports whether the opcode can redirect fetch.
 func (o Op) IsControl() bool {
 	c := ClassOf(o)

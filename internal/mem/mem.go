@@ -121,11 +121,6 @@ func (p *Physical) ReadU8(pa uint64) uint8 {
 	return p.frame(pa)[pa&frameMask]
 }
 
-// WriteU8 writes one byte at physical address pa.
-func (p *Physical) WriteU8(pa uint64, v uint8) {
-	p.wframe(pa)[pa&frameMask] = v
-}
-
 // ReadU32 reads a little-endian 32-bit word; the access must not
 // cross a frame boundary (the simulator only issues naturally
 // aligned accesses).

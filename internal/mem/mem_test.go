@@ -28,10 +28,6 @@ func TestReadWriteWidths(t *testing.T) {
 	p := NewPhysical()
 	base := p.AllocFrame() << FrameShift
 
-	p.WriteU8(base+1, 0xab)
-	if got := p.ReadU8(base + 1); got != 0xab {
-		t.Errorf("u8 = %#x", got)
-	}
 	p.WriteU32(base+4, 0xdeadbeef)
 	if got := p.ReadU32(base + 4); got != 0xdeadbeef {
 		t.Errorf("u32 = %#x", got)

@@ -12,6 +12,7 @@
 package topology
 
 import (
+	"context"
 	"fmt"
 
 	"mtexc/internal/cache"
@@ -33,14 +34,10 @@ type Config struct {
 // Cluster is a set of cores over one shared L2 domain and one
 // physical memory.
 type Cluster struct {
-	cfg   Config
 	phys  *mem.Physical
 	dom   *cache.L2Domain
 	cores []*cpu.Machine
 	names []string // workload name per core, for reports
-	// cancel, when non-nil, is polled by Run; once it is closed the
-	// run aborts with a *cpu.CancelledError (SetCancel).
-	cancel <-chan struct{}
 }
 
 // New builds an empty cluster: cfg.Cores machines over one physical
@@ -51,7 +48,6 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("topology: need at least one core, got %d", cfg.Cores)
 	}
 	c := &Cluster{
-		cfg:   cfg,
 		phys:  mem.NewPhysical(),
 		dom:   cache.NewL2Domain(cfg.Core.Hier.L2),
 		names: make([]string, cfg.Cores),
@@ -99,69 +95,34 @@ func (c *Cluster) Load(i int, w core.Workload) error {
 	return nil
 }
 
-// SetCancel installs a cancellation channel, mirroring
-// cpu.Machine.SetCancel: Run polls it and returns a *cpu.CancelledError
-// once it is closed. Must be called before Run.
-func (c *Cluster) SetCancel(ch <-chan struct{}) { c.cancel = ch }
-
-// progressCheckInterval is how often (in global cycles) the driver
-// samples per-core retirement for the livelock watchdog and polls the
-// cancel channel.
-const progressCheckInterval = 4096
+// SetCancel installs ctx on every core (cpu.Machine.SetCancel), each
+// of which polls it on its own cycle count. Must be called before Run.
+func (c *Cluster) SetCancel(ctx context.Context) {
+	for _, m := range c.cores {
+		m.SetCancel(ctx)
+	}
+}
 
 // Run drives every core to completion under the global round-robin
-// clock: each global cycle, every still-active core advances exactly
-// one cycle, in ascending core order. A core is done when it halts,
-// reaches its instruction budget or its cycle budget. The returned
-// slice holds one Result per core, in core order.
+// clock: each global cycle, every core that is not Done advances
+// exactly one cycle through its StepCycle, in ascending core order, so
+// each core has the run control of a single machine: its fault plan,
+// no-progress watchdog, probe and cancel poll. The returned slice
+// holds one Result per core, in core order.
 //
-// Two abort paths return the partial per-core Results alongside an
-// error: a core that retires nothing for Config.NoProgressLimit cycles
-// fails the run with a *cpu.LivelockError (wrapped with the core's
-// index), and a closed cancel channel (SetCancel) with a
-// *cpu.CancelledError.
+// A core's StepCycle error — a *cpu.LivelockError or a
+// *cpu.CancelledError — ends the run: it returns wrapped with the
+// core's index, alongside every core's partial Result.
 func (c *Cluster) Run() ([]core.Result, error) {
-	n := len(c.cores)
-	done := make([]bool, n)
-	lastRetired := make([]uint64, n)
-	lastChange := make([]uint64, n)
-	remaining := n
-	var global uint64
-	for remaining > 0 {
+	for active := true; active; {
+		active = false
 		for i, m := range c.cores {
-			if done[i] {
+			if m.Done() {
 				continue
 			}
-			if m.Halted() || m.AppRetired() >= c.cfg.Core.MaxInsts || m.Now() >= c.cfg.Core.MaxCycles {
-				done[i] = true
-				remaining--
-				continue
-			}
-			m.StepCycle()
-		}
-		global++
-		if global%progressCheckInterval != 0 {
-			continue
-		}
-		if c.cancel != nil {
-			select {
-			case <-c.cancel:
-				return c.finishAll(), &cpu.CancelledError{Cycle: global}
-			default:
-			}
-		}
-		limit := c.cfg.Core.NoProgressLimit
-		for i, m := range c.cores {
-			if limit == 0 || done[i] {
-				continue
-			}
-			if r := m.AppRetired(); r != lastRetired[i] {
-				lastRetired[i], lastChange[i] = r, global
-			} else if global-lastChange[i] > limit {
-				return c.finishAll(), fmt.Errorf("topology: core %d: %w", i, &cpu.LivelockError{
-					Cycle: m.Now(), LastProgress: lastChange[i], Limit: limit,
-					AppRetired: r, Dump: m.DumpState(),
-				})
+			active = true
+			if err := m.StepCycle(); err != nil {
+				return c.finishAll(), fmt.Errorf("topology: core %d: %w", i, err)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -215,19 +216,51 @@ func TestClusterWatchdog(t *testing.T) {
 	}
 }
 
-// TestClusterCancel: a closed cancel channel aborts the run at the
-// next progress check with a *cpu.CancelledError, as on a Machine.
+// TestClusterCancel: a cancelled context aborts the run at the cores'
+// first cancel poll, the machine's 1024-cycle cadence, with a
+// *cpu.CancelledError carrying the context's error, as on a Machine.
 func TestClusterCancel(t *testing.T) {
 	c := buildCluster(t, testConfig(t), "mph", "cmp")
-	ch := make(chan struct{})
-	close(ch)
-	c.SetCancel(ch)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	c.SetCancel(ctx)
 	results, err := c.Run()
 	var ce *cpu.CancelledError
 	if !errors.As(err, &ce) {
 		t.Fatalf("Run returned %v, want *cpu.CancelledError", err)
 	}
-	if results[0].Cycles > progressCheckInterval {
-		t.Errorf("cancellation observed only at cycle %d, poll interval is %d", results[0].Cycles, progressCheckInterval)
+	if !errors.Is(err, context.Canceled) {
+		t.Errorf("CancelledError cause is %v, want the context's %v", ce.Cause, context.Canceled)
+	}
+	const pollInterval = 1024
+	if results[0].Cycles > pollInterval {
+		t.Errorf("cancellation observed only at cycle %d, poll interval is %d", results[0].Cycles, pollInterval)
+	}
+}
+
+// TestClusterProbeLive: a cluster core publishes its probe while the
+// cluster runs, every 1024 of its cycles, so the telemetry plane sees
+// a SharedL2 cell's progress before the cell ends.
+func TestClusterProbeLive(t *testing.T) {
+	c := buildCluster(t, testConfig(t), "mph", "cmp")
+	m := c.Core(0)
+	var probe cpu.Probe
+	m.SetProbe(&probe)
+	var seen uint64
+	read := false
+	m.RetireHook = func(ri cpu.RetiredInst) {
+		if !read && ri.Cycle > 2048 {
+			read = true
+			seen = probe.Cycles.Load()
+		}
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !read {
+		t.Fatal("core 0 retired nothing past cycle 2048")
+	}
+	if seen < 1024 {
+		t.Errorf("core 0's probe read cycle %d at its first retirement past cycle 2048, want at least 1024", seen)
 	}
 }

@@ -36,7 +36,6 @@ type Collector struct {
 	Capacity int
 	ring     []Record
 	next     int
-	total    uint64
 }
 
 // NewCollector returns a collector bounded at capacity records.
@@ -49,7 +48,6 @@ func NewCollector(capacity int) *Collector {
 
 // Add records one lifecycle.
 func (c *Collector) Add(r Record) {
-	c.total++
 	if len(c.ring) < c.Capacity {
 		c.ring = append(c.ring, r)
 		return
@@ -57,9 +55,6 @@ func (c *Collector) Add(r Record) {
 	c.ring[c.next] = r
 	c.next = (c.next + 1) % c.Capacity
 }
-
-// Total reports how many records were ever added.
-func (c *Collector) Total() uint64 { return c.total }
 
 // Records returns the retained records in insertion order.
 func (c *Collector) Records() []Record {

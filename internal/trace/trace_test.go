@@ -18,9 +18,6 @@ func TestCollectorRing(t *testing.T) {
 	for i := uint64(1); i <= 5; i++ {
 		c.Add(rec(i, i, i+1, i+2, i+3, i+4, i+5))
 	}
-	if c.Total() != 5 {
-		t.Errorf("Total = %d", c.Total())
-	}
 	recs := c.Records()
 	if len(recs) != 3 {
 		t.Fatalf("retained %d records, want 3", len(recs))
