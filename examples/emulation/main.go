@@ -24,12 +24,21 @@ func main() {
 
 	w := workload.NewPopcount(16) // one POPC per ~200 instructions
 
-	// Baseline: POPC implemented in hardware.
-	base := core.DefaultConfig()
-	base.MaxInsts = 400_000
-	base.Contexts = 1
-	base.Mech = core.MechPerfect
-	baseRes, err := core.Run(base, w)
+	// emulating is the machine with POPC removed from the hardware,
+	// handled by mech with idle spare contexts.
+	emulating := func(mech core.Mechanism, idle int, quick bool) core.Config {
+		cfg := core.DefaultConfig()
+		cfg.MaxInsts = 400_000
+		cfg.Mech = mech
+		cfg.Contexts = 1 + idle
+		cfg.EmulatePopc = true
+		cfg.QuickStart = quick
+		return cfg
+	}
+
+	// Baseline: the traditional machine's perfect-TLB twin, which
+	// executes POPC in hardware.
+	baseRes, err := core.Run(core.PerfectOf(emulating(core.MechTraditional, 0, false)), w)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -37,12 +46,7 @@ func main() {
 	fmt.Printf("%-24s %10d %8.2f %12s\n", "hardware popc", baseRes.Cycles, baseRes.IPC, "-")
 
 	run := func(name string, mech core.Mechanism, idle int, quick bool) {
-		cfg := base
-		cfg.Mech = mech
-		cfg.Contexts = 1 + idle
-		cfg.EmulatePopc = true
-		cfg.QuickStart = quick
-		res, err := core.Run(cfg, w)
+		res, err := core.Run(emulating(mech, idle, quick), w)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -234,26 +234,6 @@ func (e *ExperimentError) Error() string {
 	return fmt.Sprintf("%s: %d cell(s) failed (first: %v)", e.Experiment, len(e.Cells), e.Cells[0])
 }
 
-// joinExperimentErrors merges the cell lists of phase errors into one
-// ExperimentError (nil when every phase succeeded).
-func joinExperimentErrors(exp string, errs ...error) error {
-	var cells []*CellError
-	for _, err := range errs {
-		var ee *ExperimentError
-		if errors.As(err, &ee) {
-			cells = append(cells, ee.Cells...)
-		} else if err != nil {
-			// Non-cell errors do not occur on these paths; preserve
-			// one defensively rather than dropping it.
-			cells = append(cells, &CellError{Experiment: exp, Index: -1, Cause: err})
-		}
-	}
-	if len(cells) == 0 {
-		return nil
-	}
-	return &ExperimentError{Experiment: exp, Cells: cells}
-}
-
 // markFailedCells renders every failed cell index through coord onto
 // the table as FAIL. Experiments with derived grids pass a mapping
 // that covers all table cells the failure poisons.

@@ -181,6 +181,49 @@ func (r *runner) fig5Mechs() []namedConfig {
 	}
 }
 
+// quickStartMechs is the quick-start axis of Figures 6 and 7 and the
+// report's miss-latency table: the traditional trap, multithreaded
+// handling with one idle context, the same quick-started, and the
+// hardware walker, on a machine running app application threads.
+func (r *runner) quickStartMechs(app int) []namedConfig {
+	quick := r.baseConfig(core.MechMultithreaded, app, 1)
+	quick.QuickStart = true
+	return []namedConfig{
+		{"traditional", r.baseConfig(core.MechTraditional, app, 0)},
+		{"multi(1)", r.baseConfig(core.MechMultithreaded, app, 1)},
+		{"quickstart(1)", quick},
+		{"hardware", r.baseConfig(core.MechHardware, app, 0)},
+	}
+}
+
+// meanPenalty tabulates each row configuration's average penalty
+// cycles/miss over benches, the reduction shared by Table 3 and the
+// ablations. The row × bench grid runs in one pass; each row then sums
+// serially, so the mean adds in a fixed order, and any failed
+// contributor invalidates its row's mean.
+func (r *runner) meanPenalty(title string, rows []namedConfig, benches []*workload.Bench) (*Table, error) {
+	t := NewTable(title, configNames(rows), []string{"penalty/miss"})
+	pen := make([]float64, len(rows)*len(benches))
+	err := r.forEach(len(pen), func(c *cell) error {
+		ri, bi := c.index/len(benches), c.index%len(benches)
+		cmp, err := r.compare(c, exactJob(rows[ri].cfg, benches[bi]))
+		if err != nil {
+			return err
+		}
+		pen[c.index] = cmp.PenaltyPerMiss()
+		return nil
+	})
+	for ri := range rows {
+		var sum float64
+		for bi := range benches {
+			sum += pen[ri*len(benches)+bi]
+		}
+		t.Set(ri, 0, sum/float64(len(benches)))
+	}
+	markFailedCells(t, err, func(i int) [][2]int { return one(i/len(benches), 0) })
+	return t, err
+}
+
 // Figure2 regenerates the pipeline-depth trend: traditional-trap
 // penalty cycles per miss on an 8-wide machine with 3, 7 and 11
 // stages between fetch and execute.
@@ -307,51 +350,21 @@ func Table3(opt Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows := []struct {
-		name  string
-		mech  core.Mechanism
-		idle  int
-		limit core.LimitStudy
-	}{
-		{"traditional", core.MechTraditional, 0, core.LimitNone},
-		{"multithreaded", core.MechMultithreaded, 3, core.LimitNone},
-		{"no exec bw", core.MechMultithreaded, 3, core.LimitNoExecBW},
-		{"no window", core.MechMultithreaded, 3, core.LimitNoWindow},
-		{"no fetch bw", core.MechMultithreaded, 3, core.LimitNoFetchBW},
-		{"instant fetch", core.MechMultithreaded, 3, core.LimitInstantFetch},
-		{"hardware", core.MechHardware, 0, core.LimitNone},
+	multi3 := func(l core.LimitStudy) core.Config {
+		cfg := r.baseConfig(core.MechMultithreaded, 1, 3)
+		cfg.Limit = l
+		return cfg
 	}
-	rowNames := make([]string, len(rows))
-	for i, rw := range rows {
-		rowNames[i] = rw.name
+	rows := []namedConfig{
+		{"traditional", r.baseConfig(core.MechTraditional, 1, 0)},
+		{"multithreaded", multi3(core.LimitNone)},
+		{"no exec bw", multi3(core.LimitNoExecBW)},
+		{"no window", multi3(core.LimitNoWindow)},
+		{"no fetch bw", multi3(core.LimitNoFetchBW)},
+		{"instant fetch", multi3(core.LimitInstantFetch)},
+		{"hardware", r.baseConfig(core.MechHardware, 1, 0)},
 	}
-	t := NewTable("Table 3: limit studies — average penalty cycles/miss", rowNames, []string{"penalty/miss"})
-	// Collect the full row × bench grid in parallel, then reduce each
-	// row serially so the averages sum in a fixed order.
-	pen := make([]float64, len(rows)*len(benches))
-	err = r.forEach(len(pen), func(c *cell) error {
-		ri, bi := c.index/len(benches), c.index%len(benches)
-		rw := rows[ri]
-		cfg := r.baseConfig(rw.mech, 1, rw.idle)
-		cfg.Limit = rw.limit
-		cmp, err := r.compare(c, exactJob(cfg, benches[bi]))
-		if err != nil {
-			return err
-		}
-		pen[c.index] = cmp.PenaltyPerMiss()
-		return nil
-	})
-	for ri := range rows {
-		var sum float64
-		for bi := range benches {
-			sum += pen[ri*len(benches)+bi]
-		}
-		t.Set(ri, 0, sum/float64(len(benches)))
-	}
-	// Each row averages over the benchmarks: any failed contributor
-	// invalidates its row's mean.
-	markFailedCells(t, err, func(i int) [][2]int { return one(i/len(benches), 0) })
-	return t, err
+	return r.meanPenalty("Table 3: limit studies — average penalty cycles/miss", rows, benches)
 }
 
 // Figure6 regenerates the quick-start evaluation.
@@ -361,14 +374,7 @@ func Figure6(opt Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	quick := r.baseConfig(core.MechMultithreaded, 1, 1)
-	quick.QuickStart = true
-	configs := []namedConfig{
-		{"traditional", r.baseConfig(core.MechTraditional, 1, 0)},
-		{"multi(1)", r.baseConfig(core.MechMultithreaded, 1, 1)},
-		{"quickstart(1)", quick},
-		{"hardware", r.baseConfig(core.MechHardware, 1, 0)},
-	}
+	configs := r.quickStartMechs(1)
 	t := NewTable("Figure 6: quick-starting multithreaded handler (penalty cycles/miss)", names(benches), configNames(configs))
 	err = r.grid(func(c *cell, bi, ci int) error {
 		cmp, err := r.compare(c, exactJob(configs[ci].cfg, benches[bi]))
@@ -401,14 +407,7 @@ func Figure7(opt Options) (*Table, error) {
 	if len(mixes) == 0 {
 		mixes = PaperMixes[:]
 	}
-	quick := r.baseConfig(core.MechMultithreaded, 3, 1)
-	quick.QuickStart = true
-	configs := []namedConfig{
-		{"traditional", r.baseConfig(core.MechTraditional, 3, 0)},
-		{"multi(1)", r.baseConfig(core.MechMultithreaded, 3, 1)},
-		{"quickstart(1)", quick},
-		{"hardware", r.baseConfig(core.MechHardware, 3, 0)},
-	}
+	configs := r.quickStartMechs(3)
 	rowNames := make([]string, len(mixes))
 	for i, m := range mixes {
 		rowNames[i] = fmt.Sprintf("%s-%s-%s", m[0], m[1], m[2])
@@ -467,60 +466,52 @@ func Table4(opt Options) (*Table, error) {
 	quick1.QuickStart = true
 	quick3 := r.baseConfig(core.MechMultithreaded, 1, 3)
 	quick3.QuickStart = true
+	// Every speedup divides the traditional run's cycles, and its
+	// baseline also yields baseIPC and perfect%.
 	configs := []namedConfig{
-		{"perfect%", core.Config{}}, // filled from the baseline
+		{"traditional", r.baseConfig(core.MechTraditional, 1, 0)},
 		{"hw%", r.baseConfig(core.MechHardware, 1, 0)},
 		{"multi1%", r.baseConfig(core.MechMultithreaded, 1, 1)},
 		{"multi3%", r.baseConfig(core.MechMultithreaded, 1, 3)},
 		{"quick1%", quick1},
 		{"quick3%", quick3},
 	}
-	cols := append([]string{"baseIPC", "miss/Kinst"}, configNames(configs)...)
+	cols := append([]string{"baseIPC", "miss/Kinst", "perfect%"}, configNames(configs[1:])...)
 	t := NewTable("Table 4: speedup over traditional software (percent), miss rate and base IPC", names(benches), cols)
 	t.Format = "%10.2f"
-	// Phase 1: the traditional run per benchmark — every speedup cell
-	// divides by its cycle count, so it runs first.
-	trads := make([]core.Comparison, len(benches))
-	err1 := r.forEach(len(benches), func(c *cell) error {
-		bi := c.index
-		trad, err := r.compare(c, exactJob(r.baseConfig(core.MechTraditional, 1, 0), benches[bi]))
+	nc := len(configs)
+	cmps := make([]core.Comparison, len(benches)*nc)
+	err = r.forEach(len(cmps), func(c *cell) error {
+		cmp, err := r.compare(c, exactJob(configs[c.index%nc].cfg, benches[c.index/nc]))
 		if err != nil {
 			return err
 		}
-		trads[bi] = trad
-		t.Set(bi, 0, trad.Perfect.IPC)
-		t.Set(bi, 1, float64(trad.Subject.DTLBMisses)/float64(trad.Subject.AppInsts)*1e3)
+		cmps[c.index] = cmp
 		return nil
 	})
-	// A failed traditional run poisons its whole row: every speedup
-	// cell divides by it.
-	markFailedCells(t, err1, func(bi int) [][2]int {
-		row := make([][2]int, len(t.Cols))
-		for c := range t.Cols {
+	speedup := func(trad, cycles uint64) float64 { return (float64(trad)/float64(cycles) - 1) * 100 }
+	for bi := range benches {
+		trad := cmps[bi*nc]
+		t.Set(bi, 0, trad.Perfect.IPC)
+		t.Set(bi, 1, float64(trad.Subject.DTLBMisses)/float64(trad.Subject.AppInsts)*1e3)
+		t.Set(bi, 2, speedup(trad.Subject.Cycles, trad.Perfect.Cycles))
+		for ci := 1; ci < nc; ci++ {
+			t.Set(bi, 2+ci, speedup(trad.Subject.Cycles, cmps[bi*nc+ci].Subject.Cycles))
+		}
+	}
+	// A failed traditional run poisons its whole row.
+	markFailedCells(t, err, func(i int) [][2]int {
+		bi, ci := i/nc, i%nc
+		if ci > 0 {
+			return one(bi, 2+ci)
+		}
+		row := make([][2]int, len(cols))
+		for c := range cols {
 			row[c] = [2]int{bi, c}
 		}
 		return row
 	})
-	// Phase 2: one cell per benchmark × mechanism.
-	err2 := r.forEach(len(benches)*len(configs), func(c *cell) error {
-		bi, ci := c.index/len(configs), c.index%len(configs)
-		trad := trads[bi]
-		var cycles uint64
-		if ci == 0 {
-			cycles = trad.Perfect.Cycles
-		} else {
-			cmp, err := r.compare(c, exactJob(configs[ci].cfg, benches[bi]))
-			if err != nil {
-				return err
-			}
-			cycles = cmp.Subject.Cycles
-		}
-		speedup := (float64(trad.Subject.Cycles)/float64(cycles) - 1) * 100
-		t.Set(bi, 2+ci, speedup)
-		return nil
-	})
-	markFailedCells(t, err2, func(i int) [][2]int { return one(i/len(configs), 2+i%len(configs)) })
-	return t, joinExperimentErrors("Table4", err1, err2)
+	return t, err
 }
 
 // Table2 summarizes the synthetic suite: the analogue of the paper's
@@ -576,24 +567,5 @@ func Ablations(opt Options) (*Table, error) {
 		{"gshare predictor", mk(func(c *core.Config) { c.BranchPredictor = "gshare" })},
 		{"bimodal predictor", mk(func(c *core.Config) { c.BranchPredictor = "bimodal" })},
 	}
-	t := NewTable("Ablations: multithreaded(1) design choices — average penalty cycles/miss", configNames(rows), []string{"penalty/miss"})
-	pen := make([]float64, len(rows)*len(benches))
-	err = r.forEach(len(pen), func(c *cell) error {
-		ri, bi := c.index/len(benches), c.index%len(benches)
-		cmp, err := r.compare(c, exactJob(rows[ri].cfg, benches[bi]))
-		if err != nil {
-			return err
-		}
-		pen[c.index] = cmp.PenaltyPerMiss()
-		return nil
-	})
-	for ri := range rows {
-		var sum float64
-		for bi := range benches {
-			sum += pen[ri*len(benches)+bi]
-		}
-		t.Set(ri, 0, sum/float64(len(benches)))
-	}
-	markFailedCells(t, err, func(i int) [][2]int { return one(i/len(benches), 0) })
-	return t, err
+	return r.meanPenalty("Ablations: multithreaded(1) design choices — average penalty cycles/miss", rows, benches)
 }

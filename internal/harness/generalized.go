@@ -15,75 +15,15 @@ import (
 // — the analogue of the TLB study's penalty per miss. Columns sweep
 // the emulation density.
 func Generalized(opt Options) (*Table, error) {
-	r := newRunner(opt, "Generalized")
-	densities := []int{4, 16, 64} // inner iterations between POPCs
-	cols := make([]string, len(densities))
-	for i, d := range densities {
-		cols[i] = fmt.Sprintf("1/%d insts", d*12)
-	}
-	rows := []struct {
-		name  string
-		mech  core.Mechanism
-		idle  int
-		quick bool
-	}{
-		{"traditional", core.MechTraditional, 0, false},
-		{"multithreaded(1)", core.MechMultithreaded, 1, false},
-		{"quickstart(1)", core.MechMultithreaded, 1, true},
-	}
-	rowNames := make([]string, len(rows))
-	for i, rw := range rows {
-		rowNames[i] = rw.name
-	}
-	t := NewTable("Section 6: software emulation of POPC — penalty cycles per emulated instruction", rowNames, cols)
-	t.Note = "baseline: the same machine with POPC implemented in hardware"
-
-	// Phase 1: the hardware-popc baseline per density — every penalty
-	// cell subtracts its cycle count.
-	baseRes := make([]core.Result, len(densities))
-	err1 := r.forEach(len(densities), func(c *cell) error {
-		di := c.index
-		base := r.baseConfig(core.MechPerfect, 1, 0)
-		base.EmulatePopc = false
-		res, err := r.exec(c, exactJob(base, workload.NewPopcount(densities[di])))
-		if err != nil {
-			return err
-		}
-		baseRes[di] = res
-		return nil
-	})
-	// A failed density baseline poisons its whole column: every
-	// penalty cell subtracts its cycle count.
-	markFailedCells(t, err1, func(di int) [][2]int {
-		col := make([][2]int, len(rows))
-		for ri := range rows {
-			col[ri] = [2]int{ri, di}
-		}
-		return col
-	})
-	// Phase 2: one cell per density × mechanism.
-	err2 := r.forEach(len(densities)*len(rows), func(c *cell) error {
-		di, ri := c.index/len(rows), c.index%len(rows)
-		d, rw := densities[di], rows[ri]
-		cfg := r.baseConfig(rw.mech, 1, rw.idle)
-		cfg.EmulatePopc = true
-		cfg.QuickStart = rw.quick
-		res, err := r.exec(c, exactJob(cfg, workload.NewPopcount(d)))
-		if err != nil {
-			return err
-		}
-		emus := res.Stats.Get("emu.committed")
-		if emus == 0 {
-			return fmt.Errorf("harness: no emulations committed for %s", rw.name)
-		}
-		penalty := float64(int64(res.Cycles)-int64(baseRes[di].Cycles)) / float64(emus)
-		t.Set(ri, di, penalty)
-		r.log("  popcount/%-3d  %-16s %9d cycles  %6d emus  penalty %.1f",
-			d, rw.name, res.Cycles, emus, penalty)
-		return nil
-	})
-	markFailedCells(t, err2, func(i int) [][2]int { return one(i%len(rows), i/len(rows)) })
-	return t, joinExperimentErrors("Generalized", err1, err2)
+	return emulationStudy{
+		exp:     "Generalized",
+		title:   "Section 6: software emulation of POPC — penalty cycles per emulated instruction",
+		note:    "baseline: the same machine with POPC implemented in hardware",
+		remove:  func(c *core.Config) { c.EmulatePopc = true },
+		load:    func(every int) core.Workload { return workload.NewPopcount(every) },
+		stride:  12,
+		counter: "emu.committed",
+	}.run(opt)
 }
 
 // Unaligned evaluates Section 6's second example: unaligned integer
@@ -92,68 +32,67 @@ func Generalized(opt Options) (*Table, error) {
 // same machine with hardware unaligned support (one extra cycle per
 // access). Columns sweep access density.
 func Unaligned(opt Options) (*Table, error) {
-	r := newRunner(opt, "Unaligned")
-	densities := []int{4, 16, 64}
+	return emulationStudy{
+		exp:     "Unaligned",
+		title:   "Section 6: software-handled unaligned loads — penalty cycles per unaligned access",
+		note:    "baseline: the same machine with hardware unaligned-load support",
+		remove:  func(c *core.Config) { c.TrapUnaligned = true },
+		load:    func(every int) core.Workload { return workload.NewUnaligned(every) },
+		stride:  8,
+		counter: "unaligned.committed",
+	}.run(opt)
+}
+
+// emulationStudy is one of Section 6's studies: an operation removed
+// from the hardware and serviced by each software mechanism, swept
+// over the operation's density. A cell's penalty is its extra cycles
+// over its perfect-TLB baseline — core.PerfectOf the subject, which
+// performs the operation in hardware — per committed emulation.
+type emulationStudy struct {
+	exp, title, note string
+	// remove takes the operation out of the hardware.
+	remove func(*core.Config)
+	// load builds the workload with one operation every `every` loop
+	// iterations of stride instructions each.
+	load   func(every int) core.Workload
+	stride int
+	// counter is the statistic counting committed emulations.
+	counter string
+}
+
+func (s emulationStudy) run(opt Options) (*Table, error) {
+	r := newRunner(opt, s.exp)
+	densities := []int{4, 16, 64} // loop iterations between operations
 	cols := make([]string, len(densities))
 	for i, d := range densities {
-		cols[i] = fmt.Sprintf("1/%d insts", d*8)
+		cols[i] = fmt.Sprintf("1/%d insts", d*s.stride)
 	}
-	rows := []struct {
-		name  string
-		mech  core.Mechanism
-		idle  int
-		quick bool
-	}{
-		{"traditional", core.MechTraditional, 0, false},
-		{"multithreaded(1)", core.MechMultithreaded, 1, false},
-		{"quickstart(1)", core.MechMultithreaded, 1, true},
+	quick := r.baseConfig(core.MechMultithreaded, 1, 1)
+	quick.QuickStart = true
+	rows := []namedConfig{
+		{"traditional", r.baseConfig(core.MechTraditional, 1, 0)},
+		{"multithreaded(1)", r.baseConfig(core.MechMultithreaded, 1, 1)},
+		{"quickstart(1)", quick},
 	}
-	rowNames := make([]string, len(rows))
-	for i, rw := range rows {
-		rowNames[i] = rw.name
-	}
-	t := NewTable("Section 6: software-handled unaligned loads — penalty cycles per unaligned access", rowNames, cols)
-	t.Note = "baseline: the same machine with hardware unaligned-load support"
-
-	baseRes := make([]core.Result, len(densities))
-	err1 := r.forEach(len(densities), func(c *cell) error {
-		di := c.index
-		base := r.baseConfig(core.MechPerfect, 1, 0)
-		base.TrapUnaligned = true // hardware path still needs byte-accurate loads
-		res, err := r.exec(c, exactJob(base, workload.NewUnaligned(densities[di])))
-		if err != nil {
-			return err
-		}
-		baseRes[di] = res
-		return nil
-	})
-	markFailedCells(t, err1, func(di int) [][2]int {
-		col := make([][2]int, len(rows))
-		for ri := range rows {
-			col[ri] = [2]int{ri, di}
-		}
-		return col
-	})
-	err2 := r.forEach(len(densities)*len(rows), func(c *cell) error {
+	t := NewTable(s.title, configNames(rows), cols)
+	t.Note = s.note
+	// Cells run density-major: cell i is row i%len(rows) of column
+	// i/len(rows).
+	err := r.forEach(len(densities)*len(rows), func(c *cell) error {
 		di, ri := c.index/len(rows), c.index%len(rows)
-		d, rw := densities[di], rows[ri]
-		cfg := r.baseConfig(rw.mech, 1, rw.idle)
-		cfg.TrapUnaligned = true
-		cfg.QuickStart = rw.quick
-		res, err := r.exec(c, exactJob(cfg, workload.NewUnaligned(d)))
+		cfg := rows[ri].cfg
+		s.remove(&cfg)
+		cmp, err := r.compare(c, exactJob(cfg, s.load(densities[di])))
 		if err != nil {
 			return err
 		}
-		n := res.Stats.Get("unaligned.committed")
+		n := cmp.Subject.Stats.Get(s.counter)
 		if n == 0 {
-			return fmt.Errorf("harness: no unaligned handlers committed for %s", rw.name)
+			return fmt.Errorf("harness: %s is zero for %s", s.counter, rows[ri].name)
 		}
-		penalty := float64(int64(res.Cycles)-int64(baseRes[di].Cycles)) / float64(n)
-		t.Set(ri, di, penalty)
-		r.log("  unaligned/%-3d %-16s %9d cycles  %6d traps  penalty %.1f",
-			d, rw.name, res.Cycles, n, penalty)
+		t.Set(ri, di, float64(int64(cmp.Subject.Cycles)-int64(cmp.Perfect.Cycles))/float64(n))
 		return nil
 	})
-	markFailedCells(t, err2, func(i int) [][2]int { return one(i%len(rows), i/len(rows)) })
-	return t, joinExperimentErrors("Unaligned", err1, err2)
+	markFailedCells(t, err, func(i int) [][2]int { return one(i%len(rows), i/len(rows)) })
+	return t, err
 }

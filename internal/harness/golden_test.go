@@ -152,6 +152,11 @@ func TestGoldenTables(t *testing.T) {
 		{"golden_fig5.json", Figure5},
 		{"golden_table3.json", Table3},
 		{"golden_fig6.json", Figure6},
+		{"golden_table4.json", Table4},
+		{"golden_generalized.json", Generalized},
+		{"golden_unaligned.json", Unaligned},
+		{"golden_sharedl2.json", SharedL2},
+		{"golden_ablations.json", Ablations},
 	} {
 		tab, err := exp.run(opt)
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"mtexc/internal/core"
 	"mtexc/internal/stats"
 )
 
@@ -185,14 +184,7 @@ func writeMissLatency(opt Options, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	quick := r.baseConfig(core.MechMultithreaded, 1, 1)
-	quick.QuickStart = true
-	mechs := []namedConfig{
-		{"traditional", r.baseConfig(core.MechTraditional, 1, 0)},
-		{"multi(1)", r.baseConfig(core.MechMultithreaded, 1, 1)},
-		{"quickstart(1)", quick},
-		{"hardware", r.baseConfig(core.MechHardware, 1, 0)},
-	}
+	mechs := r.quickStartMechs(1)
 	sets := make([]*stats.Set, len(mechs)*len(benches))
 	err = r.forEach(len(sets), func(c *cell) error {
 		mi, bi := c.index/len(benches), c.index%len(benches)

@@ -76,6 +76,45 @@ func TestInjectedFailureIsolatedToCell(t *testing.T) {
 	}
 }
 
+// Every experiment runs its cells in one pass, so an injected index
+// names exactly one cell: that cell's subject fails — never a
+// perfect-TLB baseline a second pass numbered the same — and the table
+// marks only that cell's coordinates FAIL.
+func TestInjectedFailureNamesOneCell(t *testing.T) {
+	for _, tc := range []struct {
+		spec     string
+		run      func(Options) (*Table, error)
+		row, col string
+	}{
+		{"Table4:1", Table4, "compress", "hw%"},
+		{"Generalized:1", Generalized, "multithreaded(1)", "1/48 insts"},
+		{"Unaligned:1", Unaligned, "multithreaded(1)", "1/32 insts"},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			t.Setenv(FailCellEnv, tc.spec)
+			tab, err := tc.run(Options{Insts: 20_000, Benchmarks: []string{"cmp", "vor"}, Parallelism: 2})
+			var ee *ExperimentError
+			if !errors.As(err, &ee) {
+				t.Fatalf("err = %v, want *ExperimentError", err)
+			}
+			if len(ee.Cells) != 1 || ee.Cells[0].Index != 1 {
+				t.Fatalf("failed cells = %v, want exactly cell 1", ee.Cells)
+			}
+			if cfg := ee.Cells[0].Config; cfg == nil || cfg.Mech == core.MechPerfect {
+				t.Errorf("cell 1 reports config %+v, want its subject's", cfg)
+			}
+			for r, row := range tab.Rows {
+				for c, col := range tab.Cols {
+					want := row == tc.row && col == tc.col
+					if got := tab.FailedAt(r, c); got != want {
+						t.Errorf("(%s, %s) marked FAIL = %v, want %v", row, col, got, want)
+					}
+				}
+			}
+		})
+	}
+}
+
 // modeRun renders one experiment as text, for byte comparisons and
 // failure checks: the exact path plus each of the other run modes
 // that go through the same cell executor.

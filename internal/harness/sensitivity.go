@@ -58,14 +58,10 @@ func PTOrganization(opt Options) (*Table, error) {
 	if len(opt.Benchmarks) > 0 {
 		benches = opt.Benchmarks
 	}
-	mechs := []struct {
-		name string
-		mech core.Mechanism
-		idle int
-	}{
-		{"traditional", core.MechTraditional, 0},
-		{"multi(1)", core.MechMultithreaded, 1},
-		{"hardware", core.MechHardware, 0},
+	mechs := []namedConfig{
+		{"traditional", r.baseConfig(core.MechTraditional, 1, 0)},
+		{"multi(1)", r.baseConfig(core.MechMultithreaded, 1, 1)},
+		{"hardware", r.baseConfig(core.MechHardware, 1, 0)},
 	}
 	var cols []string
 	for _, m := range mechs {
@@ -86,7 +82,7 @@ func PTOrganization(opt Options) (*Table, error) {
 		bi := c.index / (len(mechs) * len(orgs))
 		mi := c.index / len(orgs) % len(mechs)
 		oi := c.index % len(orgs)
-		n, mc, org := benches[bi], mechs[mi], orgs[oi]
+		n, org := benches[bi], orgs[oi]
 		wb, err := workload.ByName(n)
 		if err != nil {
 			return err
@@ -94,7 +90,7 @@ func PTOrganization(opt Options) (*Table, error) {
 		if org == vm.PTTwoLevel {
 			wb = wb.WithTwoLevelPT()
 		}
-		cfg := r.baseConfig(mc.mech, 1, mc.idle)
+		cfg := mechs[mi].cfg
 		cfg.PageTable = org
 		// The two-level workload variant fingerprints differently from
 		// the linear one, so each organization gets its own baseline.

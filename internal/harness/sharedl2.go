@@ -65,36 +65,24 @@ func SharedL2(opt Options) (*Table, error) {
 		{"2c +vor", 2, "vor"},
 		{"4c +vor", 4, "vor"},
 	}
-	mechs := []struct {
-		name string
-		mech core.Mechanism
-		idle int
-	}{
-		{"traditional", core.MechTraditional, 0},
-		{"multi(1)", core.MechMultithreaded, 1},
-		{"multi(3)", core.MechMultithreaded, 3},
-		{"hardware", core.MechHardware, 0},
-	}
+	mechs := r.fig5Mechs()
 	rows := make([]string, len(shapes))
 	for i, s := range shapes {
 		rows[i] = s.name
 	}
-	cols := make([]string, len(mechs))
-	for i, m := range mechs {
-		cols[i] = m.name
-	}
-	t := NewTable("Shared-L2 topology: core-0 penalty cycles/miss (mph measured, co-runners share the L2)", rows, cols)
+	t := NewTable("Shared-L2 topology: core-0 penalty cycles/miss (mph measured, co-runners share the L2)", rows, configNames(mechs))
 	err := r.forEach(len(shapes)*len(mechs), func(c *cell) error {
 		si, mi := c.index/len(mechs), c.index%len(mechs)
-		shape, mc := shapes[si], mechs[mi]
+		shape := shapes[si]
 		loads, err := clusterLoads(measured, shape.corunner, shape.cores)
 		if err != nil {
 			return err
 		}
-		// The perfect baseline depends only on the cluster shape, not
-		// the mechanism: one baseline cluster per row, shared by the
-		// four mechanism columns through the baseline cache.
-		cmp, err := r.compare(c, clusterJob(r.baseConfig(mc.mech, 1, mc.idle), loads))
+		// The perfect baseline depends on the cluster shape and the
+		// context count, not the mechanism: the traditional and
+		// hardware columns share one baseline cluster per row through
+		// the baseline cache.
+		cmp, err := r.compare(c, clusterJob(mechs[mi].cfg, loads))
 		if err != nil {
 			return err
 		}
