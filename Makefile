@@ -4,8 +4,10 @@
 #   make build        compile everything
 #   make test         full test suite (includes slow harness tests)
 #   make test-short   quick tests only
-#   make bench        one benchmark per paper table/figure
-#   make bench-compare  headline benchmarks -> out/BENCH_<stamp>.json
+#   make bench        go test -bench per-figure runs (one per paper table/figure)
+#   make bench-compare PR=<n>
+#                     the four bench/ workloads (~2 min) -> BENCH_<n>.json, a
+#                     snapshot meant to be committed, -compare'd with the last
 #   make bench-json   machine-readable snapshots of the headline runs
 #   make lint         go vet + mtexc-lint invariant analyzers
 #   make deadcode     functions no binary links, gated by deadcode.baseline.txt
@@ -59,16 +61,24 @@ test: build vet
 test-short: build
 	$(GO) test ./... -count=1 -short -timeout 600s
 
+# The go test -bench per-figure runs of bench_test.go, one iteration
+# each: the paper's metrics at a short budget, not the performance
+# contract (that is bench-compare).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run '^$$' .
 
-# Headline throughput + allocation benchmarks, archived as a JSON
-# snapshot (out/BENCH_<stamp>.json) for cross-commit comparison; see
-# docs/performance.md.
+# The performance ledger: the four workloads of BENCHMARK.json
+# (bash bench/run.sh -seed 1, about 2 minutes) written to
+# BENCH_$(PR).json at the repository root, a snapshot meant to be
+# committed, then compared by bash bench/run.sh -compare with the
+# newest other committed BENCH_*.json. Two snapshots are comparable
+# only when measured on one host; see docs/performance.md.
 bench-compare:
-	mkdir -p out
-	$(GO) test -run '^$$' -bench 'BenchmarkSimulatorThroughput|BenchmarkFunctionalThroughput|BenchmarkFigure5Mechanisms|BenchmarkMachineClone|BenchmarkMachineConstruction' \
-		-benchmem -benchtime=1x . | $(GO) run ./cmd/mtexc-benchsnap
+	$(if $(PR),,$(error usage: make bench-compare PR=<n> (writes BENCH_<n>.json)))
+	bash bench/run.sh -seed 1 -out BENCH_$(PR).json
+	@prev=$$(git ls-files 'BENCH_*.json' | grep -vx 'BENCH_$(PR).json' | sort -V | tail -1); \
+	if [ -z "$$prev" ]; then echo "bench-compare: no earlier committed BENCH_*.json to compare with"; \
+	else echo "bench-compare: $$prev -> BENCH_$(PR).json"; bash bench/run.sh -compare $$prev BENCH_$(PR).json; fi
 
 # One JSON snapshot per exception architecture on the compress
 # benchmark (see docs/observability.md for the schema), plus the

@@ -80,6 +80,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	out := output{stdout: stdout, notes: stdout, csv: *csv, json: *jsonOut}
+	if *csv || *jsonOut {
+		out.notes = stderr
+	}
 
 	// A SIGINT/SIGTERM cancels in-flight simulations; cells journaled
 	// before the signal survive for a later -resume.
@@ -236,7 +240,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "mtexc-experiments:", err)
 			return 2
 		}
-		sampledExit, err = runSampledFigure5(opt, spec, *sampChk, stdout, stderr)
+		sampledExit, err = runSampledFigure5(opt, spec, *sampChk, out, stderr)
 		if err != nil {
 			results = append(results, &outcome{err: err})
 		}
@@ -259,16 +263,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			continue
 		}
 		if r.tab != nil {
-			switch {
-			case *jsonOut:
-				if err := r.tab.WriteJSONRows(stdout); err != nil {
-					fmt.Fprintln(stderr, "mtexc-experiments:", err)
-					return 1
-				}
-			case *csv:
-				fmt.Fprintf(stdout, "# %s\n%s\n", r.tab.Title, r.tab.CSV())
-			default:
-				fmt.Fprintln(stdout, r.tab)
+			if err := out.table(r.tab); err != nil {
+				fmt.Fprintln(stderr, "mtexc-experiments:", err)
+				return 1
 			}
 		}
 		if r.err != nil {
@@ -326,6 +323,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return exitCode
 }
 
+// output writes tables in the format the flags chose: aligned text,
+// CSV under a "# title" line, or NDJSON rows. Lines that are not
+// tables (the sampled detail and the sample-check verdicts) go to
+// notes, which is stdout in text mode and stderr otherwise, so a -csv
+// or -json stream holds only tables.
+type output struct {
+	stdout, notes io.Writer
+	csv, json     bool
+}
+
+func (o output) table(t *harness.Table) error {
+	switch {
+	case o.json:
+		return t.WriteJSONRows(o.stdout)
+	case o.csv:
+		_, err := fmt.Fprintf(o.stdout, "# %s\n%s\n", t.Title, t.CSV())
+		return err
+	}
+	_, err := fmt.Fprintln(o.stdout, t)
+	return err
+}
+
 // runSampledFigure5 regenerates Figure 5 in sampled mode and prints
 // the estimate and confidence tables — partial ones render failed
 // cells as FAIL, and the experiment error is returned for the failure
@@ -335,16 +354,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 // window-boundary stall spill — see docs/performance.md), reporting
 // the wall-clock speedup. Stdout stays deterministic without check, so
 // a resumed run prints the same bytes; the wall clock goes to stderr.
-func runSampledFigure5(opt harness.Options, spec core.SampleSpec, check bool, stdout, stderr io.Writer) (int, error) {
+func runSampledFigure5(opt harness.Options, spec core.SampleSpec, check bool, out output, stderr io.Writer) (int, error) {
 	t0 := time.Now()
 	samp, err := harness.Figure5Sampled(opt, spec)
 	sampElapsed := time.Since(t0)
 	if samp == nil {
 		return 1, err
 	}
-	fmt.Fprintln(stdout, samp.Est)
-	fmt.Fprintln(stdout, samp.CI)
-	fmt.Fprintf(stdout, "sampled detail: %d of %d insts cycle-accurate (%.1f%% of the exact-comparison work)\n\n",
+	for _, tab := range []*harness.Table{samp.Est, samp.CI} {
+		if werr := out.table(tab); werr != nil {
+			return 1, werr
+		}
+	}
+	fmt.Fprintf(out.notes, "sampled detail: %d of %d insts cycle-accurate (%.1f%% of the exact-comparison work)\n\n",
 		samp.DetailedInsts, 2*samp.TotalInsts, 100*float64(samp.DetailedInsts)/float64(2*samp.TotalInsts))
 	fmt.Fprintf(stderr, "sampled Figure 5: %s wall clock\n", sampElapsed.Round(time.Millisecond))
 	if err != nil {
@@ -359,7 +381,9 @@ func runSampledFigure5(opt harness.Options, spec core.SampleSpec, check bool, st
 	if err != nil {
 		return 1, err
 	}
-	fmt.Fprintln(stdout, exact)
+	if err := out.table(exact); err != nil {
+		return 1, err
+	}
 	bad := 0
 	for r, row := range exact.Rows {
 		if row == "average" {
@@ -380,14 +404,14 @@ func runSampledFigure5(opt harness.Options, spec core.SampleSpec, check bool, st
 			}
 		}
 	}
-	fmt.Fprintf(stdout, "sample-check: exact %s, sampled %s (%.1fx wall clock)\n",
+	fmt.Fprintf(out.notes, "sample-check: exact %s, sampled %s (%.1fx wall clock)\n",
 		exactElapsed.Round(time.Millisecond), sampElapsed.Round(time.Millisecond),
 		exactElapsed.Seconds()/sampElapsed.Seconds())
 	if bad > 0 {
 		fmt.Fprintf(stderr, "mtexc-experiments: sample-check: %d cell(s) outside tolerance\n", bad)
 		return 1, nil
 	}
-	fmt.Fprintln(stdout, "sample-check: all cells within tolerance")
+	fmt.Fprintln(out.notes, "sample-check: all cells within tolerance")
 	return 0, nil
 }
 

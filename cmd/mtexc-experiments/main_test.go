@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -61,6 +62,32 @@ func TestSampleCheckSmoke(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("stdout missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestSampledJSONRows: with -json, every stdout line of a sampled run
+// is a JSON row, including the CI table of a one-window run whose
+// half-widths are +Inf, and the sampled-detail line goes to stderr.
+func TestSampledJSONRows(t *testing.T) {
+	var out, errb bytes.Buffer
+	rc := run([]string{
+		"-fig5sampled", "-json", "-bench", "cmp", "-insts", "100000",
+		"-sample", "100000:10000:10000", "-journal", "",
+	}, &out, &errb)
+	if rc != 0 {
+		t.Fatalf("rc = %d, want 0; stderr: %s", rc, errb.String())
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n") {
+		var row map[string]any
+		if err := json.Unmarshal([]byte(line), &row); err != nil {
+			t.Errorf("stdout line %q is not JSON: %v", line, err)
+		}
+	}
+	if !strings.Contains(out.String(), `"nonfinite":{"hardware":"+Inf"`) {
+		t.Errorf("stdout lists no +Inf half-width:\n%s", out.String())
+	}
+	if !strings.Contains(errb.String(), "sampled detail:") {
+		t.Errorf("stderr missing the sampled-detail line:\n%s", errb.String())
 	}
 }
 

@@ -87,15 +87,6 @@ func All() []*Analyzer {
 // themselves be suppressed — the fix is deleting the comment.
 const SuppressAnalyzer = "suppress"
 
-// Run applies one analyzer to one loaded package in isolation (a
-// single-package module) and returns its findings with `//lint:allow`
-// suppressions already filtered out and the remainder sorted by
-// position. Interprocedural analyzers see only pkg this way; use
-// RunModule with a full module for cross-package facts.
-func Run(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	return RunModule(a, NewModule([]*Package{pkg}), pkg)
-}
-
 // RunModule applies one analyzer to pkg with mod as the whole-module
 // view.
 func RunModule(a *Analyzer, mod *Module, pkg *Package) ([]Diagnostic, error) {
@@ -147,12 +138,6 @@ func RunSuite(analyzers []*Analyzer, mod *Module, pkg *Package, checkStale bool)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Pos < out[j].Pos })
 	return out, nil
-}
-
-// RunAll applies the whole suite to a package under mod, including
-// the stale-suppression check.
-func RunAll(mod *Module, pkg *Package) ([]Diagnostic, error) {
-	return RunSuite(All(), mod, pkg, true)
 }
 
 // allowKey identifies one suppression comment site by its own

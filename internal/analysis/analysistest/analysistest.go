@@ -16,8 +16,6 @@
 package analysistest
 
 import (
-	"fmt"
-	"go/token"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -111,10 +109,4 @@ func unquote(q string) (string, error) {
 		return strings.Trim(q, "`"), nil
 	}
 	return strconv.Unquote(q)
-}
-
-// Pos is a convenience for ad-hoc assertions in analyzer unit tests.
-func Pos(fset *token.FileSet, p token.Pos) string {
-	pos := fset.Position(p)
-	return fmt.Sprintf("%s:%d", filepath.Base(pos.Filename), pos.Line)
 }

@@ -86,9 +86,6 @@ func log2(v uint64) uint {
 	return n
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // LineAddr reports the line-aligned address containing pa.
 func (c *Cache) LineAddr(pa uint64) uint64 { return pa &^ (c.cfg.LineSize - 1) }
 
@@ -105,20 +102,6 @@ func (c *Cache) unshare(b uint64) {
 	if c.shared != nil && c.shared[b] {
 		c.own(b)
 	}
-}
-
-// Probe reports whether pa currently hits, without perturbing LRU or
-// statistics.
-func (c *Cache) Probe(pa uint64) bool {
-	tag := pa >> c.shift
-	set := c.set(pa)
-	for i := range set {
-		l := &set[i]
-		if l.valid && l.tag == tag {
-			return true
-		}
-	}
-	return false
 }
 
 // Victim describes a line displaced by an Access fill.
@@ -175,36 +158,4 @@ func (c *Cache) Access(pa uint64, write bool) (hit bool, victim Victim) {
 	v.tag = tag
 	v.lru = c.stamp
 	return false, victim
-}
-
-// Invalidate drops the line containing pa if present, reporting
-// whether it was dirty.
-func (c *Cache) Invalidate(pa uint64) (present, dirty bool) {
-	tag := pa >> c.shift
-	c.unshare((tag & c.setMask) / blockSets)
-	set := c.set(pa)
-	for i := range set {
-		l := &set[i]
-		if l.valid && l.tag == tag {
-			l.valid = false
-			return true, l.dirty
-		}
-	}
-	return false, false
-}
-
-// Flush invalidates every line, reporting how many dirty lines were
-// dropped.
-func (c *Cache) Flush() (dirty uint64) {
-	for b := range c.blocks {
-		c.unshare(uint64(b))
-		blk := c.blocks[b]
-		for i := range blk {
-			if blk[i].valid && blk[i].dirty {
-				dirty++
-			}
-			blk[i].valid = false
-		}
-	}
-	return dirty
 }

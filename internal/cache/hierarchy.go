@@ -118,12 +118,6 @@ func NewHierarchyWithL2(cfg HierConfig, dom *L2Domain) *Hierarchy {
 	}
 }
 
-// Domain returns the hierarchy's L2 sharing domain.
-func (h *Hierarchy) Domain() *L2Domain { return h.dom }
-
-// Config returns the hierarchy configuration.
-func (h *Hierarchy) Config() HierConfig { return h.cfg }
-
 func sweep(m map[uint64]uint64, now uint64) int {
 	n := 0
 	for k, v := range m {
@@ -244,8 +238,3 @@ func (h *Hierarchy) AccessInst(now, pa uint64) uint64 {
 	h.mshrI[line] = fill
 	return fill
 }
-
-// ProbeData reports whether a data reference would hit in the L1D,
-// without side effects. Used by tests and by the quick-start
-// predictor's handler-residency heuristics.
-func (h *Hierarchy) ProbeData(pa uint64) bool { return h.L1D.Probe(pa) }

@@ -24,17 +24,6 @@ const (
 	BugResumeSkip
 )
 
-// String names the bug for CLI flags and reports.
-func (b InjectedBug) String() string {
-	switch b {
-	case BugNone:
-		return "none"
-	case BugResumeSkip:
-		return "resume-skip"
-	}
-	return fmt.Sprintf("bug(%d)", b)
-}
-
 // ParseInjectedBug resolves a bug name from the mtexc-fuzz -inject
 // flag.
 func ParseInjectedBug(name string) (InjectedBug, error) {

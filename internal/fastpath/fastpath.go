@@ -166,10 +166,6 @@ func (e *Engine) decodeAll() {
 	e.rebuilds++
 }
 
-// Rebuilds reports how many times a store to a code page invalidated
-// and rebuilt the decoded-instruction cache.
-func (e *Engine) Rebuilds() uint64 { return e.rebuilds }
-
 // Steps reports committed instructions (including HALT).
 func (e *Engine) Steps() uint64 { return e.steps }
 

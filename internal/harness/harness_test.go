@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
@@ -268,5 +270,23 @@ func TestTableCSV(t *testing.T) {
 	want := "name,x,y\na,1.5,0\nb,0,-2\n"
 	if csv != want {
 		t.Errorf("CSV = %q, want %q", csv, want)
+	}
+}
+
+// TestTableJSONRowsNonFinite: encoding/json rejects +Inf, which a
+// sampled CI reads below two windows, so such a cell is listed by
+// column beside the FAIL cells instead of breaking the stream.
+func TestTableJSONRowsNonFinite(t *testing.T) {
+	tab := NewTable("T", []string{"a"}, []string{"x", "y", "z"})
+	tab.Set(0, 0, 1.5)
+	tab.Set(0, 1, math.Inf(1))
+	tab.MarkFailed(0, 2)
+	var buf bytes.Buffer
+	if err := tab.WriteJSONRows(&buf); err != nil {
+		t.Fatalf("WriteJSONRows: %v", err)
+	}
+	want := `{"table":"T","row":"a","cells":{"x":1.5},"failed":["z"],"nonfinite":{"y":"+Inf"}}` + "\n"
+	if buf.String() != want {
+		t.Errorf("JSON rows = %q, want %q", buf.String(), want)
 	}
 }

@@ -57,10 +57,6 @@ func (f *flight[V]) get(key string, run func() (V, error)) (V, error) {
 	return e.val, e.err
 }
 
-// Runs reports how many computations actually executed — the
-// duplicate suppression at work.
-func (f *flight[V]) Runs() int64 { return f.runs.Load() }
-
 // BaselineCache is a concurrency-safe store of perfect-TLB baseline
 // results keyed by the baseline job's fingerprint (see
 // runner.compare). Each baseline runs exactly once per cache no matter

@@ -11,6 +11,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"strings"
 )
 
@@ -22,7 +24,7 @@ type Table struct {
 	Cols  []string
 	Rows  []string
 	Cells [][]float64
-	// Format is the printf verb for cells, default %8.1f.
+	// Format is the printf verb for cells, default %10.2f.
 	Format string
 	// failed marks cells whose simulation died (panic, livelock,
 	// timeout); they render as FAIL in every output format. Allocated
@@ -152,25 +154,39 @@ func (t *Table) CSV() string {
 // consumed by external analysis without parsing the text rendering:
 //
 //	{"table":"Figure 5","row":"compress","cells":{"traditional":120.3,...}}
+//
+// JSON has no infinities or NaN. Such a cell (a sampled CI is +Inf
+// below two windows) is left out of "cells" and listed under
+// "nonfinite" by column, with its value as strconv prints it ("+Inf"),
+// the way "failed" lists FAIL cells.
 func (t *Table) WriteJSONRows(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for r, name := range t.Rows {
 		cells := make(map[string]float64, len(t.Cols))
 		var failed []string
+		var nonFinite map[string]string
 		for c, col := range t.Cols {
-			if t.FailedAt(r, c) {
+			v := t.Cells[r][c]
+			switch {
+			case t.FailedAt(r, c):
 				failed = append(failed, col)
-				continue
+			case math.IsInf(v, 0) || math.IsNaN(v):
+				if nonFinite == nil {
+					nonFinite = make(map[string]string)
+				}
+				nonFinite[col] = strconv.FormatFloat(v, 'g', -1, 64)
+			default:
+				cells[col] = v
 			}
-			cells[col] = t.Cells[r][c]
 		}
 		row := struct {
-			Table  string             `json:"table"`
-			Note   string             `json:"note,omitempty"`
-			Row    string             `json:"row"`
-			Cells  map[string]float64 `json:"cells"`
-			Failed []string           `json:"failed,omitempty"`
-		}{Table: t.Title, Note: t.Note, Row: name, Cells: cells, Failed: failed}
+			Table     string             `json:"table"`
+			Note      string             `json:"note,omitempty"`
+			Row       string             `json:"row"`
+			Cells     map[string]float64 `json:"cells"`
+			Failed    []string           `json:"failed,omitempty"`
+			NonFinite map[string]string  `json:"nonfinite,omitempty"`
+		}{Table: t.Title, Note: t.Note, Row: name, Cells: cells, Failed: failed, NonFinite: nonFinite}
 		if err := enc.Encode(row); err != nil {
 			return err
 		}

@@ -118,9 +118,6 @@ func (r *MissRecorder) retain(s MissSpan) {
 // Completed reports how many spans finished normally.
 func (r *MissRecorder) Completed() uint64 { return r.total }
 
-// Aborted reports how many spans were aborted.
-func (r *MissRecorder) Aborted() uint64 { return r.abort }
-
 // Spans returns the retained raw spans in insertion order.
 func (r *MissRecorder) Spans() []MissSpan {
 	out := make([]MissSpan, 0, len(r.ring))

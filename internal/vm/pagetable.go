@@ -209,12 +209,6 @@ func (as *AddressSpace) Translate(va uint64) (uint64, bool) {
 	return pfn<<PageShift | va&(PageSize-1), true
 }
 
-// IsMapped reports whether the page containing va is resident.
-func (as *AddressSpace) IsMapped(va uint64) bool {
-	_, ok := as.mirror[va>>PageShift]
-	return ok
-}
-
 // EnsureMapped maps the page containing va if needed and returns the
 // physical address of va.
 func (as *AddressSpace) EnsureMapped(va uint64) (uint64, error) {

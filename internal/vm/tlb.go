@@ -58,9 +58,6 @@ func (t *TLB) set(vpn uint64) []tlbEntry {
 	return t.entries[s*t.ways : (s+1)*t.ways]
 }
 
-// Size reports the number of entries.
-func (t *TLB) Size() int { return len(t.entries) }
-
 // Lookup translates (asn, vpn), updating LRU and hit/miss statistics.
 func (t *TLB) Lookup(asn uint8, vpn uint64) (pfn uint64, hit bool) {
 	t.stamp++
@@ -75,19 +72,6 @@ func (t *TLB) Lookup(asn uint8, vpn uint64) (pfn uint64, hit bool) {
 	}
 	t.Misses++
 	return 0, false
-}
-
-// Contains reports whether a translation is present without touching
-// LRU or statistics.
-func (t *TLB) Contains(asn uint8, vpn uint64) bool {
-	set := t.set(vpn)
-	for i := range set {
-		e := &set[i]
-		if e.valid && e.asn == asn && e.vpn == vpn {
-			return true
-		}
-	}
-	return false
 }
 
 // Insert fills a translation, evicting the LRU entry if needed.
@@ -145,23 +129,6 @@ func (t *TLB) SquashSpec(specTag uint64) {
 	}
 }
 
-// InvalidateASN drops every entry for an address space (context
-// teardown).
-func (t *TLB) InvalidateASN(asn uint8) {
-	for i := range t.entries {
-		if t.entries[i].valid && t.entries[i].asn == asn {
-			t.entries[i].valid = false
-		}
-	}
-}
-
-// Flush empties the TLB.
-func (t *TLB) Flush() {
-	for i := range t.entries {
-		t.entries[i].valid = false
-	}
-}
-
 // CorruptEntry flips one bit of a currently valid entry, modelling a
 // transient fault in the TLB array. pick selects among the valid
 // entries in index order, field selects what to corrupt (valid bit,
@@ -211,15 +178,4 @@ func (t *TLB) CorruptEntry(pick, field, bit uint64) (string, bool) {
 		e.asn ^= 1 << b
 		return fmt.Sprintf("tlb[%d].asn bit%d", idx, b), true
 	}
-}
-
-// Occupancy reports how many entries are valid.
-func (t *TLB) Occupancy() int {
-	n := 0
-	for i := range t.entries {
-		if t.entries[i].valid {
-			n++
-		}
-	}
-	return n
 }
