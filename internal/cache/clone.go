@@ -39,7 +39,7 @@ func (c *Cache) own(b uint64) {
 func (d *L2Domain) Clone() *L2Domain {
 	n := *d
 	n.L2 = d.L2.Clone()
-	n.mshr2 = cloneMSHR(d.mshr2)
+	n.mshr2 = d.mshr2.clone()
 	return &n
 }
 
@@ -54,17 +54,18 @@ func (h *Hierarchy) Clone() *Hierarchy {
 	n.L1D = h.L1D.Clone()
 	n.dom = h.dom.Clone()
 	n.L2 = n.dom.L2
-	n.mshrD = cloneMSHR(h.mshrD)
-	n.mshrI = cloneMSHR(h.mshrI)
+	n.mshrD = h.mshrD.clone()
+	n.mshrI = h.mshrI.clone()
 	return &n
 }
 
-func cloneMSHR(m map[uint64]uint64) map[uint64]uint64 {
-	c := make(map[uint64]uint64, len(m))
+func (f mshrFile) clone() mshrFile {
+	c := f
+	c.done = make(map[uint64]uint64, len(f.done))
 	// Each key is copied once; map visit order cannot affect the
 	// resulting register file.
-	for k, v := range m {
-		c[k] = v
+	for k, v := range f.done {
+		c.done[k] = v
 	}
 	return c
 }

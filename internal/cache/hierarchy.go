@@ -60,14 +60,14 @@ func (b *bus) reserve(t, occ uint64) uint64 {
 type L2Domain struct {
 	L2    *Cache
 	l2mem bus
-	mshr2 map[uint64]uint64 // outstanding L2-line misses -> L2 fill time
+	mshr2 mshrFile // outstanding L2-line misses -> L2 fill time
 }
 
 // NewL2Domain builds an empty L2 sharing domain.
 func NewL2Domain(cfg Config) *L2Domain {
 	return &L2Domain{
 		L2:    New(cfg),
-		mshr2: make(map[uint64]uint64),
+		mshr2: newMSHRFile(),
 	}
 }
 
@@ -86,8 +86,8 @@ type Hierarchy struct {
 
 	l1l2 bus
 
-	mshrD map[uint64]uint64 // outstanding L1D-line misses -> completion
-	mshrI map[uint64]uint64 // outstanding L1I-line misses -> completion
+	mshrD mshrFile // outstanding L1D-line misses -> completion
+	mshrI mshrFile // outstanding L1I-line misses -> completion
 
 	// Statistics.
 	DataAccesses uint64
@@ -113,43 +113,80 @@ func NewHierarchyWithL2(cfg HierConfig, dom *L2Domain) *Hierarchy {
 		L1D:   New(cfg.L1D),
 		L2:    dom.L2,
 		dom:   dom,
-		mshrD: make(map[uint64]uint64),
-		mshrI: make(map[uint64]uint64),
+		mshrD: newMSHRFile(),
+		mshrI: newMSHRFile(),
 	}
 }
 
-func sweep(m map[uint64]uint64, now uint64) int {
-	n := 0
-	for k, v := range m {
+// mshrFile is a set of outstanding-miss registers: line -> the cycle
+// its fill completes. lo bounds every completion from below, so a
+// sweep before lo has nothing to drop and skips the walk, and the
+// earliest completion needs a walk only after the entry at lo was
+// overwritten.
+type mshrFile struct {
+	done  map[uint64]uint64
+	lo    uint64 // <= every completion in done; ^0 when done is empty
+	exact bool   // lo is the earliest completion itself
+}
+
+func newMSHRFile() mshrFile {
+	return mshrFile{done: make(map[uint64]uint64), lo: ^uint64(0), exact: true}
+}
+
+// add records that line's fill completes at t, replacing any entry
+// the line already had.
+func (f *mshrFile) add(line, t uint64) {
+	if old, ok := f.done[line]; ok && old == f.lo {
+		f.exact = false
+	}
+	//lint:allow hotpathlint MSHR insert happens once per cache miss and the files are swept; amortized, covered by the allocs/inst guard
+	f.done[line] = t
+	if t <= f.lo {
+		f.lo, f.exact = t, true
+	}
+}
+
+// sweep drops the entries complete by now and reports how many
+// remain.
+func (f *mshrFile) sweep(now uint64) int {
+	if now < f.lo {
+		return len(f.done)
+	}
+	lo := ^uint64(0)
+	for k, v := range f.done {
 		if v <= now {
-			delete(m, k)
-		} else {
-			n++
+			delete(f.done, k)
+		} else if v < lo {
+			lo = v
 		}
 	}
-	return n
+	f.lo, f.exact = lo, true
+	return len(f.done)
 }
 
-// outstanding enforces the global MSHR limit: if all MSHRs are busy
+// earliest reports the earliest outstanding completion, ^0 when none.
+func (f *mshrFile) earliest() uint64 {
+	if !f.exact {
+		lo := ^uint64(0)
+		for _, v := range f.done {
+			if v < lo {
+				lo = v
+			}
+		}
+		f.lo, f.exact = lo, true
+	}
+	return f.lo
+}
+
+// admit enforces the global MSHR limit: if all MSHRs are busy
 // at time t, the request is delayed until the earliest completion.
 func (h *Hierarchy) admit(t uint64) uint64 {
-	n := sweep(h.mshrD, t) + sweep(h.mshrI, t)
+	n := h.mshrD.sweep(t) + h.mshrI.sweep(t)
 	if n < h.cfg.MSHRs {
 		return t
 	}
 	h.MSHRStalls++
-	earliest := ^uint64(0)
-	for _, v := range h.mshrD {
-		if v < earliest {
-			earliest = v
-		}
-	}
-	for _, v := range h.mshrI {
-		if v < earliest {
-			earliest = v
-		}
-	}
-	return earliest
+	return min(h.mshrD.earliest(), h.mshrI.earliest())
 }
 
 // l2Fill models a reference arriving at the L2 at time t for the line
@@ -158,7 +195,7 @@ func (h *Hierarchy) admit(t uint64) uint64 {
 func (h *Hierarchy) l2Fill(t, pa uint64, write bool) uint64 {
 	d := h.dom
 	l2line := d.L2.LineAddr(pa)
-	if done, busy := d.mshr2[l2line]; busy && done > t {
+	if done, busy := d.mshr2.done[l2line]; busy && done > t {
 		h.MSHRMerges++
 		return done
 	}
@@ -174,10 +211,9 @@ func (h *Hierarchy) l2Fill(t, pa uint64, write bool) uint64 {
 	if victim.Valid && victim.Dirty {
 		d.l2mem.reserve(fill, h.cfg.L2MemBus)
 	}
-	//lint:allow hotpathlint MSHR insert happens once per L2 miss and the map is size-swept; amortized, covered by the allocs/inst guard
-	d.mshr2[l2line] = fill
-	if len(d.mshr2) > 4*h.cfg.MSHRs {
-		sweep(d.mshr2, t)
+	d.mshr2.add(l2line, fill)
+	if len(d.mshr2.done) > 4*h.cfg.MSHRs {
+		d.mshr2.sweep(t)
 	}
 	return fill
 }
@@ -197,7 +233,7 @@ func (h *Hierarchy) AccessData(now, pa uint64, write bool) uint64 {
 		// The tag fill happens when the miss is initiated, so a hit
 		// on a line whose refill is still in flight is a secondary
 		// miss: it merges with the outstanding MSHR entry.
-		if done, busy := h.mshrD[line]; busy && done > now+lat {
+		if done, busy := h.mshrD.done[line]; busy && done > now+lat {
 			h.MSHRMerges++
 			return done
 		}
@@ -210,8 +246,7 @@ func (h *Hierarchy) AccessData(now, pa uint64, write bool) uint64 {
 	if victim.Valid && victim.Dirty {
 		h.l1l2.reserve(fill, h.cfg.L1L2BusOcc)
 	}
-	//lint:allow hotpathlint MSHR insert happens once per L1D miss; amortized, covered by the allocs/inst guard
-	h.mshrD[line] = fill
+	h.mshrD.add(line, fill)
 	return fill
 }
 
@@ -224,7 +259,7 @@ func (h *Hierarchy) AccessInst(now, pa uint64) uint64 {
 	line := h.L1I.LineAddr(pa)
 	hit, _ := h.L1I.Access(pa, false)
 	if hit {
-		if done, busy := h.mshrI[line]; busy && done > now {
+		if done, busy := h.mshrI.done[line]; busy && done > now {
 			h.MSHRMerges++
 			return done
 		}
@@ -234,7 +269,6 @@ func (h *Hierarchy) AccessInst(now, pa uint64) uint64 {
 	atL2 := start + h.cfg.MissDetect
 	l2done := h.l2Fill(atL2, pa, false)
 	fill := h.l1l2.reserve(l2done, h.cfg.L1L2BusOcc)
-	//lint:allow hotpathlint MSHR insert happens once per L1I miss; amortized, covered by the allocs/inst guard
-	h.mshrI[line] = fill
+	h.mshrI.add(line, fill)
 	return fill
 }

@@ -84,11 +84,12 @@ type SampledComparison struct {
 
 // SampleCompare estimates Compare's penalty-per-miss for one workload
 // without simulating the whole run cycle-accurately. The functional
-// tier executes every instruction; at each sampling position the
-// architectural state (registers, PC, mapped pages) is transferred
-// into two fresh cycle-accurate machines — the subject configuration
-// and its perfect-TLB baseline — which run the warm-up prefix and the
-// measured window over the identical instruction stream. Per-window
+// tier executes every instruction; at each sampling position two
+// fresh cycle-accurate machines — the subject configuration and its
+// perfect-TLB baseline — take over the architectural state (registers
+// and PC copied, mapped pages borrowed copy-on-write) and run the
+// warm-up prefix and the measured window over the identical
+// instruction stream. Per-window
 // penalty cycles d_i (subject minus perfect window cycles) and
 // committed fills m_i feed the ratio estimator p = Σd/Σm, whose
 // standard error comes from the delta method over the window
@@ -234,10 +235,13 @@ func runDetailedWindow(ctx context.Context, cfg Config, eng *fastpath.Engine, sp
 }
 
 // transferImage rebuilds the engine's program image over a fresh
-// physical memory: same code, same address-space geometry, and a copy
-// of every mapped page's contents. Frame numbers differ (each machine
-// owns its allocator); virtual contents are identical, which is what
-// the architectural contract — and ContentHash — care about.
+// physical memory: same code, same address-space geometry, and every
+// mapped page borrowed copy-on-write from the engine's frame
+// (mem.Physical.Borrow), so the window's stores never reach the
+// engine. Frame numbers differ (each machine owns its allocator);
+// virtual contents are identical, which is what the architectural
+// contract — and ContentHash — care about. The engine must not run
+// while the window machine does.
 func transferImage(eng *fastpath.Engine, phys *mem.Physical) (*vm.Image, error) {
 	src := eng.Image()
 	srcAS := src.Space
@@ -270,7 +274,7 @@ func transferImage(eng *fastpath.Engine, phys *mem.Physical) (*vm.Image, error) 
 			return
 		}
 		srcPA, _ := srcAS.Translate(va)
-		*phys.Frame(dstPA) = *srcPhys.Frame(srcPA)
+		phys.Borrow(dstPA, srcPhys.View(srcPA))
 	})
 	return img, xerr
 }

@@ -168,4 +168,18 @@ func TestGoldenTables(t *testing.T) {
 		}
 		compareGolden(t, exp.name, buf.Bytes())
 	}
+
+	// Sampled Figure 5: three windows per cell at this budget, so the
+	// CI rows are finite.
+	s, err := Figure5Sampled(opt, core.SampleSpec{Period: 20_000, Warmup: 2_000, Window: 3_000})
+	if err != nil {
+		t.Fatalf("golden_fig5sampled.json: %v", err)
+	}
+	var buf bytes.Buffer
+	for _, tab := range []*Table{s.Est, s.CI} {
+		if err := tab.WriteJSONRows(&buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	compareGolden(t, "golden_fig5sampled.json", buf.Bytes())
 }

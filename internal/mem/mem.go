@@ -18,13 +18,14 @@ const (
 )
 
 // Physical is a sparse physical address space. Clone produces
-// copy-on-write forks: cloned frames share backing arrays until one
-// side writes, so a machine that is never cloned pays only a nil
-// check on the write path.
+// copy-on-write forks, and Borrow shares another memory's frame
+// copy-on-write: a shared frame is copied on the first write from a
+// clone or a borrower, so a machine that neither clones nor borrows
+// pays only a bool check on the write path.
 type Physical struct {
 	frames   map[uint64]*[FrameSize]byte
-	cowing   bool            // a clone may alias any frame not yet privatized
-	priv     map[uint64]bool // frames privatized (or created) since the last Clone
+	cowing   bool            // any frame not yet privatized may be aliased by a clone or a lender
+	priv     map[uint64]bool // frames privatized (or created) since the last Clone or the first Borrow
 	nextFree uint64          // bump pointer for frame allocation, in frame numbers
 }
 
@@ -61,12 +62,37 @@ func (p *Physical) FramesAllocated() uint64 { return p.nextFree - 1 }
 // Frame exposes the backing array of the frame containing pa,
 // allocating the backing store on first touch. The functional
 // execution tier caches these pointers so its hot loop can read and
-// write page bytes without a map lookup per access; whole-page copies
-// (architectural state transfer) use it too. The
-// returned array is writable: a frame still aliased with a clone is
-// privatized first. Pointers cached across a Clone of this Physical
-// are stale for writing; re-fetch them.
+// write page bytes without a map lookup per access. The returned
+// array is writable: a frame still aliased with a clone or a lender
+// is privatized first. Pointers cached across a Clone of this
+// Physical are stale for writing; re-fetch them.
 func (p *Physical) Frame(pa uint64) *[FrameSize]byte { return p.wframe(pa) }
+
+// View is the read-only twin of Frame: it exposes the frame
+// containing pa, allocating it on first touch as any read does, but
+// never privatizes a shared frame. The caller must not write through
+// the returned array.
+func (p *Physical) View(pa uint64) *[FrameSize]byte { return p.frame(pa) }
+
+// Borrow installs f, a frame array of another Physical, as the frame
+// containing pa, shared copy-on-write: reads see f's bytes, and the
+// first write through p copies it (wframe), so the lender never sees
+// p's writes. The lender writes f in place, so it must not write
+// while the borrower runs. pa's frame number comes from p's own
+// allocator, exactly as for a private page; a frame p already held
+// there is dropped.
+func (p *Physical) Borrow(pa uint64, f *[FrameSize]byte) {
+	if !p.cowing {
+		// Until now nothing aliased p's frames: they are all its own.
+		for fn := range p.frames {
+			p.markPriv(fn)
+		}
+		p.cowing = true
+	}
+	fn := pa >> FrameShift
+	p.frames[fn] = f
+	delete(p.priv, fn)
+}
 
 func (p *Physical) frame(pa uint64) *[FrameSize]byte {
 	fn := pa >> FrameShift

@@ -79,3 +79,62 @@ func TestReadWriteQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestPhysicalBorrowCopyOnWrite: a borrowed frame reads as the
+// lender's bytes, and the borrower's first write copies it, leaving
+// the lender's array untouched and in place. The borrower's own
+// frames stay its own: a frame number it already wrote (as
+// vm.Image.Load writes the code page before the transfer reaches it)
+// must become shared when borrowed over, and frames it never lent
+// out are written in place.
+func TestPhysicalBorrowCopyOnWrite(t *testing.T) {
+	src := NewPhysical()
+	lent := src.AllocFrame() << FrameShift
+	src.WriteU64(lent, 0xfeed)
+	src.WriteU64(lent+8, 0xbeef)
+	srcArr := src.View(lent)
+
+	dst := NewPhysical()
+	pt := dst.AllocFrame() << FrameShift // a page-table frame
+	dst.WriteU64(pt, 1)
+	owned := dst.AllocFrame() << FrameShift // the code page
+	dst.WriteU32(owned, 0x1234)
+	fresh := dst.AllocFrame() << FrameShift
+	ptArr := dst.View(pt)
+
+	dst.Borrow(owned, srcArr)
+	if got := dst.ReadU64(owned); got != 0xfeed {
+		t.Fatalf("borrowed frame reads %#x, want the lender's 0xfeed", got)
+	}
+	dst.WriteU64(owned, 0x1111)
+	if got := src.ReadU64(lent); got != 0xfeed {
+		t.Fatalf("borrower's write reached the lender: %#x", got)
+	}
+	if src.View(lent) != srcArr {
+		t.Fatal("borrower's write moved the lender's frame")
+	}
+	if got, rest := dst.ReadU64(owned), dst.ReadU64(owned+8); got != 0x1111 || rest != 0xbeef {
+		t.Fatalf("borrower reads %#x, %#x after its write; want 0x1111, 0xbeef", got, rest)
+	}
+
+	// A second borrow shares the same lender frame at another number.
+	dst.Borrow(fresh, srcArr)
+	dst.WriteU64(fresh+8, 0x2222)
+	if got := src.ReadU64(lent + 8); got != 0xbeef {
+		t.Fatalf("second borrower write reached the lender: %#x", got)
+	}
+
+	// The lender keeps writing in place, and the borrower's private
+	// frames are never copied.
+	src.WriteU64(lent, 0x3333)
+	if src.View(lent) != srcArr || srcArr[0] != 0x33 {
+		t.Fatal("lender's write did not land in its own frame")
+	}
+	dst.WriteU64(pt, 2)
+	if dst.View(pt) != ptArr {
+		t.Fatal("borrower copied a frame it owned before borrowing")
+	}
+	if dst.FramesAllocated() != 3 {
+		t.Fatalf("borrowing moved the allocator: %d frames", dst.FramesAllocated())
+	}
+}

@@ -61,6 +61,10 @@ func TestAddressSpaceCloneInto(t *testing.T) {
 		if c.ContentHash() != as.ContentHash() {
 			t.Fatalf("%v: clone content hash differs", org)
 		}
+		// Hashing reads pages without privatizing them.
+		if pa := mustTranslate(t, as, va); cphys.View(pa) != phys.View(pa) {
+			t.Fatalf("%v: hashing the clone copied a shared page", org)
+		}
 		// The cloned page table (living in cloned physical memory) must
 		// still translate, and new mappings on either side must not
 		// affect the other.

@@ -7,7 +7,7 @@ package vm
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mtexc/internal/mem"
 )
@@ -226,7 +226,7 @@ func (as *AddressSpace) ForEachMapped(visit func(vpn uint64)) {
 	for vpn := range as.mirror {
 		vpns = append(vpns, vpn)
 	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
+	slices.Sort(vpns)
 	for _, vpn := range vpns {
 		visit(vpn)
 	}
@@ -239,31 +239,31 @@ func (as *AddressSpace) ForEachMapped(visit func(vpn uint64)) {
 func (as *AddressSpace) Phys() *mem.Physical { return as.phys }
 
 // ContentHash returns an FNV-1a hash over the mapped portion of the
-// address space: every resident VPN followed by its page contents, in
-// ascending VPN order. Two spaces hash equal exactly when they map
-// the same virtual pages with the same bytes — the memory half of the
+// address space: every resident VPN (as eight little-endian bytes)
+// followed by its page's bytes in address order, in ascending VPN
+// order. Two spaces hash equal exactly when they map the same virtual
+// pages with the same bytes — the memory half of the
 // differential-fuzzing final-state signature. Physical frame numbers
 // do not enter the hash, so spaces built over different physical
-// allocators compare equal.
+// allocators compare equal. Pages are read through mem.Physical.View,
+// so hashing a clone privatizes none of its shared frames.
 func (as *AddressSpace) ContentHash() uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	mix := func(v uint64) {
+	as.ForEachMapped(func(vpn uint64) {
+		v := vpn
 		for i := 0; i < 8; i++ {
 			h ^= v & 0xff
 			h *= prime64
 			v >>= 8
 		}
-	}
-	as.ForEachMapped(func(vpn uint64) {
-		mix(vpn)
-		base := vpn << PageShift
-		pa, _ := as.Translate(base)
-		for off := uint64(0); off < PageSize; off += 8 {
-			mix(as.phys.ReadU64(pa + off))
+		pa, _ := as.Translate(vpn << PageShift)
+		for _, b := range as.phys.View(pa) {
+			h ^= uint64(b)
+			h *= prime64
 		}
 	})
 	return h

@@ -469,3 +469,42 @@ func TestPALImage(t *testing.T) {
 		}
 	}
 }
+
+// TestContentHashWordwise: ContentHash mixes each page's bytes in
+// address order, which must equal FNV-1a over the page's little-endian
+// 64-bit words read one at a time — the form every recorded hash was
+// computed in.
+func TestContentHashWordwise(t *testing.T) {
+	const prime64 = 1099511628211
+	rng := rand.New(rand.NewSource(3))
+	for _, org := range []PTOrg{PTLinear, PTTwoLevel} {
+		phys := mem.NewPhysical()
+		as := NewAddressSpace(phys, 1, 1<<12)
+		if org == PTTwoLevel {
+			as = NewAddressSpaceTwoLevel(phys, 1, 1<<12)
+		}
+		for i := 0; i < 64; i++ {
+			va := uint64(rng.Intn(1<<12))<<PageShift | uint64(rng.Intn(PageSize/8))*8
+			if err := as.WriteU64(va, rng.Uint64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want := uint64(14695981039346656037)
+		mix := func(v uint64) {
+			for i := 0; i < 8; i++ {
+				want ^= v & 0xff
+				want *= prime64
+				v >>= 8
+			}
+		}
+		as.ForEachMapped(func(vpn uint64) {
+			mix(vpn)
+			for off := uint64(0); off < PageSize; off += 8 {
+				mix(as.ReadU64(vpn<<PageShift + off))
+			}
+		})
+		if got := as.ContentHash(); got != want {
+			t.Errorf("%v: ContentHash %#x, word-by-word FNV-1a %#x", org, got, want)
+		}
+	}
+}
