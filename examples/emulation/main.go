@@ -38,7 +38,7 @@ func main() {
 
 	// Baseline: the traditional machine's perfect-TLB twin, which
 	// executes POPC in hardware.
-	baseRes, err := core.Run(core.PerfectOf(emulating(core.MechTraditional, 0, false)), w)
+	baseRes, err := core.Run(core.PerfectOf(emulating(core.MechTraditional, 0, false), 1), w)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -163,17 +163,21 @@ func (c Comparison) RelativeTLBTime() float64 {
 }
 
 // PerfectOf derives the perfect-TLB baseline of a subject
-// configuration: the same machine with a TLB that never misses, and
-// with the exception-architecture knobs that only matter on a miss
-// (quick-start, limit studies) normalized away, so every subject that
-// differs only in those knobs shares one baseline. Every other field —
-// machine shape, predictor, budgets, workload-facing switches — must
-// match the subject's, or penalties would conflate mechanism cost with
-// configuration differences.
-func PerfectOf(cfg Config) Config {
+// configuration whose machines each run threads application threads:
+// the same machine with a TLB that never misses, one hardware context
+// per application thread, and the exception-architecture knobs that
+// only matter on a miss (quick-start, limit studies) normalized away.
+// A perfect TLB never spawns a handler, so the idle contexts that
+// exist only to host one cannot move its cycles; every subject that
+// differs only in its idle contexts or those knobs shares one
+// baseline. Every other field — machine width, predictor, budgets,
+// workload-facing switches — must match the subject's, or penalties
+// would conflate mechanism cost with configuration differences.
+func PerfectOf(cfg Config, threads int) Config {
 	cfg.Mech = MechPerfect
 	cfg.QuickStart = false
 	cfg.Limit = LimitNone
+	cfg.Contexts = threads
 	return cfg
 }
 
@@ -184,7 +188,7 @@ func Compare(cfg Config, workloads ...Workload) (Comparison, error) {
 	if err != nil {
 		return Comparison{}, err
 	}
-	perf, err := Run(PerfectOf(cfg), workloads...)
+	perf, err := Run(PerfectOf(cfg, len(workloads)), workloads...)
 	if err != nil {
 		return Comparison{}, err
 	}

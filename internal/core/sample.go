@@ -117,7 +117,7 @@ func SampleCompareCtx(ctx context.Context, cfg Config, spec SampleSpec, w Worklo
 	if err != nil {
 		return SampledComparison{}, err
 	}
-	pcfg := PerfectOf(cfg)
+	pcfg := PerfectOf(cfg, 1)
 
 	out := SampledComparison{Spec: spec}
 	budget := cfg.MaxInsts

@@ -35,7 +35,7 @@ func TestWindowsLeaveEngineUntouched(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Mech = MechTraditional
 	spec := SampleSpec{Period: 20_000, Warmup: 2_000, Window: 3_000}
-	for _, c := range []Config{cfg, PerfectOf(cfg)} {
+	for _, c := range []Config{cfg, PerfectOf(cfg, 1)} {
 		ws, err := runDetailedWindow(context.Background(), c, eng, spec)
 		if err != nil {
 			t.Fatalf("%s window: %v", c.Mech, err)

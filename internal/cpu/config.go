@@ -182,9 +182,6 @@ type Config struct {
 	// and per-thread in-flight counts every SampleInterval cycles
 	// (Result.Obs.Sampler).
 	SampleInterval uint64
-	// SpanKeep bounds how many raw per-miss latency spans are
-	// retained for export; zero means the obs package default.
-	SpanKeep int
 
 	// Run control: the simulation stops when MaxInsts application
 	// instructions have retired (across all application threads) or

@@ -285,7 +285,12 @@ func NewOnSubstrate(cfg Config, phys *mem.Physical, hier *cache.Hierarchy) *Mach
 	}
 	// Arena sentinels: slot 0 of each arena carries generation 1 and is
 	// never allocated, so the zero-valued handle types resolve to nil.
-	m.uops = make([]uop, 1, 1+cfg.WindowSize+cfg.Contexts*16)
+	// The uop arena holds every live instruction: the window's plus
+	// each context's fetch buffer. Sized to that bound it never regrows
+	// (TestUopArenaNeverRegrows); only the no-window and instant-fetch
+	// limit studies, whose handler instructions bypass those bounds,
+	// may grow it.
+	m.uops = make([]uop, 1, 1+cfg.WindowSize+cfg.Contexts*cfg.FetchBufferCap)
 	m.uops[0].gen = 1
 	m.hArena = make([]handlerCtx, 1, 1+cfg.Contexts+2)
 	m.hArena[0].gen = 1
@@ -296,7 +301,7 @@ func NewOnSubstrate(cfg Config, phys *mem.Physical, hier *cache.Hierarchy) *Mach
 	}
 	m.Observ = &obs.Observations{
 		Slots:  obs.NewSlotAccount(cfg.Width),
-		Misses: obs.NewMissRecorder(m.Stats, cfg.SpanKeep),
+		Misses: obs.NewMissRecorder(m.Stats),
 	}
 	if cfg.SampleInterval > 0 {
 		m.attachSampler(cfg.SampleInterval)

@@ -78,23 +78,6 @@ func loadNames(loads []core.Workload) []string {
 	return names
 }
 
-// keyer is implemented by workloads whose Name does not capture their
-// full identity (density, fault fraction, page-table organization).
-type keyer interface{ Key() string }
-
-// workloadKeys renders canonical workload identities for fingerprints.
-func workloadKeys(loads []core.Workload) []string {
-	keys := make([]string, len(loads))
-	for i, w := range loads {
-		if k, ok := w.(keyer); ok {
-			keys[i] = k.Key()
-		} else {
-			keys[i] = w.Name()
-		}
-	}
-	return keys
-}
-
 // panicError carries a recovered panic value and its stack as an
 // error, so panics cross the worker-pool and baseline-cache
 // boundaries without killing sibling cells.

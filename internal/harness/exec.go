@@ -3,11 +3,13 @@ package harness
 import (
 	"context"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"strings"
 
 	"mtexc/internal/core"
+	"mtexc/internal/mem"
 )
 
 // job is one simulation a cell asks runner.exec for: the machine
@@ -52,13 +54,89 @@ func (j job) key() string {
 	return runKey(prefix, j.cfg, j.loads)
 }
 
-// runKey fingerprints one simulation: the run-mode prefix, the full
-// configuration and the canonical workload identities. Everything
-// that affects the deterministic simulator's output is a value field
-// of Config, so the formatted struct is a faithful identity.
+// threads is the number of application threads on each machine of
+// the job: one per workload on a single machine, one per core of a
+// cluster.
+func (j job) threads() int {
+	if j.cluster {
+		return 1
+	}
+	return len(j.loads)
+}
+
+// modelVersion names the simulator's timing model in every run key.
+// Bump it with any change that moves a simulated number, so a journal
+// written before the change is re-simulated rather than replayed.
+// TestGoldenModelVersion fails when a committed golden changes
+// and the version does not.
+const modelVersion = 1
+
+// runKey fingerprints one simulation: the model version, the run-mode
+// prefix, the full configuration and the workload identities.
+// Everything that affects the deterministic simulator's output is a
+// value field of Config or part of a workload's built image, so the
+// formatted struct and the image hashes are a faithful identity.
 func runKey(prefix string, cfg core.Config, loads []core.Workload) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%s%+v|%s", prefix, cfg, strings.Join(workloadKeys(loads), ","))))
+	sum := sha256.Sum256([]byte(fmt.Sprintf("model%d|%s%+v|%s",
+		modelVersion, prefix, cfg, strings.Join(workloadKeys(loads), ","))))
 	return hex.EncodeToString(sum[:8])
+}
+
+// keyer is implemented by workloads whose Name does not capture their
+// full identity (density, fault fraction, page-table organization).
+type keyer interface{ Key() string }
+
+// imageHashes memoizes imageHash per workload identity for the life of
+// the process: building and hashing a suite workload takes tens of
+// milliseconds, which every key computation would otherwise pay.
+var imageHashes flight[string]
+
+// workloadKeys renders the workload identities a fingerprint covers:
+// each workload's key (its name when it has none) and a hash of the
+// image it builds, so a generator change re-keys every run of the
+// workloads it alters.
+func workloadKeys(loads []core.Workload) []string {
+	keys := make([]string, len(loads))
+	for i, w := range loads {
+		id := w.Name()
+		if k, ok := w.(keyer); ok {
+			id = k.Key()
+		}
+		h, err := imageHashes.get(id, func() (string, error) { return imageHash(w) })
+		if err != nil {
+			h = "unbuilt" // the simulation's own build reports the failure
+		}
+		keys[i] = id + "@" + h
+	}
+	return keys
+}
+
+// imageHash fingerprints the program w builds at ASN 1: its code,
+// entry point, initial registers and the contents of every mapped page
+// (vm.AddressSpace.ContentHash).
+func imageHash(w core.Workload) (string, error) {
+	img, err := w.Build(mem.NewPhysical(), 1)
+	if err != nil {
+		return "", err
+	}
+	b := make([]byte, 0, 12*len(img.Code)+64)
+	for _, in := range img.Code {
+		b = append(b, byte(in.Op), in.Rd, in.Ra, in.Rb)
+		b = binary.LittleEndian.AppendUint64(b, uint64(in.Imm))
+	}
+	b = binary.LittleEndian.AppendUint64(b, img.CodeVA)
+	b = binary.LittleEndian.AppendUint64(b, img.EntryVA)
+	for file, regs := range [2]map[uint8]uint64{img.InitInt, img.InitFP} {
+		for r := 0; r < 256; r++ {
+			if v, ok := regs[uint8(r)]; ok {
+				b = append(b, byte(file), byte(r))
+				b = binary.LittleEndian.AppendUint64(b, v)
+			}
+		}
+	}
+	b = binary.LittleEndian.AppendUint64(b, img.Space.ContentHash())
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:8]), nil
 }
 
 // exec is the single simulation entry point of the harness, the same
@@ -71,10 +149,13 @@ func runKey(prefix string, cfg core.Config, loads []core.Workload) string {
 func (r *runner) exec(c *cell, j job) (core.Result, error) {
 	key := j.key()
 	c.describe(j, key)
-	// The injection hook fires after describe (so the failure report
-	// carries the configuration and a repro command) and before the
-	// journal lookup (so it fires on resumed runs too).
-	if r.failSpec != "" && injectedFailure(r.exp, r.failSpec, c.index) {
+	// The injection hook fires on the cell's subject only, after
+	// describe (so the failure report carries the configuration and a
+	// repro command) and before the journal lookup (so it fires on
+	// resumed runs too). A baseline never fires it: the cache hands one
+	// baseline to every cell that shares it, so a panic there would fail
+	// them all.
+	if r.failSpec != "" && key == c.subjectKey() && injectedFailure(r.exp, r.failSpec, c.index) {
 		panic(fmt.Sprintf("injected failure (%s=%q)", FailCellEnv, r.failSpec))
 	}
 	if r.journal != nil {
@@ -113,36 +194,54 @@ func (r *runner) exec(c *cell, j job) (core.Result, error) {
 // compare runs the subject job and its perfect-TLB baseline — the same
 // job under core.PerfectOf — over the same instruction stream. The
 // baseline is single-flighted through the cache by its fingerprint,
-// so every cell sharing a machine shape and workload set (across
+// so every cell sharing a workload set and machine shape (across
 // experiments, when Options.Baselines is shared) waits on one run.
+// The first cell to ask for a baseline claims it and runs it before
+// its subject; a cell whose baseline is already claimed runs its
+// subject first and collects the baseline afterwards, so it overlaps
+// its subject with the claimant's baseline instead of waiting on it.
 func (r *runner) compare(c *cell, subj job) (core.Comparison, error) {
-	res, err := r.exec(c, subj)
+	// The subject is described before anything runs, so failure
+	// reports, the live view and fault injection name it, never the
+	// baseline.
+	c.describe(subj, subj.key())
+	perf := subj
+	perf.cfg = core.PerfectOf(subj.cfg, subj.threads())
+	perfKey := perf.key()
+	var res, pres core.Result
+	var err error
+	if r.base.claim(perfKey) {
+		if pres, err = r.baseline(c, perf, perfKey); err == nil {
+			res, err = r.exec(c, subj)
+		}
+	} else if res, err = r.exec(c, subj); err == nil {
+		pres, err = r.baseline(c, perf, perfKey)
+	}
 	if err != nil {
 		return core.Comparison{}, err
 	}
 	r.log("  %-14s %-13s %9d cycles  %6d fills  IPC %.2f%s",
 		strings.Join(loadNames(subj.loads), "-"), label(subj.cfg), res.Cycles, res.DTLBMisses, res.IPC,
 		r.opt.Meter.Suffix())
+	return core.Comparison{Subject: res, Perfect: pres}, nil
+}
 
-	perf := subj
-	perf.cfg = core.PerfectOf(subj.cfg)
-	// Winners of the baseline singleflight run the simulation
-	// themselves; only the cells that actually blocked on another
-	// worker's run charge the wait.
-	ranBaseline := false
+// baseline returns the perfect-TLB run perf, fingerprinted key,
+// through the shared cache. The cell that runs it counts a baseline
+// run; only a cell that blocked on another worker's run charges the
+// wait.
+func (r *runner) baseline(c *cell, perf job, key string) (core.Result, error) {
+	ran := false
 	endWait := c.tel.BaselineWaitBegin()
-	pres, err := r.base.get(perf.key(), func() (core.Result, error) {
-		ranBaseline = true
+	res, err := r.base.get(key, func() (core.Result, error) {
+		ran = true
 		c.tel.BaselineRan()
 		return r.exec(c, perf)
 	})
-	if !ranBaseline {
+	if !ran {
 		endWait()
 	}
-	if err != nil {
-		return core.Comparison{}, err
-	}
-	return core.Comparison{Subject: res, Perfect: pres}, nil
+	return res, err
 }
 
 // simPhase labels what a launching simulation is for the live cell

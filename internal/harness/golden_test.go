@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
@@ -46,12 +48,13 @@ func compareGolden(t *testing.T, name string, got []byte) {
 }
 
 // TestGoldenRunKeys locks the resume-journal fingerprints. A key is
-// sha256 over the formatted Config plus the canonical workload keys,
-// so it drifts exactly when (a) Config gains, loses, reorders or
-// renames a field, (b) DefaultConfig changes a value, or (c) a
-// workload's identity string changes — each of which silently
-// invalidates every journal in the field. The grid below touches
-// every Config field the experiment suite mutates.
+// sha256 over the model version, the formatted Config and the
+// workload keys, so it drifts exactly when (a) Config gains, loses,
+// reorders or renames a field, (b) DefaultConfig changes a value,
+// (c) a workload's identity string or built image changes, or (d)
+// modelVersion is bumped — each of which invalidates every journal in
+// the field. The grid below touches every Config field the experiment
+// suite mutates.
 func TestGoldenRunKeys(t *testing.T) {
 	r := newRunner(Options{Insts: 1_000_000}, "golden")
 	var buf bytes.Buffer
@@ -73,10 +76,11 @@ func TestGoldenRunKeys(t *testing.T) {
 
 	// The formatted default configuration itself, so a field-level
 	// diff names the culprit instead of just flipping hashes.
+	fmt.Fprintf(&buf, "modelVersion %d\n", modelVersion)
 	fmt.Fprintf(&buf, "DefaultConfig %+v\n", core.DefaultConfig())
 	for _, b := range workload.All() {
-		fmt.Fprintf(&buf, "workload %s %s\n", b.Short(), b.Key())
-		fmt.Fprintf(&buf, "workload %s-2lpt %s\n", b.Short(), b.WithTwoLevelPT().Key())
+		fmt.Fprintf(&buf, "workload %s %s\n", b.Short(), workloadKeys([]core.Workload{b})[0])
+		fmt.Fprintf(&buf, "workload %s-2lpt %s\n", b.Short(), workloadKeys([]core.Workload{b.WithTwoLevelPT()})[0])
 	}
 
 	// Figure 5 / Table 4 mechanism grid and its perfect baseline.
@@ -182,4 +186,55 @@ func TestGoldenTables(t *testing.T) {
 		}
 	}
 	compareGolden(t, "golden_fig5sampled.json", buf.Bytes())
+}
+
+// TestGoldenModelVersion ties modelVersion to the committed goldens:
+// testdata/model_version.txt records the version next to a digest of
+// every golden_* file except the run keys, which hash the version
+// themselves. A golden that changes while modelVersion stays put
+// fails, even under -update-golden, so a change that moves simulated
+// numbers cannot leave old journals replaying results of the old
+// model. After bumping the version, -update-golden records it.
+func TestGoldenModelVersion(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "golden_*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, p := range paths {
+		name := filepath.Base(p)
+		if name == "golden_runkeys.txt" {
+			continue
+		}
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", name, len(data))
+		h.Write(data)
+	}
+	digest := hex.EncodeToString(h.Sum(nil))
+	path := filepath.Join("testdata", "model_version.txt")
+	rec, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var version int
+	var recorded string
+	if _, err := fmt.Sscanf(string(rec), "%d %s", &version, &recorded); err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	switch {
+	case version == modelVersion && recorded == digest:
+	case version == modelVersion:
+		t.Fatalf("the goldens changed but modelVersion is still %d: bump it (internal/harness/exec.go), "+
+			"then record it with go test ./internal/harness -run TestGolden -update-golden", modelVersion)
+	case *updateGolden:
+		if err := os.WriteFile(path, []byte(fmt.Sprintf("%d %s\n", modelVersion, digest)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	default:
+		t.Fatalf("modelVersion is %d but %s records %d: record it with "+
+			"go test ./internal/harness -run TestGolden -update-golden", modelVersion, path, version)
+	}
 }

@@ -28,6 +28,30 @@ type flightEntry[V any] struct {
 	err  error
 }
 
+// entry returns key's entry, creating it when absent; created
+// reports whether this call did.
+func (f *flight[V]) entry(key string) (e *flightEntry[V], created bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.m == nil {
+		f.m = make(map[string]*flightEntry[V])
+	}
+	if e = f.m[key]; e == nil {
+		e = &flightEntry[V]{}
+		f.m[key] = e
+		created = true
+	}
+	return e, created
+}
+
+// claim reports whether this is the first call to ask for key, by
+// claim or get. A claimant is expected to get the key next; until it
+// does, another caller's get still runs it, exactly once.
+func (f *flight[V]) claim(key string) bool {
+	_, created := f.entry(key)
+	return created
+}
+
 // get returns the value for key, running run (once) to fill it. A
 // panic inside run is captured into the entry's error rather than
 // allowed to escape: sync.Once marks itself done even when f panics,
@@ -35,16 +59,7 @@ type flightEntry[V any] struct {
 // with a nil error — a misleading nil dereference or a silent wrong
 // answer instead of a failed cell carrying the original panic.
 func (f *flight[V]) get(key string, run func() (V, error)) (V, error) {
-	f.mu.Lock()
-	if f.m == nil {
-		f.m = make(map[string]*flightEntry[V])
-	}
-	e := f.m[key]
-	if e == nil {
-		e = &flightEntry[V]{}
-		f.m[key] = e
-	}
-	f.mu.Unlock()
+	e, _ := f.entry(key)
 	e.once.Do(func() {
 		defer func() {
 			if v := recover(); v != nil {

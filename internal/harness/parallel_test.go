@@ -2,11 +2,16 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"mtexc/internal/core"
+	"mtexc/internal/workload"
 )
 
 // The parallel harness must be a pure scheduling change: the same
@@ -58,11 +63,11 @@ func TestBaselineCacheSingleflight(t *testing.T) {
 	if _, err := Figure5(opt); err != nil {
 		t.Fatal(err)
 	}
-	// Figure 5's four mechanisms span three context counts (1, 2 and
-	// 4 hardware contexts), hence three distinct baseline shapes; the
-	// traditional and hardware columns share one.
-	if got := cache.Runs(); got != 3 {
-		t.Errorf("baseline simulations = %d, want 3 (one per machine shape)", got)
+	// Figure 5's four mechanisms differ only in the mechanism and the
+	// idle contexts, which the perfect baseline drops: every column
+	// shares one baseline.
+	if got := cache.Runs(); got != 1 {
+		t.Errorf("baseline simulations = %d, want 1 (one per workload)", got)
 	}
 	before := cache.Runs()
 	if _, err := Figure5(opt); err != nil {
@@ -70,6 +75,89 @@ func TestBaselineCacheSingleflight(t *testing.T) {
 	}
 	if got := cache.Runs(); got != before {
 		t.Errorf("re-running Figure 5 added %d baseline simulations, want 0", got-before)
+	}
+}
+
+// The first cell to ask for a baseline runs it before its subject; a
+// cell whose baseline is already claimed runs its subject meanwhile.
+// Cell A claims the baseline both cells share, and its simulation
+// blocks: A must not have started its subject, and cell B must finish
+// its own subject while A's baseline is still blocked.
+func TestBaselineClaimOrder(t *testing.T) {
+	r := newRunner(Options{}, "TestBaselineClaimOrder")
+	cmp, err := workload.ByName("cmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseStarted := make(chan struct{})
+	release := make(chan struct{})
+	// Unblock the baseline on every exit, so no cell goroutine
+	// outlives a failed test.
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+	subjects := make(chan core.Mechanism, 2) // one send per subject
+	sim := func(_ context.Context, j job, _ *core.Probe) (core.Result, uint64, error) {
+		if j.cfg.Mech == core.MechPerfect {
+			close(baseStarted) // a second baseline run panics here
+			<-release
+			return core.Result{Cycles: 100}, 0, nil
+		}
+		subjects <- j.cfg.Mech
+		return core.Result{Cycles: 150, DTLBMisses: 10}, 0, nil
+	}
+	type outcome struct {
+		cmp core.Comparison
+		err error
+	}
+	start := func(index int, mech core.Mechanism, idle int) <-chan outcome {
+		j := job{cfg: r.baseConfig(mech, 1, idle), loads: []core.Workload{cmp}, sim: sim}
+		out := make(chan outcome, 1)
+		go func() {
+			res, err := r.compare(&cell{index: index, exp: r.exp}, j)
+			out <- outcome{res, err}
+		}()
+		return out
+	}
+	const wait = 30 * time.Second
+
+	a := start(0, core.MechTraditional, 0)
+	select {
+	case <-baseStarted:
+	case m := <-subjects:
+		t.Fatalf("cell A ran its %s subject before the baseline it claimed", m)
+	case <-time.After(wait):
+		t.Fatal("cell A never started the baseline")
+	}
+	b := start(1, core.MechMultithreaded, 1)
+	select {
+	case m := <-subjects:
+		if m != core.MechMultithreaded {
+			t.Fatalf("cell A ran its %s subject while its baseline was blocked", m)
+		}
+	case <-time.After(wait):
+		t.Fatal("cell B did not run its subject while the baseline it shares was blocked")
+	}
+	close(release)
+	for name, out := range map[string]<-chan outcome{"A": a, "B": b} {
+		select {
+		case o := <-out:
+			if o.err != nil || o.cmp.Subject.Cycles != 150 || o.cmp.Perfect.Cycles != 100 {
+				t.Errorf("cell %s: comparison %+v, err %v", name, o.cmp, o.err)
+			}
+		case <-time.After(wait):
+			t.Fatalf("cell %s never finished", name)
+		}
+	}
+	if m := <-subjects; m != core.MechTraditional {
+		t.Errorf("cell A's subject ran as %s", m)
+	}
+	if got := r.base.Runs(); got != 1 {
+		t.Errorf("baseline simulations = %d, want 1", got)
 	}
 }
 

@@ -242,6 +242,50 @@ func TestCellTimeoutFailsCell(t *testing.T) {
 	}
 }
 
+// A journal written before run keys carried image hashes and a model
+// version must answer nothing: testdata/journal_v0_fig5_cmp.ndjson is
+// "mtexc-experiments -fig5 -bench cmp -insts 20000" from that
+// simulator (four subjects, three baselines). Resuming it re-simulates
+// every run of the grid and renders the table a fresh run renders.
+func TestResumeOldJournal(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "journal_v0_fig5_cmp.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "journal.ndjson")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if n := j.Len(); n != 7 {
+		t.Fatalf("old journal loaded %d entries, want 7", n)
+	}
+	opt := Options{Insts: 20_000, Benchmarks: []string{"cmp"}, Parallelism: 2}
+	fresh, err := Figure5(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Journal = j
+	resumed, err := Figure5(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := j.Hits(); n != 0 {
+		t.Errorf("%d simulations answered from the old journal, want 0", n)
+	}
+	// Four subjects and the one baseline they share.
+	if n := j.Appends(); n != 5 {
+		t.Errorf("resume simulated %d runs, want 5", n)
+	}
+	if resumed.String() != fresh.String() {
+		t.Errorf("resumed table differs from a fresh run:\n--- resumed ---\n%s\n--- fresh ---\n%s", resumed, fresh)
+	}
+}
+
 // A panic inside a shared baseline must fail every cell that consumes
 // that baseline — with the panic preserved as the cause — rather than
 // silently handing waiters a zero value (sync.Once marks itself done

@@ -43,6 +43,23 @@ func simCluster(ctx context.Context, j job, probe *core.Probe) (core.Result, uin
 	return res, insts, err
 }
 
+// l2Shapes are SharedL2's rows: the measured benchmark on core 0 with
+// 0, 1 or 3 co-runner cores.
+var l2Shapes = []struct {
+	name     string
+	cores    int
+	corunner string
+}{
+	{"solo", 1, ""},
+	{"2c +cmp", 2, "cmp"},
+	{"4c +cmp", 4, "cmp"},
+	{"2c +vor", 2, "vor"},
+	{"4c +vor", 4, "vor"},
+}
+
+// l2Measured is the benchmark SharedL2 measures on core 0.
+const l2Measured = "mph"
+
 // SharedL2 measures shared-cache interference with exception
 // handling: core 0 runs the TLB-intensive murphi benchmark under each
 // exception architecture while 0, 1 or 3 co-runner cores thrash the
@@ -53,35 +70,23 @@ func simCluster(ctx context.Context, j job, probe *core.Probe) (core.Result, uin
 // and the row differences isolate the interference.
 func SharedL2(opt Options) (*Table, error) {
 	r := newRunner(opt, "SharedL2")
-	const measured = "mph"
-	shapes := []struct {
-		name     string
-		cores    int
-		corunner string
-	}{
-		{"solo", 1, ""},
-		{"2c +cmp", 2, "cmp"},
-		{"4c +cmp", 4, "cmp"},
-		{"2c +vor", 2, "vor"},
-		{"4c +vor", 4, "vor"},
-	}
 	mechs := r.fig5Mechs()
-	rows := make([]string, len(shapes))
-	for i, s := range shapes {
+	rows := make([]string, len(l2Shapes))
+	for i, s := range l2Shapes {
 		rows[i] = s.name
 	}
 	t := NewTable("Shared-L2 topology: core-0 penalty cycles/miss (mph measured, co-runners share the L2)", rows, configNames(mechs))
-	err := r.forEach(len(shapes)*len(mechs), func(c *cell) error {
+	err := r.forEach(len(l2Shapes)*len(mechs), func(c *cell) error {
 		si, mi := c.index/len(mechs), c.index%len(mechs)
-		shape := shapes[si]
-		loads, err := clusterLoads(measured, shape.corunner, shape.cores)
+		shape := l2Shapes[si]
+		loads, err := clusterLoads(l2Measured, shape.corunner, shape.cores)
 		if err != nil {
 			return err
 		}
-		// The perfect baseline depends on the cluster shape and the
-		// context count, not the mechanism: the traditional and
-		// hardware columns share one baseline cluster per row through
-		// the baseline cache.
+		// The perfect baseline depends on the cluster shape, not the
+		// mechanism or its idle contexts: every column of a row shares
+		// one baseline cluster, one context per core, through the
+		// baseline cache.
 		cmp, err := r.compare(c, clusterJob(mechs[mi].cfg, loads))
 		if err != nil {
 			return err

@@ -26,7 +26,7 @@ func TestSlotAccountClone(t *testing.T) {
 
 func TestMissRecorderCloneInto(t *testing.T) {
 	set := stats.NewSet()
-	r := NewMissRecorder(set, 8)
+	r := NewMissRecorder(set)
 	s1 := r.Begin(1, 0x10, "tlb", "multithreaded", 100)
 	s1.FillAt, s1.HandlerDoneAt, s1.RetireAt = 110, 120, 125
 	r.Finish(s1)

@@ -35,26 +35,22 @@ type MissSpan struct {
 //	span.done2retire   handler complete → excepting instruction retires
 //	span.detect2retire detection → excepting instruction retires
 //
-// The most recent Keep raw spans are retained for export.
+// The most recent SpanKeep raw spans are retained for export.
 type MissRecorder struct {
 	set   *stats.Set
-	keep  int
 	ring  []MissSpan
 	next  int
 	total uint64
 	abort uint64
 }
 
-// DefaultSpanKeep is how many raw spans a recorder retains by default.
-const DefaultSpanKeep = 256
+// SpanKeep is how many raw spans a recorder retains.
+const SpanKeep = 256
 
 // NewMissRecorder returns a recorder feeding histograms into set and
-// retaining up to keep raw spans (DefaultSpanKeep when keep <= 0).
-func NewMissRecorder(set *stats.Set, keep int) *MissRecorder {
-	if keep <= 0 {
-		keep = DefaultSpanKeep
-	}
-	return &MissRecorder{set: set, keep: keep, ring: make([]MissSpan, 0, keep)}
+// retaining the most recent SpanKeep raw spans.
+func NewMissRecorder(set *stats.Set) *MissRecorder {
+	return &MissRecorder{set: set, ring: make([]MissSpan, 0, SpanKeep)}
 }
 
 // Begin opens a span for an exception detected at cycle detect.
@@ -106,13 +102,13 @@ func (r *MissRecorder) Abort(s *MissSpan) {
 }
 
 func (r *MissRecorder) retain(s MissSpan) {
-	if len(r.ring) < r.keep {
+	if len(r.ring) < SpanKeep {
 		//lint:allow hotpathlint ring grows once to its preallocated keep capacity, then overwrites in place
 		r.ring = append(r.ring, s)
 		return
 	}
 	r.ring[r.next] = s
-	r.next = (r.next + 1) % r.keep
+	r.next = (r.next + 1) % SpanKeep
 }
 
 // Completed reports how many spans finished normally.

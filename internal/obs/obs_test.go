@@ -75,7 +75,7 @@ func TestSlotFraction(t *testing.T) {
 
 func TestMissRecorderFinish(t *testing.T) {
 	set := stats.NewSet()
-	r := NewMissRecorder(set, 4)
+	r := NewMissRecorder(set)
 	s := r.Begin(7, 0x42, "tlb", "multithreaded", 100)
 	s.FillAt = 130
 	s.WakeAt = 131
@@ -99,7 +99,7 @@ func TestMissRecorderFinish(t *testing.T) {
 
 func TestMissRecorderPartialSpanSkipsUndefinedPhases(t *testing.T) {
 	set := stats.NewSet()
-	r := NewMissRecorder(set, 4)
+	r := NewMissRecorder(set)
 	// A traditional trap has no linked retirement: RetireAt stays 0.
 	s := r.Begin(1, 0, "tlb", "traditional", 50)
 	s.FillAt = 70
@@ -115,7 +115,7 @@ func TestMissRecorderPartialSpanSkipsUndefinedPhases(t *testing.T) {
 
 func TestMissRecorderAbort(t *testing.T) {
 	set := stats.NewSet()
-	r := NewMissRecorder(set, 4)
+	r := NewMissRecorder(set)
 	s := r.Begin(1, 0, "tlb", "multithreaded", 10)
 	r.Abort(s)
 	r.Abort(s) // idempotent
@@ -137,15 +137,17 @@ func TestMissRecorderAbort(t *testing.T) {
 
 func TestMissRecorderRing(t *testing.T) {
 	set := stats.NewSet()
-	r := NewMissRecorder(set, 2)
-	for i := uint64(1); i <= 5; i++ {
+	r := NewMissRecorder(set)
+	const n = SpanKeep + 3
+	for i := uint64(1); i <= n; i++ {
 		s := r.Begin(i, 0, "tlb", "hardware", i*10)
 		s.FillAt = i*10 + 1
 		r.Finish(s)
 	}
 	spans := r.Spans()
-	if len(spans) != 2 || spans[0].Seq != 4 || spans[1].Seq != 5 {
-		t.Errorf("ring kept %+v", spans)
+	if len(spans) != SpanKeep || spans[0].Seq != 4 || spans[SpanKeep-1].Seq != n {
+		t.Errorf("ring kept %d spans, seq %d..%d; want %d, 4..%d",
+			len(spans), spans[0].Seq, spans[len(spans)-1].Seq, SpanKeep, n)
 	}
 }
 
@@ -210,7 +212,7 @@ func testObservations() (*stats.Set, *Observations) {
 	slots.Use(SlotUsefulApp, 2)
 	slots.EndCycle(SlotWindowStall)
 
-	rec := NewMissRecorder(set, 8)
+	rec := NewMissRecorder(set)
 	s := rec.Begin(1, 2, "tlb", "multithreaded", 5)
 	s.FillAt, s.HandlerDoneAt, s.RetireAt = 25, 30, 31
 	rec.Finish(s)
