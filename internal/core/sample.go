@@ -68,8 +68,10 @@ type SampledComparison struct {
 	MeasuredInsts  uint64
 	MeasuredMisses uint64
 	// DetailedInsts counts every cycle-accurately simulated
-	// instruction, warm-up included, across subject and baseline
-	// machines — the cost side of the speedup claim.
+	// instruction, warm-up included, of the subject's windows and of
+	// the baseline windows they are paired with — the cost side of the
+	// speedup claim. It is a per-comparison count: comparisons that
+	// share one baseline run each count its windows.
 	DetailedInsts uint64
 	// PenaltyPerMiss estimates the paper's metric: extra cycles vs. a
 	// perfect TLB per committed fill.
@@ -82,67 +84,97 @@ type SampledComparison struct {
 	MissesPerKInst float64
 }
 
+// WindowCounts are the counter deltas of one detailed window.
+type WindowCounts struct {
+	Pos       uint64 // functional-tier instruction count at the window's start
+	WarmInsts uint64 // instructions retired during warm-up
+	Insts     uint64 // instructions retired in the measured window
+	Cycles    uint64 // cycles spent in the measured window
+	Misses    uint64 // committed fills in the measured window
+}
+
+// SampledRun is one configuration's detailed windows over a
+// functional pass, in position order: half of a sampled comparison,
+// before SampleEstimate pairs it with the other half.
+type SampledRun struct {
+	Spec SampleSpec
+	// TotalInsts is the instruction count the functional tier
+	// committed.
+	TotalInsts uint64
+	Windows    []WindowCounts
+}
+
 // SampleCompare estimates Compare's penalty-per-miss for one workload
-// without simulating the whole run cycle-accurately. The functional
-// tier executes every instruction; at each sampling position two
-// fresh cycle-accurate machines — the subject configuration and its
-// perfect-TLB baseline — take over the architectural state (registers
-// and PC copied, mapped pages borrowed copy-on-write) and run the
-// warm-up prefix and the measured window over the identical
-// instruction stream. Per-window
-// penalty cycles d_i (subject minus perfect window cycles) and
-// committed fills m_i feed the ratio estimator p = Σd/Σm, whose
-// standard error comes from the delta method over the window
-// residuals e_i = d_i − p·m_i.
+// without simulating the whole run cycle-accurately: SampleWindows
+// runs the subject and its perfect-TLB baseline (PerfectOf) over one
+// functional pass, and SampleEstimate pairs their windows.
 func SampleCompare(cfg Config, spec SampleSpec, w Workload) (SampledComparison, error) {
 	return SampleCompareCtx(context.Background(), cfg, spec, w)
 }
 
-// SampleCompareCtx is SampleCompare with cancellation: every detailed
-// window machine polls ctx, and the functional tier checks it between
-// sampling periods, so a done ctx aborts the estimate with a
-// *cpu.CancelledError carrying ctx.Err() as its cause.
+// SampleCompareCtx is SampleCompare with cancellation (see
+// SampleWindows).
 func SampleCompareCtx(ctx context.Context, cfg Config, spec SampleSpec, w Workload) (SampledComparison, error) {
-	if err := spec.validate(); err != nil {
-		return SampledComparison{}, err
-	}
 	if cfg.Mech == MechPerfect {
 		return SampledComparison{}, fmt.Errorf("core: SampleCompare subject cannot be the perfect baseline")
 	}
-	img, err := w.Build(mem.NewPhysical(), 1)
-	if err != nil {
-		return SampledComparison{}, fmt.Errorf("core: building %s: %w", w.Name(), err)
-	}
-	eng, err := fastpath.New(img, fastpath.Options{Unaligned: cfg.TrapUnaligned})
+	runs, err := SampleWindows(ctx, spec, w, cfg, PerfectOf(cfg, 1))
 	if err != nil {
 		return SampledComparison{}, err
 	}
-	pcfg := PerfectOf(cfg, 1)
+	return SampleEstimate(runs[0], runs[1])
+}
 
-	out := SampledComparison{Spec: spec}
-	budget := cfg.MaxInsts
+// SampleWindows runs the detailed windows of one or more
+// configurations over a single functional pass of w. The functional tier
+// executes every instruction; at each sampling position one fresh
+// cycle-accurate machine per configuration takes over the
+// architectural state (WindowMachine) and runs the warm-up prefix and
+// the measured window over the identical instruction stream. The pass
+// depends on the budget and the architecture, so the configurations
+// must agree on MaxInsts and TrapUnaligned. A window's counts do not
+// depend on the other configurations in the pass.
+//
+// Every window machine polls ctx, and the functional tier checks it
+// between sampling periods, so a done ctx aborts the pass with a
+// *cpu.CancelledError carrying ctx.Err() as its cause.
+func SampleWindows(ctx context.Context, spec SampleSpec, w Workload, cfgs ...Config) ([]SampledRun, error) {
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	for _, c := range cfgs[1:] {
+		if c.MaxInsts != cfgs[0].MaxInsts || c.TrapUnaligned != cfgs[0].TrapUnaligned {
+			return nil, fmt.Errorf("core: sampled configurations disagree on MaxInsts or TrapUnaligned, which fix the functional pass")
+		}
+	}
+	img, err := w.Build(mem.NewPhysical(), 1)
+	if err != nil {
+		return nil, fmt.Errorf("core: building %s: %w", w.Name(), err)
+	}
+	eng, err := fastpath.New(img, fastpath.Options{Unaligned: cfgs[0].TrapUnaligned})
+	if err != nil {
+		return nil, err
+	}
+
+	runs := make([]SampledRun, len(cfgs))
+	for i := range runs {
+		runs[i].Spec = spec
+	}
+	budget := cfgs[0].MaxInsts
 	detail := spec.Warmup + spec.Window
-	var ds, ms []float64
 	pos := uint64(0)
 	for pos < budget && !eng.Halted() {
 		if err := ctx.Err(); err != nil {
-			return out, &cpu.CancelledError{Cause: err}
+			return nil, &cpu.CancelledError{Cause: err}
 		}
 		if pos+detail <= budget {
-			subj, err := runDetailedWindow(ctx, cfg, eng, spec)
-			if err != nil {
-				return out, fmt.Errorf("core: window %d (subject): %w", len(ds), err)
-			}
-			perf, err := runDetailedWindow(ctx, pcfg, eng, spec)
-			if err != nil {
-				return out, fmt.Errorf("core: window %d (perfect): %w", len(ds), err)
-			}
-			out.DetailedInsts += subj.warmInsts + subj.insts + perf.warmInsts + perf.insts
-			if subj.insts > 0 {
-				ds = append(ds, float64(int64(subj.cycles)-int64(perf.cycles)))
-				ms = append(ms, float64(subj.misses))
-				out.MeasuredInsts += subj.insts
-				out.MeasuredMisses += subj.misses
+			for i, cfg := range cfgs {
+				wc, err := runDetailedWindow(ctx, cfg, eng, spec)
+				if err != nil {
+					return nil, fmt.Errorf("core: window %d (%s): %w", len(runs[i].Windows), cfg.Mech, err)
+				}
+				wc.Pos = pos
+				runs[i].Windows = append(runs[i].Windows, wc)
 			}
 		}
 		step := spec.Period
@@ -152,13 +184,44 @@ func SampleCompareCtx(ctx context.Context, cfg Config, spec SampleSpec, w Worklo
 		ran, err := eng.FastForward(step)
 		pos += ran
 		if err != nil {
-			return out, fmt.Errorf("core: functional tier at %d insts: %w", pos, err)
+			return nil, fmt.Errorf("core: functional tier at %d insts: %w", pos, err)
 		}
 		if ran < step {
 			break // halted
 		}
 	}
-	out.TotalInsts = eng.Steps()
+	for i := range runs {
+		runs[i].TotalInsts = eng.Steps()
+	}
+	return runs, nil
+}
+
+// SampleEstimate pairs a subject's windows with its perfect-TLB
+// baseline's, position by position. Per-window penalty cycles d_i
+// (subject minus perfect window cycles) and committed fills m_i feed
+// the ratio estimator p = Σd/Σm, whose standard error comes from the
+// delta method over the window residuals e_i = d_i − p·m_i. Both runs
+// must come from the same spec, positions and functional pass.
+func SampleEstimate(subj, perf SampledRun) (SampledComparison, error) {
+	if subj.Spec != perf.Spec || subj.TotalInsts != perf.TotalInsts || len(subj.Windows) != len(perf.Windows) {
+		return SampledComparison{}, fmt.Errorf("core: sampled runs disagree: spec %s vs %s, %d vs %d insts, %d vs %d windows",
+			subj.Spec, perf.Spec, subj.TotalInsts, perf.TotalInsts, len(subj.Windows), len(perf.Windows))
+	}
+	out := SampledComparison{Spec: subj.Spec, TotalInsts: subj.TotalInsts}
+	var ds, ms []float64
+	for i, s := range subj.Windows {
+		p := perf.Windows[i]
+		if s.Pos != p.Pos {
+			return SampledComparison{}, fmt.Errorf("core: sampled window %d at %d insts in the subject, %d in the baseline", i, s.Pos, p.Pos)
+		}
+		out.DetailedInsts += s.WarmInsts + s.Insts + p.WarmInsts + p.Insts
+		if s.Insts > 0 {
+			ds = append(ds, float64(int64(s.Cycles)-int64(p.Cycles)))
+			ms = append(ms, float64(s.Misses))
+			out.MeasuredInsts += s.Insts
+			out.MeasuredMisses += s.Misses
+		}
+	}
 	out.Windows = len(ds)
 
 	var dSum, mSum float64
@@ -187,50 +250,55 @@ func SampleCompareCtx(ctx context.Context, cfg Config, spec SampleSpec, w Worklo
 	return out, nil
 }
 
-// windowStats are the counter deltas of one detailed stretch.
-type windowStats struct {
-	warmInsts uint64 // instructions retired during warm-up
-	insts     uint64 // instructions retired in the measured window
-	cycles    uint64 // cycles spent in the measured window
-	misses    uint64 // committed fills in the measured window
-}
-
-// runDetailedWindow transfers the engine's architectural state into a
-// fresh cycle-accurate machine, runs the warm-up prefix, snapshots
-// the counters, continues through the measured window, and returns
-// the deltas. The engine is not advanced.
-func runDetailedWindow(ctx context.Context, cfg Config, eng *fastpath.Engine, spec SampleSpec) (windowStats, error) {
-	detail := spec.Warmup + spec.Window
-	wcfg := cfg
-	wcfg.MaxInsts = detail
-	wcfg.MaxCycles = 400*detail + 500_000
-	m := cpu.New(wcfg)
+// WindowMachine builds the cycle-accurate machine of one sampled
+// window: a fresh machine under cfg, bounded to insts retired
+// application instructions, that takes over the engine's
+// architectural state — registers and PC copied, mapped pages
+// borrowed copy-on-write (transferImage) — with its page-table
+// entries cache-warm. The engine must not run while the machine does.
+func WindowMachine(cfg Config, eng *fastpath.Engine, insts uint64) (*Machine, error) {
+	cfg.MaxInsts = insts
+	cfg.MaxCycles = 400*insts + 500_000
+	m := cpu.New(cfg)
 	img, err := transferImage(eng, m.Phys())
 	if err != nil {
-		return windowStats{}, err
+		return nil, err
 	}
 	if _, err := m.AddProgramAt(img, eng.PC(), eng.Regs()); err != nil {
-		return windowStats{}, err
+		return nil, err
 	}
 	// The functional tier stands in for the OS having run this far:
 	// page-table entries start cache-warm, as in full runs.
 	m.WarmPageTable(img.Space)
+	return m, nil
+}
+
+// runDetailedWindow runs one window machine (WindowMachine) through
+// the warm-up prefix, snapshots the counters, continues through the
+// measured window, and returns the deltas. The engine is not
+// advanced.
+func runDetailedWindow(ctx context.Context, cfg Config, eng *fastpath.Engine, spec SampleSpec) (WindowCounts, error) {
+	detail := spec.Warmup + spec.Window
+	m, err := WindowMachine(cfg, eng, detail)
+	if err != nil {
+		return WindowCounts{}, err
+	}
 	m.SetCancel(ctx)
 	var warm cpu.Result
 	if spec.Warmup > 0 {
 		if warm, err = m.RunUntil(spec.Warmup); err != nil {
-			return windowStats{}, err
+			return WindowCounts{}, err
 		}
 	}
 	full, err := m.RunUntil(detail)
 	if err != nil {
-		return windowStats{}, err
+		return WindowCounts{}, err
 	}
-	return windowStats{
-		warmInsts: warm.AppInsts,
-		insts:     full.AppInsts - warm.AppInsts,
-		cycles:    full.Cycles - warm.Cycles,
-		misses:    full.DTLBMisses - warm.DTLBMisses,
+	return WindowCounts{
+		WarmInsts: warm.AppInsts,
+		Insts:     full.AppInsts - warm.AppInsts,
+		Cycles:    full.Cycles - warm.Cycles,
+		Misses:    full.DTLBMisses - warm.DTLBMisses,
 	}, nil
 }
 

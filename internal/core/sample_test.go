@@ -1,7 +1,9 @@
 package core_test
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"mtexc/internal/core"
@@ -123,5 +125,107 @@ func TestSampleCompareRejectsPerfect(t *testing.T) {
 	cfg.Mech = core.MechPerfect
 	if _, err := core.SampleCompare(cfg, core.SampleSpec{Period: 10_000, Window: 1_000}, w); err == nil {
 		t.Fatal("perfect-TLB subject accepted")
+	}
+}
+
+// TestPerfectWindowsIndependentOfPass: over the suite and Figure 5's
+// four mechanisms, the perfect-TLB windows of PerfectOf(cfg, 1) are
+// bit-identical whichever subject's functional pass ran them, and
+// equal to a pass that runs them alone. The harness runs a
+// benchmark's baseline windows once, in a pass of their own, and
+// pairs them with every subject's.
+func TestPerfectWindowsIndependentOfPass(t *testing.T) {
+	insts := uint64(100_000)
+	if testing.Short() {
+		insts = 20_000
+	}
+	spec := core.SampleSpec{Period: insts / 4, Warmup: insts / 40, Window: insts / 20}
+	ctx := context.Background()
+	for _, w := range workload.All() {
+		var alone []core.SampledRun
+		for _, mc := range []struct {
+			mech     core.Mechanism
+			contexts int
+		}{
+			{core.MechTraditional, 1},
+			{core.MechMultithreaded, 2},
+			{core.MechMultithreaded, 4},
+			{core.MechHardware, 1},
+		} {
+			cfg := core.DefaultConfig()
+			cfg.Mech = mc.mech
+			cfg.Contexts = mc.contexts
+			cfg.MaxInsts = insts
+			cfg.MaxCycles = 400 * insts
+			perf := core.PerfectOf(cfg, 1)
+			if alone == nil {
+				var err error
+				if alone, err = core.SampleWindows(ctx, spec, w, perf); err != nil {
+					t.Fatalf("%s: perfect pass: %v", w.Name(), err)
+				}
+				if len(alone[0].Windows) < 2 {
+					t.Fatalf("%s: only %d windows", w.Name(), len(alone[0].Windows))
+				}
+			}
+			runs, err := core.SampleWindows(ctx, spec, w, cfg, perf)
+			if err != nil {
+				t.Fatalf("%s %s: %v", w.Name(), mc.mech, err)
+			}
+			if !reflect.DeepEqual(runs[1], alone[0]) {
+				t.Errorf("%s: perfect windows in the %s(%d) pass differ from their own pass:\n%+v\n%+v",
+					w.Name(), mc.mech, mc.contexts, runs[1], alone[0])
+			}
+		}
+	}
+}
+
+// TestSampleEstimateRejectsMismatchedRuns: a subject and a baseline
+// from different passes, positions or specs are not a comparison.
+func TestSampleEstimateRejectsMismatchedRuns(t *testing.T) {
+	spec := core.SampleSpec{Period: 10_000, Warmup: 1_000, Window: 2_000}
+	run := func(total uint64, pos ...uint64) core.SampledRun {
+		r := core.SampledRun{Spec: spec, TotalInsts: total}
+		for _, p := range pos {
+			r.Windows = append(r.Windows, core.WindowCounts{Pos: p, Insts: 2_000, Cycles: 3_000, Misses: 5})
+		}
+		return r
+	}
+	subj := run(30_000, 0, 10_000, 20_000)
+	if _, err := core.SampleEstimate(subj, run(30_000, 0, 10_000, 20_000)); err != nil {
+		t.Fatalf("matching runs rejected: %v", err)
+	}
+	other := run(30_000, 0, 10_000, 20_000)
+	other.Spec.Warmup++
+	for name, perf := range map[string]core.SampledRun{
+		"positions":   run(30_000, 0, 10_000, 25_000),
+		"windows":     run(30_000, 0, 10_000),
+		"total insts": run(40_000, 0, 10_000, 20_000),
+		"spec":        other,
+	} {
+		if _, err := core.SampleEstimate(subj, perf); err == nil {
+			t.Errorf("runs with different %s accepted", name)
+		}
+	}
+}
+
+// TestSampleWindowsRejectsDisagreeingPass: the configurations of one
+// pass must agree on what fixes the functional tier's stream.
+func TestSampleWindowsRejectsDisagreeingPass(t *testing.T) {
+	w, err := workload.ByName("mph")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.MaxInsts = 20_000
+	spec := core.SampleSpec{Period: 10_000, Window: 1_000}
+	longer, unaligned := cfg, cfg
+	longer.MaxInsts++
+	unaligned.Mech = core.MechTraditional
+	unaligned.TrapUnaligned = true
+	for _, other := range []core.Config{longer, unaligned} {
+		if _, err := core.SampleWindows(context.Background(), spec, w, cfg, other); err == nil {
+			t.Errorf("pass with MaxInsts %d/%d, TrapUnaligned %v/%v accepted",
+				cfg.MaxInsts, other.MaxInsts, cfg.TrapUnaligned, other.TrapUnaligned)
+		}
 	}
 }

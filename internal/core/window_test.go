@@ -40,7 +40,7 @@ func TestWindowsLeaveEngineUntouched(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s window: %v", c.Mech, err)
 		}
-		if ws.insts == 0 {
+		if ws.Insts == 0 {
 			t.Fatalf("%s window retired nothing", c.Mech)
 		}
 		if got := img.Space.ContentHash(); got != want {

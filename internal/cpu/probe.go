@@ -72,15 +72,27 @@ func (m *Machine) SetProbe(p *Probe) {
 	m.probe = p
 }
 
-// ArchRegs returns a copy of context tid's register file. After a
-// thread has halted this is its architectural register state: the
-// simulator executes functionally at fetch along the predicted path,
-// wrong-path writes are undone from the journal at squash, and
-// retirement is in-order — so once HALT retires, no speculative
-// writes remain. The differential-fuzzing oracle compares this
-// against the reference emulator's final registers.
+// ArchRegs returns context tid's architectural register file: its
+// registers as of the thread's last retired instruction. The simulator
+// executes functionally at fetch along the predicted path, so the live
+// file also holds the writes of every instruction still in flight;
+// the copy returned has them undone from the squash journal, youngest
+// first. Once HALT retires nothing is in flight. The
+// differential-fuzzing oracle compares this against the reference
+// emulator's final registers, and the sampled-window hand-off check
+// against the functional tier's registers mid-run.
 func (m *Machine) ArchRegs(tid int) isa.RegFile {
-	return m.threads[tid].rf
+	t := &m.threads[tid]
+	rf := t.rf
+	for i := len(t.inflight) - 1; i >= 0; i-- {
+		switch u := m.at(t.inflight[i]); u.slotKind {
+		case slotInt:
+			rf.Int[u.slotReg] = u.oldVal
+		case slotFP:
+			rf.FP[u.slotReg] = u.oldVal
+		}
+	}
+	return rf
 }
 
 // Space returns context tid's address space: the loaded image's, or

@@ -42,14 +42,17 @@ func simExact(ctx context.Context, j job, probe *core.Probe) (core.Result, uint6
 
 // key fingerprints the job. The mode prefix keeps the cluster and
 // sampled spaces disjoint from exact runs (whose prefix is empty), so
-// one journal holds all three.
+// one journal holds all three. A sampled entry holds one
+// configuration's per-window counts; its prefix, windows/, differs
+// from the sample/ of the paired estimates journals held before, so
+// an old estimate is never read as a window record.
 func (j job) key() string {
 	prefix := ""
 	switch {
 	case j.cluster:
 		prefix = fmt.Sprintf("cluster/%d|", len(j.loads))
 	case j.sample != nil:
-		prefix = "sample/" + j.sample.String() + "|"
+		prefix = "windows/" + j.sample.String() + "|"
 	}
 	return runKey(prefix, j.cfg, j.loads)
 }
@@ -220,9 +223,16 @@ func (r *runner) compare(c *cell, subj job) (core.Comparison, error) {
 	if err != nil {
 		return core.Comparison{}, err
 	}
-	r.log("  %-14s %-13s %9d cycles  %6d fills  IPC %.2f%s",
-		strings.Join(loadNames(subj.loads), "-"), label(subj.cfg), res.Cycles, res.DTLBMisses, res.IPC,
-		r.opt.Meter.Suffix())
+	loads := strings.Join(loadNames(subj.loads), "-")
+	if subj.sample != nil {
+		// A sampled Result totals the measured windows, where an IPC
+		// would not describe the run.
+		r.log("  %-14s %-13s %9d window cycles  %6d fills%s",
+			loads, label(subj.cfg), res.Cycles, res.DTLBMisses, r.opt.Meter.Suffix())
+	} else {
+		r.log("  %-14s %-13s %9d cycles  %6d fills  IPC %.2f%s",
+			loads, label(subj.cfg), res.Cycles, res.DTLBMisses, res.IPC, r.opt.Meter.Suffix())
+	}
 	return core.Comparison{Subject: res, Perfect: pres}, nil
 }
 

@@ -76,6 +76,23 @@ func TestBaselineCacheSingleflight(t *testing.T) {
 	if got := cache.Runs(); got != before {
 		t.Errorf("re-running Figure 5 added %d baseline simulations, want 0", got-before)
 	}
+
+	// Sampled Figure 5 pairs its cells the same way: one set of
+	// perfect-TLB windows for cmp's four cells.
+	before = cache.Runs()
+	if _, err := Figure5Sampled(opt, testSpec); err != nil {
+		t.Fatal(err)
+	}
+	if got := cache.Runs() - before; got != 1 {
+		t.Errorf("sampled baseline simulations = %d, want 1 (one per workload)", got)
+	}
+	before = cache.Runs()
+	if _, err := Figure5Sampled(opt, testSpec); err != nil {
+		t.Fatal(err)
+	}
+	if got := cache.Runs(); got != before {
+		t.Errorf("re-running sampled Figure 5 added %d baseline simulations, want 0", got-before)
+	}
 }
 
 // The first cell to ask for a baseline runs it before its subject; a

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -79,8 +80,13 @@ func TestInjectedFailureIsolatedToCell(t *testing.T) {
 // Every experiment runs its cells in one pass, so an injected index
 // names exactly one cell: that cell's subject fails — never a
 // perfect-TLB baseline a second pass numbered the same — and the table
-// marks only that cell's coordinates FAIL.
+// marks only that cell's coordinates FAIL, plus the average row's
+// entry in its column where the table has one.
 func TestInjectedFailureNamesOneCell(t *testing.T) {
+	sampled := func(opt Options) (*Table, error) {
+		s, err := Figure5Sampled(opt, testSpec)
+		return s.Est, err
+	}
 	for _, tc := range []struct {
 		spec     string
 		run      func(Options) (*Table, error)
@@ -89,6 +95,7 @@ func TestInjectedFailureNamesOneCell(t *testing.T) {
 		{"Table4:1", Table4, "compress", "hw%"},
 		{"Generalized:1", Generalized, "multithreaded(1)", "1/48 insts"},
 		{"Unaligned:1", Unaligned, "multithreaded(1)", "1/32 insts"},
+		{"Figure5Sampled:1", sampled, "compress", "multi(1)"},
 	} {
 		t.Run(tc.spec, func(t *testing.T) {
 			t.Setenv(FailCellEnv, tc.spec)
@@ -105,7 +112,7 @@ func TestInjectedFailureNamesOneCell(t *testing.T) {
 			}
 			for r, row := range tab.Rows {
 				for c, col := range tab.Cols {
-					want := row == tc.row && col == tc.col
+					want := (row == tc.row || row == "average") && col == tc.col
 					if got := tab.FailedAt(r, c); got != want {
 						t.Errorf("(%s, %s) marked FAIL = %v, want %v", row, col, got, want)
 					}
@@ -283,6 +290,66 @@ func TestResumeOldJournal(t *testing.T) {
 	}
 	if resumed.String() != fresh.String() {
 		t.Errorf("resumed table differs from a fresh run:\n--- resumed ---\n%s\n--- fresh ---\n%s", resumed, fresh)
+	}
+}
+
+// A journal holding sampled estimates under the sample/ prefix, from
+// before sampled cells journaled per-window counts, must answer
+// nothing: testdata/journal_v1_fig5sampled_cmp.ndjson is
+// "mtexc-experiments -fig5sampled -bench cmp -insts 100000 -sample
+// 20000:2000:3000" from that simulator (four estimates). Read as
+// window records, its entries lack every window counter and fail the
+// decode, rather than giving an all-zero estimate; resumed, the grid
+// re-simulates and renders the table a fresh run renders.
+func TestResumeOldSampledJournal(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "journal_v1_fig5sampled_cmp.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "journal.ndjson")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if n := j.Len(); n != 4 {
+		t.Fatalf("old journal loaded %d entries, want 4", n)
+	}
+	spec := core.SampleSpec{Period: 20_000, Warmup: 2_000, Window: 3_000}
+	for _, line := range bytes.Split(bytes.TrimSpace(old), []byte("\n")) {
+		var e JournalEntry
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatal(err)
+		}
+		res, _ := j.lookup(e.Key)
+		if _, err := windowsFromResult(res, spec); err == nil {
+			t.Errorf("old estimate %s decoded as a window record", e.Key)
+		}
+	}
+	hits := j.Hits()
+	opt := Options{Insts: 100_000, Benchmarks: []string{"cmp"}, Parallelism: 2}
+	fresh, err := Figure5Sampled(opt, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Journal = j
+	resumed, err := Figure5Sampled(opt, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := j.Hits() - hits; n != 0 {
+		t.Errorf("%d simulations answered from the old journal, want 0", n)
+	}
+	// Four subjects and the one baseline they share.
+	if n := j.Appends(); n != 5 {
+		t.Errorf("resume simulated %d runs, want 5", n)
+	}
+	want := fresh.Est.String() + fresh.CI.String()
+	if got := resumed.Est.String() + resumed.CI.String(); got != want {
+		t.Errorf("resumed tables differ from a fresh run:\n--- resumed ---\n%s\n--- fresh ---\n%s", got, want)
 	}
 }
 

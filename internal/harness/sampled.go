@@ -3,7 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"mtexc/internal/core"
 	"mtexc/internal/stats"
@@ -21,20 +20,24 @@ type SampledFigure5 struct {
 	// TotalInsts sums the instructions the functional tier committed
 	// across all cells (every instruction of every run).
 	TotalInsts uint64
-	// DetailedInsts sums the cycle-accurately simulated instructions
-	// (subject + baseline windows, warm-up included) — the detail
-	// fraction is DetailedInsts / (2*TotalInsts), since an exact
-	// comparison simulates every instruction twice.
+	// DetailedInsts sums the cells' per-comparison
+	// core.SampledComparison.DetailedInsts: each cell counts its
+	// subject windows and the baseline windows it is paired with, even
+	// though the cells of a benchmark share one baseline run. The
+	// detail fraction is DetailedInsts / (2*TotalInsts), since an
+	// exact comparison simulates every instruction twice.
 	DetailedInsts uint64
 }
 
 // Figure5Sampled regenerates the Figure 5 mechanism comparison in
-// sampled mode: each cell fast-forwards the workload on the
-// functional tier and simulates only periodic warm-up+window
-// stretches cycle-accurately (core.SampleCompareCtx). Cells run
-// through the same executor as the exact experiments — fingerprint,
-// journal resume, deadline — and assemble by index, so the tables are
-// identical at any parallelism.
+// sampled mode: each cell's subject fast-forwards the workload on the
+// functional tier and simulates only periodic warm-up+window stretches
+// cycle-accurately (core.SampleWindows), and runner.compare pairs it
+// with the perfect-TLB windows its benchmark's cells share
+// (core.SampleEstimate). Cells run through the same executor as the
+// exact experiments — fingerprint, journal resume, deadline, baseline
+// cache — and assemble by index, so the tables are identical at any
+// parallelism.
 func Figure5Sampled(opt Options, spec core.SampleSpec) (*SampledFigure5, error) {
 	r := newRunner(opt, "Figure5Sampled")
 	benches, err := opt.suite()
@@ -50,12 +53,23 @@ func Figure5Sampled(opt Options, spec core.SampleSpec) (*SampledFigure5, error) 
 	}
 	cells := make([]core.SampledComparison, len(benches)*len(mechs))
 	err = r.grid(func(c *cell, bi, mi int) error {
-		res, err := r.exec(c, job{cfg: mechs[mi].cfg, loads: []core.Workload{benches[bi]},
+		cmp, err := r.compare(c, job{cfg: mechs[mi].cfg, loads: []core.Workload{benches[bi]},
 			sample: &spec, sim: simSampled})
 		if err != nil {
 			return err
 		}
-		s := sampledFromResult(res)
+		subj, err := windowsFromResult(cmp.Subject, spec)
+		if err != nil {
+			return err
+		}
+		perf, err := windowsFromResult(cmp.Perfect, spec)
+		if err != nil {
+			return err
+		}
+		s, err := core.SampleEstimate(subj, perf)
+		if err != nil {
+			return err
+		}
 		cells[c.index] = s
 		out.Est.Set(bi, mi, s.PenaltyPerMiss)
 		out.CI.Set(bi, mi, s.CI95)
@@ -69,40 +83,75 @@ func Figure5Sampled(opt Options, spec core.SampleSpec) (*SampledFigure5, error) 
 	return out, err
 }
 
-// simSampled estimates the job's penalty per miss against its
-// perfect-TLB baseline from sampled windows.
+// simSampled runs the job's configuration alone over sampled windows
+// (core.SampleWindows); runner.compare pairs the result with the
+// perfect-TLB windows of the job's baseline.
 func simSampled(ctx context.Context, j job, _ *core.Probe) (core.Result, uint64, error) {
-	s, err := core.SampleCompareCtx(ctx, j.cfg, *j.sample, j.loads[0])
-	return sampledResult(s), s.TotalInsts + s.DetailedInsts, err
-}
-
-// sampledResult encodes a sampled comparison as a journalable Result:
-// counts as counters and the float estimates as their IEEE-754 bits,
-// so a resumed cell reconstructs bit-for-bit.
-func sampledResult(s core.SampledComparison) core.Result {
-	set := stats.NewSet()
-	set.Counter("sample.windows").Value = uint64(s.Windows)
-	set.Counter("sample.total_insts").Value = s.TotalInsts
-	set.Counter("sample.measured_insts").Value = s.MeasuredInsts
-	set.Counter("sample.measured_misses").Value = s.MeasuredMisses
-	set.Counter("sample.detailed_insts").Value = s.DetailedInsts
-	set.Counter("sample.penalty_bits").Value = math.Float64bits(s.PenaltyPerMiss)
-	set.Counter("sample.ci95_bits").Value = math.Float64bits(s.CI95)
-	set.Counter("sample.misses_per_kinst_bits").Value = math.Float64bits(s.MissesPerKInst)
-	return core.Result{AppInsts: s.TotalInsts, DTLBMisses: s.MeasuredMisses, Stats: set}
-}
-
-// sampledFromResult inverts sampledResult.
-func sampledFromResult(res core.Result) core.SampledComparison {
-	get := res.Stats.Get
-	return core.SampledComparison{
-		Windows:        int(get("sample.windows")),
-		TotalInsts:     get("sample.total_insts"),
-		MeasuredInsts:  get("sample.measured_insts"),
-		MeasuredMisses: get("sample.measured_misses"),
-		DetailedInsts:  get("sample.detailed_insts"),
-		PenaltyPerMiss: math.Float64frombits(get("sample.penalty_bits")),
-		CI95:           math.Float64frombits(get("sample.ci95_bits")),
-		MissesPerKInst: math.Float64frombits(get("sample.misses_per_kinst_bits")),
+	runs, err := core.SampleWindows(ctx, *j.sample, j.loads[0], j.cfg)
+	if err != nil {
+		return core.Result{}, 0, err
 	}
+	res, detailed := windowsResult(runs[0])
+	return res, runs[0].TotalInsts + detailed, nil
+}
+
+// windowsResult encodes a sampled run as a journalable Result: the
+// functional-tier count and every window's counts as counters, so a
+// resumed cell pairs and estimates bit-for-bit. The Result's cycles,
+// instructions and fills are the measured windows' totals, for the
+// progress line. detailed counts the run's cycle-accurate
+// instructions, warm-up included.
+func windowsResult(run core.SampledRun) (res core.Result, detailed uint64) {
+	set := stats.NewSet()
+	set.Counter("sample.total_insts").Value = run.TotalInsts
+	set.Counter("sample.windows").Value = uint64(len(run.Windows))
+	for i, w := range run.Windows {
+		p := fmt.Sprintf("sample.w%d.", i)
+		set.Counter(p + "pos").Value = w.Pos
+		set.Counter(p + "warm_insts").Value = w.WarmInsts
+		set.Counter(p + "insts").Value = w.Insts
+		set.Counter(p + "cycles").Value = w.Cycles
+		set.Counter(p + "misses").Value = w.Misses
+		res.Cycles += w.Cycles
+		res.AppInsts += w.Insts
+		res.DTLBMisses += w.Misses
+		detailed += w.WarmInsts + w.Insts
+	}
+	res.Stats = set
+	return res, detailed
+}
+
+// windowsFromResult inverts windowsResult for a run under spec. A
+// counter the encoding always writes that the result lacks fails the
+// cell instead of reading as zero: such a result is not a window
+// record.
+func windowsFromResult(res core.Result, spec core.SampleSpec) (core.SampledRun, error) {
+	counters := counterMap(res.Stats)
+	missing := ""
+	get := func(name string) uint64 {
+		v, ok := counters[name]
+		if !ok && missing == "" {
+			missing = name
+		}
+		return v
+	}
+	n := get("sample.windows")
+	if n > uint64(len(counters)) {
+		return core.SampledRun{}, fmt.Errorf("harness: sampled result claims %d windows in %d counters", n, len(counters))
+	}
+	run := core.SampledRun{Spec: spec, TotalInsts: get("sample.total_insts"), Windows: make([]core.WindowCounts, n)}
+	for i := range run.Windows {
+		p := fmt.Sprintf("sample.w%d.", i)
+		run.Windows[i] = core.WindowCounts{
+			Pos:       get(p + "pos"),
+			WarmInsts: get(p + "warm_insts"),
+			Insts:     get(p + "insts"),
+			Cycles:    get(p + "cycles"),
+			Misses:    get(p + "misses"),
+		}
+	}
+	if missing != "" {
+		return core.SampledRun{}, fmt.Errorf("harness: sampled result has no %s counter", missing)
+	}
+	return run, nil
 }

@@ -1,9 +1,11 @@
 package harness
 
 import (
+	"math"
 	"testing"
 
 	"mtexc/internal/core"
+	"mtexc/internal/workload"
 )
 
 // TestFigure5SampledDeterministic: sampled tables are byte-identical
@@ -44,5 +46,40 @@ func TestFigure5SampledDeterministic(t *testing.T) {
 	hw := serial.Est.Cell("murphi", "hardware")
 	if !(tr > hw) {
 		t.Errorf("sampled estimates lost the traditional > hardware ordering: trad=%.2f hw=%.2f", tr, hw)
+	}
+}
+
+// TestFigure5SampledMatchesSampleCompare: a Figure5Sampled cell pairs
+// its subject with the perfect-TLB windows its benchmark's cells
+// share, from a functional pass of their own, and still equals
+// core.SampleCompare, which runs both in one pass, bit for bit.
+func TestFigure5SampledMatchesSampleCompare(t *testing.T) {
+	spec := core.SampleSpec{Period: 20_000, Warmup: 2_000, Window: 3_000}
+	opt := Options{Insts: 50_000, Parallelism: 4}
+	s, err := Figure5Sampled(opt, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newRunner(opt, "TestFigure5SampledMatchesSampleCompare")
+	var total, detailed uint64
+	for _, b := range workload.All() {
+		for _, m := range r.fig5Mechs() {
+			want, err := core.SampleCompare(m.cfg, spec, b)
+			if err != nil {
+				t.Fatalf("%s %s: %v", b.Name(), m.name, err)
+			}
+			est, ci := s.Est.Cell(b.Name(), m.name), s.CI.Cell(b.Name(), m.name)
+			if math.Float64bits(est) != math.Float64bits(want.PenaltyPerMiss) ||
+				math.Float64bits(ci) != math.Float64bits(want.CI95) {
+				t.Errorf("%s %s: Figure5Sampled %v±%v, SampleCompare %v±%v",
+					b.Name(), m.name, est, ci, want.PenaltyPerMiss, want.CI95)
+			}
+			total += want.TotalInsts
+			detailed += want.DetailedInsts
+		}
+	}
+	if s.TotalInsts != total || s.DetailedInsts != detailed {
+		t.Errorf("Figure5Sampled counts %d total, %d detailed insts; SampleCompare %d, %d",
+			s.TotalInsts, s.DetailedInsts, total, detailed)
 	}
 }
