@@ -7,6 +7,7 @@ import (
 
 	"mtexc/internal/cpu"
 	"mtexc/internal/fastpath"
+	"mtexc/internal/isa"
 	"mtexc/internal/mem"
 	"mtexc/internal/vm"
 )
@@ -104,77 +105,127 @@ type SampledRun struct {
 	Windows    []WindowCounts
 }
 
+// Checkpoint is the architectural state of a functional pass at one
+// sampling position. FunctionalPass's checkpoints are frozen: later
+// instructions of the pass do not change them, and any number of
+// window machines may start from one concurrently.
+type Checkpoint struct {
+	// Pos is the number of instructions the pass had committed.
+	Pos  uint64
+	PC   uint64
+	Regs isa.RegFile
+	// Image is the program image at Pos. FunctionalPass freezes it
+	// (fastpath.Engine.Freeze); SampleCompare's pass hands out the
+	// engine's own image, good only until its windows are done
+	// (walkPass). Its pages are shared copy-on-write and must not be
+	// written.
+	Image *vm.Image
+}
+
+// Pass is one functional pass of a workload under a sampling spec:
+// the architectural stream every configuration of a sampled
+// comparison executes, frozen at each position where a window fits.
+type Pass struct {
+	Spec SampleSpec
+	// MaxInsts and TrapUnaligned are the budget and the architecture
+	// the pass ran under; they fix its stream.
+	MaxInsts      uint64
+	TrapUnaligned bool
+	// TotalInsts is the instruction count the functional tier
+	// committed.
+	TotalInsts  uint64
+	Checkpoints []*Checkpoint
+}
+
 // SampleCompare estimates Compare's penalty-per-miss for one workload
-// without simulating the whole run cycle-accurately: SampleWindows
-// runs the subject and its perfect-TLB baseline (PerfectOf) over one
-// functional pass, and SampleEstimate pairs their windows.
+// without simulating the whole run cycle-accurately: the subject and
+// its perfect-TLB baseline (PerfectOf) run their windows over one
+// functional pass, as SampleWindows runs them over FunctionalPass's
+// checkpoints, and SampleEstimate pairs them.
 func SampleCompare(cfg Config, spec SampleSpec, w Workload) (SampledComparison, error) {
 	return SampleCompareCtx(context.Background(), cfg, spec, w)
 }
 
 // SampleCompareCtx is SampleCompare with cancellation (see
-// SampleWindows).
+// FunctionalPass and SampleWindows). It runs both configurations'
+// windows at each position as the pass reaches it, from the engine's
+// own image, and keeps nothing, so its memory does not grow with the
+// budget.
 func SampleCompareCtx(ctx context.Context, cfg Config, spec SampleSpec, w Workload) (SampledComparison, error) {
 	if cfg.Mech == MechPerfect {
 		return SampledComparison{}, fmt.Errorf("core: SampleCompare subject cannot be the perfect baseline")
 	}
-	runs, err := SampleWindows(ctx, spec, w, cfg, PerfectOf(cfg, 1))
+	cfgs := []Config{cfg, PerfectOf(cfg, 1)}
+	runs := make([]SampledRun, len(cfgs))
+	total, err := walkPass(ctx, spec, w, cfg, false, func(cp *Checkpoint) error {
+		return runWindows(ctx, cp, spec, cfgs, runs)
+	})
 	if err != nil {
 		return SampledComparison{}, err
+	}
+	for i := range runs {
+		runs[i].Spec, runs[i].TotalInsts = spec, total
 	}
 	return SampleEstimate(runs[0], runs[1])
 }
 
-// SampleWindows runs the detailed windows of one or more
-// configurations over a single functional pass of w. The functional tier
-// executes every instruction; at each sampling position one fresh
-// cycle-accurate machine per configuration takes over the
-// architectural state (WindowMachine) and runs the warm-up prefix and
-// the measured window over the identical instruction stream. The pass
-// depends on the budget and the architecture, so the configurations
-// must agree on MaxInsts and TrapUnaligned. A window's counts do not
-// depend on the other configurations in the pass.
+// FunctionalPass executes w once on the functional tier, over
+// cfg.MaxInsts instructions under cfg.TrapUnaligned, and keeps a
+// checkpoint at every sampling position of spec where a Warmup+Window
+// stretch fits in the budget. Only those two fields of cfg matter:
+// the pass serves every configuration that agrees on them. Each
+// checkpoint keeps its own copy of every page the pass stores to
+// before the next one, so the pass's memory grows with the number of
+// positions; SampleCompare, which keeps no checkpoint, does not grow.
 //
-// Every window machine polls ctx, and the functional tier checks it
-// between sampling periods, so a done ctx aborts the pass with a
-// *cpu.CancelledError carrying ctx.Err() as its cause.
-func SampleWindows(ctx context.Context, spec SampleSpec, w Workload, cfgs ...Config) ([]SampledRun, error) {
-	if err := spec.validate(); err != nil {
+// The pass checks ctx between sampling periods, so a done ctx aborts
+// it with a *cpu.CancelledError carrying ctx.Err() as its cause.
+func FunctionalPass(ctx context.Context, spec SampleSpec, w Workload, cfg Config) (*Pass, error) {
+	p := &Pass{Spec: spec, MaxInsts: cfg.MaxInsts, TrapUnaligned: cfg.TrapUnaligned}
+	total, err := walkPass(ctx, spec, w, cfg, true, func(cp *Checkpoint) error {
+		p.Checkpoints = append(p.Checkpoints, cp)
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	for _, c := range cfgs[1:] {
-		if c.MaxInsts != cfgs[0].MaxInsts || c.TrapUnaligned != cfgs[0].TrapUnaligned {
-			return nil, fmt.Errorf("core: sampled configurations disagree on MaxInsts or TrapUnaligned, which fix the functional pass")
-		}
+	p.TotalInsts = total
+	return p, nil
+}
+
+// walkPass runs FunctionalPass's pass and hands each checkpoint to
+// visit, in position order, before the pass runs on; an error from
+// visit ends the pass. With freeze the checkpoint's image is frozen
+// and visit may keep it. Without, it is the engine's own image, which
+// holds only until visit returns, and the engine need not copy the
+// pages it stores to afterwards. walkPass returns the instruction
+// count the functional tier committed.
+func walkPass(ctx context.Context, spec SampleSpec, w Workload, cfg Config, freeze bool, visit func(*Checkpoint) error) (uint64, error) {
+	if err := spec.validate(); err != nil {
+		return 0, err
 	}
 	img, err := w.Build(mem.NewPhysical(), 1)
 	if err != nil {
-		return nil, fmt.Errorf("core: building %s: %w", w.Name(), err)
+		return 0, fmt.Errorf("core: building %s: %w", w.Name(), err)
 	}
-	eng, err := fastpath.New(img, fastpath.Options{Unaligned: cfgs[0].TrapUnaligned})
+	eng, err := fastpath.New(img, fastpath.Options{Unaligned: cfg.TrapUnaligned})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-
-	runs := make([]SampledRun, len(cfgs))
-	for i := range runs {
-		runs[i].Spec = spec
-	}
-	budget := cfgs[0].MaxInsts
+	budget := cfg.MaxInsts
 	detail := spec.Warmup + spec.Window
 	pos := uint64(0)
 	for pos < budget && !eng.Halted() {
 		if err := ctx.Err(); err != nil {
-			return nil, &cpu.CancelledError{Cause: err}
+			return 0, &cpu.CancelledError{Cause: err}
 		}
 		if pos+detail <= budget {
-			for i, cfg := range cfgs {
-				wc, err := runDetailedWindow(ctx, cfg, eng, spec)
-				if err != nil {
-					return nil, fmt.Errorf("core: window %d (%s): %w", len(runs[i].Windows), cfg.Mech, err)
-				}
-				wc.Pos = pos
-				runs[i].Windows = append(runs[i].Windows, wc)
+			cp := &Checkpoint{Pos: pos, PC: eng.PC(), Regs: eng.Regs(), Image: img}
+			if freeze {
+				cp.Image = eng.Freeze()
+			}
+			if err := visit(cp); err != nil {
+				return 0, err
 			}
 		}
 		step := spec.Period
@@ -184,16 +235,58 @@ func SampleWindows(ctx context.Context, spec SampleSpec, w Workload, cfgs ...Con
 		ran, err := eng.FastForward(step)
 		pos += ran
 		if err != nil {
-			return nil, fmt.Errorf("core: functional tier at %d insts: %w", pos, err)
+			return 0, fmt.Errorf("core: functional tier at %d insts: %w", pos, err)
 		}
 		if ran < step {
 			break // halted
 		}
 	}
+	return eng.Steps(), nil
+}
+
+// SampleWindows runs the detailed windows of one or more
+// configurations over a functional pass. At each checkpoint one fresh
+// cycle-accurate machine per configuration takes over the
+// architectural state (WindowMachine) and runs the warm-up prefix and
+// the measured window over the identical instruction stream. The
+// configurations must agree with the pass on MaxInsts and
+// TrapUnaligned. A window's counts depend only on its configuration
+// and checkpoint, so a pass may serve SampleWindows calls on several
+// goroutines at once.
+//
+// Every window machine polls ctx, so a done ctx aborts the windows
+// with a *cpu.CancelledError carrying ctx.Err() as its cause.
+func SampleWindows(ctx context.Context, p *Pass, cfgs ...Config) ([]SampledRun, error) {
+	for _, c := range cfgs {
+		if c.MaxInsts != p.MaxInsts || c.TrapUnaligned != p.TrapUnaligned {
+			return nil, fmt.Errorf("core: sampled configuration disagrees with the functional pass on MaxInsts (%d vs %d) or TrapUnaligned (%v vs %v)",
+				c.MaxInsts, p.MaxInsts, c.TrapUnaligned, p.TrapUnaligned)
+		}
+	}
+	runs := make([]SampledRun, len(cfgs))
+	for _, cp := range p.Checkpoints {
+		if err := runWindows(ctx, cp, p.Spec, cfgs, runs); err != nil {
+			return nil, err
+		}
+	}
 	for i := range runs {
-		runs[i].TotalInsts = eng.Steps()
+		runs[i].Spec, runs[i].TotalInsts = p.Spec, p.TotalInsts
 	}
 	return runs, nil
+}
+
+// runWindows runs every configuration's window at cp
+// (runDetailedWindow) and appends its counts to the configuration's
+// run.
+func runWindows(ctx context.Context, cp *Checkpoint, spec SampleSpec, cfgs []Config, runs []SampledRun) error {
+	for i, cfg := range cfgs {
+		wc, err := runDetailedWindow(ctx, cfg, cp, spec)
+		if err != nil {
+			return fmt.Errorf("core: window %d (%s): %w", len(runs[i].Windows), cfg.Mech, err)
+		}
+		runs[i].Windows = append(runs[i].Windows, wc)
+	}
+	return nil
 }
 
 // SampleEstimate pairs a subject's windows with its perfect-TLB
@@ -252,19 +345,19 @@ func SampleEstimate(subj, perf SampledRun) (SampledComparison, error) {
 
 // WindowMachine builds the cycle-accurate machine of one sampled
 // window: a fresh machine under cfg, bounded to insts retired
-// application instructions, that takes over the engine's
+// application instructions, that takes over the checkpoint's
 // architectural state — registers and PC copied, mapped pages
 // borrowed copy-on-write (transferImage) — with its page-table
-// entries cache-warm. The engine must not run while the machine does.
-func WindowMachine(cfg Config, eng *fastpath.Engine, insts uint64) (*Machine, error) {
+// entries cache-warm.
+func WindowMachine(cfg Config, cp *Checkpoint, insts uint64) (*Machine, error) {
 	cfg.MaxInsts = insts
 	cfg.MaxCycles = 400*insts + 500_000
 	m := cpu.New(cfg)
-	img, err := transferImage(eng, m.Phys())
+	img, err := transferImage(cp.Image, m.Phys())
 	if err != nil {
 		return nil, err
 	}
-	if _, err := m.AddProgramAt(img, eng.PC(), eng.Regs()); err != nil {
+	if _, err := m.AddProgramAt(img, cp.PC, cp.Regs); err != nil {
 		return nil, err
 	}
 	// The functional tier stands in for the OS having run this far:
@@ -275,11 +368,10 @@ func WindowMachine(cfg Config, eng *fastpath.Engine, insts uint64) (*Machine, er
 
 // runDetailedWindow runs one window machine (WindowMachine) through
 // the warm-up prefix, snapshots the counters, continues through the
-// measured window, and returns the deltas. The engine is not
-// advanced.
-func runDetailedWindow(ctx context.Context, cfg Config, eng *fastpath.Engine, spec SampleSpec) (WindowCounts, error) {
+// measured window, and returns the deltas.
+func runDetailedWindow(ctx context.Context, cfg Config, cp *Checkpoint, spec SampleSpec) (WindowCounts, error) {
 	detail := spec.Warmup + spec.Window
-	m, err := WindowMachine(cfg, eng, detail)
+	m, err := WindowMachine(cfg, cp, detail)
 	if err != nil {
 		return WindowCounts{}, err
 	}
@@ -295,6 +387,7 @@ func runDetailedWindow(ctx context.Context, cfg Config, eng *fastpath.Engine, sp
 		return WindowCounts{}, err
 	}
 	return WindowCounts{
+		Pos:       cp.Pos,
 		WarmInsts: warm.AppInsts,
 		Insts:     full.AppInsts - warm.AppInsts,
 		Cycles:    full.Cycles - warm.Cycles,
@@ -302,16 +395,15 @@ func runDetailedWindow(ctx context.Context, cfg Config, eng *fastpath.Engine, sp
 	}, nil
 }
 
-// transferImage rebuilds the engine's program image over a fresh
-// physical memory: same code, same address-space geometry, and every
-// mapped page borrowed copy-on-write from the engine's frame
+// transferImage rebuilds a frozen program image over a fresh physical
+// memory: same code, same address-space geometry, and every mapped
+// page borrowed copy-on-write from the frozen frame
 // (mem.Physical.Borrow), so the window's stores never reach the
-// engine. Frame numbers differ (each machine owns its allocator);
+// checkpoint. Frame numbers differ (each machine owns its allocator)
+// but follow from the mapped VPNs alone, taken in ascending order;
 // virtual contents are identical, which is what the architectural
-// contract — and ContentHash — care about. The engine must not run
-// while the window machine does.
-func transferImage(eng *fastpath.Engine, phys *mem.Physical) (*vm.Image, error) {
-	src := eng.Image()
+// contract — and ContentHash — care about.
+func transferImage(src *vm.Image, phys *mem.Physical) (*vm.Image, error) {
 	srcAS := src.Space
 	var as *vm.AddressSpace
 	if srcAS.Org() == vm.PTTwoLevel {

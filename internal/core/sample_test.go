@@ -129,11 +129,11 @@ func TestSampleCompareRejectsPerfect(t *testing.T) {
 }
 
 // TestPerfectWindowsIndependentOfPass: over the suite and Figure 5's
-// four mechanisms, the perfect-TLB windows of PerfectOf(cfg, 1) are
-// bit-identical whichever subject's functional pass ran them, and
-// equal to a pass that runs them alone. The harness runs a
-// benchmark's baseline windows once, in a pass of their own, and
-// pairs them with every subject's.
+// four mechanisms, the windows of each configuration are bit-identical
+// whether it runs over its own functional pass or over one pass that
+// a benchmark's five configurations share, as the harness runs a
+// sampled row: four subjects and their perfect-TLB baseline
+// PerfectOf(cfg, 1).
 func TestPerfectWindowsIndependentOfPass(t *testing.T) {
 	insts := uint64(100_000)
 	if testing.Short() {
@@ -142,7 +142,7 @@ func TestPerfectWindowsIndependentOfPass(t *testing.T) {
 	spec := core.SampleSpec{Period: insts / 4, Warmup: insts / 40, Window: insts / 20}
 	ctx := context.Background()
 	for _, w := range workload.All() {
-		var alone []core.SampledRun
+		var cfgs []core.Config
 		for _, mc := range []struct {
 			mech     core.Mechanism
 			contexts int
@@ -157,23 +157,32 @@ func TestPerfectWindowsIndependentOfPass(t *testing.T) {
 			cfg.Contexts = mc.contexts
 			cfg.MaxInsts = insts
 			cfg.MaxCycles = 400 * insts
-			perf := core.PerfectOf(cfg, 1)
-			if alone == nil {
-				var err error
-				if alone, err = core.SampleWindows(ctx, spec, w, perf); err != nil {
-					t.Fatalf("%s: perfect pass: %v", w.Name(), err)
-				}
-				if len(alone[0].Windows) < 2 {
-					t.Fatalf("%s: only %d windows", w.Name(), len(alone[0].Windows))
-				}
-			}
-			runs, err := core.SampleWindows(ctx, spec, w, cfg, perf)
+			cfgs = append(cfgs, cfg)
+		}
+		cfgs = append(cfgs, core.PerfectOf(cfgs[0], 1))
+		shared, err := core.FunctionalPass(ctx, spec, w, cfgs[0])
+		if err != nil {
+			t.Fatalf("%s: shared pass: %v", w.Name(), err)
+		}
+		if len(shared.Checkpoints) < 2 {
+			t.Fatalf("%s: only %d checkpoints", w.Name(), len(shared.Checkpoints))
+		}
+		for _, cfg := range cfgs {
+			own, err := core.FunctionalPass(ctx, spec, w, cfg)
 			if err != nil {
-				t.Fatalf("%s %s: %v", w.Name(), mc.mech, err)
+				t.Fatalf("%s %s: own pass: %v", w.Name(), cfg.Mech, err)
 			}
-			if !reflect.DeepEqual(runs[1], alone[0]) {
-				t.Errorf("%s: perfect windows in the %s(%d) pass differ from their own pass:\n%+v\n%+v",
-					w.Name(), mc.mech, mc.contexts, runs[1], alone[0])
+			alone, err := core.SampleWindows(ctx, own, cfg)
+			if err != nil {
+				t.Fatalf("%s %s: %v", w.Name(), cfg.Mech, err)
+			}
+			runs, err := core.SampleWindows(ctx, shared, cfg)
+			if err != nil {
+				t.Fatalf("%s %s: %v", w.Name(), cfg.Mech, err)
+			}
+			if !reflect.DeepEqual(runs[0], alone[0]) {
+				t.Errorf("%s: %s(%d) windows over the shared pass differ from their own pass:\n%+v\n%+v",
+					w.Name(), cfg.Mech, cfg.Contexts, runs[0], alone[0])
 			}
 		}
 	}
@@ -208,8 +217,9 @@ func TestSampleEstimateRejectsMismatchedRuns(t *testing.T) {
 	}
 }
 
-// TestSampleWindowsRejectsDisagreeingPass: the configurations of one
-// pass must agree on what fixes the functional tier's stream.
+// TestSampleWindowsRejectsDisagreeingPass: the configurations run
+// over a pass must agree with it on what fixes the functional tier's
+// stream.
 func TestSampleWindowsRejectsDisagreeingPass(t *testing.T) {
 	w, err := workload.ByName("mph")
 	if err != nil {
@@ -218,12 +228,16 @@ func TestSampleWindowsRejectsDisagreeingPass(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.MaxInsts = 20_000
 	spec := core.SampleSpec{Period: 10_000, Window: 1_000}
+	pass, err := core.FunctionalPass(context.Background(), spec, w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	longer, unaligned := cfg, cfg
 	longer.MaxInsts++
 	unaligned.Mech = core.MechTraditional
 	unaligned.TrapUnaligned = true
 	for _, other := range []core.Config{longer, unaligned} {
-		if _, err := core.SampleWindows(context.Background(), spec, w, cfg, other); err == nil {
+		if _, err := core.SampleWindows(context.Background(), pass, cfg, other); err == nil {
 			t.Errorf("pass with MaxInsts %d/%d, TrapUnaligned %v/%v accepted",
 				cfg.MaxInsts, other.MaxInsts, cfg.TrapUnaligned, other.TrapUnaligned)
 		}

@@ -11,14 +11,15 @@ import (
 // at once, so no run regrows it: a machine ends every run with the
 // capacity it started with. The runs cover the suite under the perfect
 // TLB and each mechanism of Figure 5 (one to four contexts), a Figure 7
-// mix of three applications plus a handler context, and a quick-started
-// handler.
+// mix of three applications plus a handler context, a quick-started
+// handler, and a machine cloned 20 cycles in, as a fault-injection
+// trial forks one, whose arena then holds only a few uops.
 func TestUopArenaNeverRegrows(t *testing.T) {
 	insts := uint64(100_000)
 	if testing.Short() {
 		insts = 20_000
 	}
-	run := func(t *testing.T, cfg Config, names ...string) {
+	run := func(t *testing.T, cfg Config, fork int, names ...string) {
 		cfg.MaxInsts = insts
 		cfg.MaxCycles = 400 * insts
 		m := New(cfg)
@@ -36,6 +37,14 @@ func TestUopArenaNeverRegrows(t *testing.T) {
 				t.Fatal(err)
 			}
 			m.WarmPageTable(img.Space)
+		}
+		if fork > 0 {
+			for i := 0; i < fork; i++ {
+				if err := m.StepCycle(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			m = m.Clone()
 		}
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)
@@ -65,14 +74,17 @@ func TestUopArenaNeverRegrows(t *testing.T) {
 	for _, b := range workload.All() {
 		for _, m := range mechs {
 			t.Run(fmt.Sprintf("%s/%s", b.Short(), m.name), func(t *testing.T) {
-				run(t, m.cfg, b.Short())
+				run(t, m.cfg, 0, b.Short())
 			})
 		}
 	}
 	t.Run("mix/adm-gcc-vor/multi1", func(t *testing.T) {
-		run(t, config(MechMultithreaded, 4, false), "adm", "gcc", "vor")
+		run(t, config(MechMultithreaded, 4, false), 0, "adm", "gcc", "vor")
 	})
 	t.Run("cmp/quickstart1", func(t *testing.T) {
-		run(t, config(MechMultithreaded, 2, true), "cmp")
+		run(t, config(MechMultithreaded, 2, true), 0, "cmp")
+	})
+	t.Run("cmp/traditional/clone20", func(t *testing.T) {
+		run(t, config(MechTraditional, 1, false), 20, "cmp")
 	})
 }

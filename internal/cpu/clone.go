@@ -61,15 +61,17 @@ func (m *Machine) Clone() *Machine {
 	}
 
 	// Arenas and the machine-owned handle lists. Handles carry over
-	// unchanged; only the backing storage is duplicated.
-	c.uops = append([]uop(nil), m.uops...)
-	c.uopFree = append([]uopIdx(nil), m.uopFree...)
-	c.hArena = append([]handlerCtx(nil), m.hArena...)
-	c.hFree = append([]hIdx(nil), m.hFree...)
-	c.issued = append([]depRef(nil), m.issued...)
-	c.cands = append([]depRef(nil), m.cands...)
-	c.handlers = append([]hIdx(nil), m.handlers...)
-	c.hZombies = append([]hIdx(nil), m.hZombies...)
+	// unchanged; only the backing storage is duplicated, at the
+	// source's capacity, so a clone forked before the arenas filled
+	// does not regrow them.
+	c.uops = cloneCap(m.uops)
+	c.uopFree = cloneCap(m.uopFree)
+	c.hArena = cloneCap(m.hArena)
+	c.hFree = cloneCap(m.hFree)
+	c.issued = cloneCap(m.issued)
+	c.cands = cloneCap(m.cands)
+	c.handlers = cloneCap(m.handlers)
+	c.hZombies = cloneCap(m.hZombies)
 	for i := range c.hArena {
 		c.hArena[i].waiters = append([]uopIdx(nil), c.hArena[i].waiters...)
 	}
@@ -97,15 +99,15 @@ func (m *Machine) Clone() *Machine {
 		c.hArena[i].span = cloneSpan(c.hArena[i].span)
 	}
 
-	// Threads: per-thread queues are deep-copied; the image is shared
-	// (immutable after Load); the address space is cloned against the
-	// cloned physical memory, deduplicated in case contexts share one.
+	// Threads: per-thread queues are deep-copied into backing arrays
+	// the size of the source's; the image is shared (immutable after
+	// Load); the address space is cloned against the cloned physical
+	// memory, deduplicated in case contexts share one.
 	c.threads = append([]thread(nil), m.threads...)
 	asClones := make(map[*vm.AddressSpace]*vm.AddressSpace)
 	for i := range c.threads {
 		t := &c.threads[i]
-		t.fetchBuf = append([]uopIdx(nil), t.fetchBuf...)
-		t.inflight = append([]uopIdx(nil), t.inflight...)
+		t.setQueues(make([]uopIdx, 2*max(len(t.fetchBack), len(t.inflightBack))), t.fetchBuf, t.inflight)
 		t.ssb = append([]specStore(nil), t.ssb...)
 		if t.as != nil {
 			ca, ok := asClones[t.as]
@@ -132,5 +134,12 @@ func (m *Machine) Clone() *Machine {
 		c.Observ.Sampler = m.Observ.Sampler.Clone(c.samplerSource)
 	}
 	c.bindHotStats()
+	return c
+}
+
+// cloneCap copies s into a new slice of the same length and capacity.
+func cloneCap[T any](s []T) []T {
+	c := make([]T, len(s), cap(s))
+	copy(c, s)
 	return c
 }

@@ -294,9 +294,16 @@ func NewOnSubstrate(cfg Config, phys *mem.Physical, hier *cache.Hierarchy) *Mach
 	m.uops[0].gen = 1
 	m.hArena = make([]handlerCtx, 1, 1+cfg.Contexts+2)
 	m.hArena[0].gen = 1
+	// Each of a thread's two queues slides in a fixed array (pushUop)
+	// twice the most instructions the machine holds, so its live
+	// window slides to the front at most once per that many pushes,
+	// and even the limit studies, whose handler instructions bypass the
+	// window bound, stay far inside it.
+	queueCap := 2 * (cfg.WindowSize + cfg.Contexts*cfg.FetchBufferCap)
 	m.threads = make([]thread, cfg.Contexts)
 	for i := 0; i < cfg.Contexts; i++ {
 		m.threads[i] = thread{id: i, state: ctxIdle}
+		m.threads[i].setQueues(make([]uopIdx, 2*queueCap), nil, nil)
 		m.ras = append(m.ras, bpred.NewRAS(64))
 	}
 	m.Observ = &obs.Observations{

@@ -275,13 +275,10 @@ func (m *Machine) materializeHandler(h *thread, ctx *handlerCtx, instant bool) {
 		u.availAt = m.now + 1
 		u.instant = instant
 		m.execFunctional(h, u)
-		//lint:allow hotpathlint handler-thread queue appends into capacity retained across exceptions
-		h.inflight = append(h.inflight, u.idx)
+		h.pushFetched(u.idx)
 		h.icount++
 		ctx.fetchBudget--
 		h.pc = u.predPC
-		//lint:allow hotpathlint same: fetch-buffer capacity is retained across exceptions
-		h.fetchBuf = append(h.fetchBuf, u.idx)
 		m.postFetchControl(h, u)
 		if u.inst.Op == isa.OpRfe {
 			break
@@ -519,8 +516,7 @@ func (m *Machine) freeHandlerContext(h *thread, kind excKind) {
 	h.exc = hRef{}
 	h.inPAL = false
 	h.haltedFetch, h.fetchStalled = false, false
-	h.fetchBuf = h.fetchBuf[:0]
-	h.inflight = h.inflight[:0]
+	h.fetchBuf, h.inflight = h.fetchBack[:0], h.inflightBack[:0]
 	h.icount = 0
 	h.lastTLBWR = depRef{}
 	if m.cfg.QuickStart {

@@ -124,10 +124,7 @@ func (m *Machine) fetchThread(t *thread) {
 		u.fetchAt = m.now
 		u.availAt = blockReady + uint64(m.cfg.FetchStages)
 		m.execFunctional(t, u)
-		//lint:allow hotpathlint per-thread queue appends into capacity retained across cycles; amortized zero alloc
-		t.fetchBuf = append(t.fetchBuf, u.idx)
-		//lint:allow hotpathlint same: in-flight list capacity is retained across cycles
-		t.inflight = append(t.inflight, u.idx)
+		t.pushFetched(u.idx)
 		t.icount++
 		if t.state == ctxException {
 			m.hctx(t.exc).fetchBudget--

@@ -57,7 +57,8 @@ type thread struct {
 	ghr  uint64
 	path uint64
 
-	// Fetch plumbing.
+	// Fetch plumbing. fetchBuf, like inflight below, is a live window
+	// of a fixed backing array (pushUop).
 	fetchBuf          []uopIdx // fetched, awaiting decode (availAt gates entry)
 	fetchStalled      bool     // stalled on an unpredictable redirect (RFE)
 	haltedFetch       bool     // ran off code or HALT fetched
@@ -82,6 +83,9 @@ type thread struct {
 	// pops the head and squash cuts the tail, releasing the uops, so
 	// every entry is live.
 	inflight []uopIdx
+
+	// The backing arrays of fetchBuf and inflight.
+	fetchBack, inflightBack []uopIdx
 
 	icount int // fetched-not-retired count for the ICOUNT chooser
 
@@ -329,4 +333,45 @@ func (t *thread) popSSBHead(u *uop) bool {
 	}
 	t.ssb = t.ssb[1:]
 	return true
+}
+
+// setQueues splits back into the thread's two backing arrays and
+// places the queues' entries, fetch and inflight, at their fronts.
+func (t *thread) setQueues(back, fetch, inflight []uopIdx) {
+	n := len(back) / 2
+	t.fetchBack, t.inflightBack = back[:n:n], back[n:]
+	t.fetchBuf = t.fetchBack[:copy(t.fetchBack, fetch)]
+	t.inflight = t.inflightBack[:copy(t.inflightBack, inflight)]
+}
+
+// pushFetched appends a fetched uop to the thread's fetch buffer and
+// in-flight list.
+func (t *thread) pushFetched(ui uopIdx) {
+	t.fetchBuf = pushUop(t.fetchBuf, &t.fetchBack, ui)
+	t.inflight = pushUop(t.inflight, &t.inflightBack, ui)
+}
+
+// pushUop appends ui to q, a live window of the backing array *back
+// that pops re-slice from the front: a window that reaches the end of
+// *back slides back to its front, so pushing never allocates.
+func pushUop(q []uopIdx, back *[]uopIdx, ui uopIdx) []uopIdx {
+	if len(q) == cap(q) {
+		if len(q) == len(*back) {
+			growQueue(back)
+		}
+		q = (*back)[:copy(*back, q)]
+	}
+	q = q[:len(q)+1]
+	q[len(q)-1] = ui
+	return q
+}
+
+// growQueue doubles a backing array that a queue filled. New sizes
+// every queue's array well above what it can hold, so this never
+// runs; were the bound ever wrong, the queue would grow rather than
+// overrun.
+//
+//mtexc:coldpath
+func growQueue(back *[]uopIdx) {
+	*back = make([]uopIdx, 2*len(*back))
 }

@@ -62,17 +62,26 @@ const (
 )
 
 // Direct-mapped translation cache geometry. 1024 entries cover 8 MB
-// of virtual footprint without conflict, far beyond the workloads'
-// hot sets; a miss costs one oracle translation.
+// of virtual footprint, far beyond the workloads' hot sets; a miss
+// costs one oracle translation. The index folds the VPN's bits above
+// the index into it (tcIndex), because the workloads' regions start
+// at multiples of 8 MB and would otherwise all share slot 0.
 const (
 	tcSize = 1024
 	tcMask = tcSize - 1
+	tcBits = 10
 )
 
+// tcEntry caches one page's frame. A frame resolved for a load may
+// still be shared copy-on-write with a checkpoint (Freeze), so only
+// an entry resolved for a store (rw) may be written through.
 type tcEntry struct {
 	tag   uint64 // vpn+1; 0 = invalid
+	rw    bool
 	frame *[mem.FrameSize]byte
 }
+
+func tcIndex(vpn uint64) uint64 { return (vpn ^ vpn>>tcBits) & tcMask }
 
 // dec is one decoded instruction: a threaded-code record whose fn
 // advances the engine and returns the next instruction index.
@@ -105,10 +114,11 @@ type Engine struct {
 	idx  int32
 	tc   [tcSize]tcEntry
 
-	steps  uint64
-	halted bool
-	err    error
-	trace  []Entry
+	steps    uint64
+	tcMisses uint64
+	halted   bool
+	err      error
+	trace    []Entry
 
 	codeLo, codeHi uint64 // page-aligned code segment bounds
 }
@@ -175,9 +185,6 @@ func (e *Engine) Halted() bool { return e.halted }
 // PC reports the virtual address of the next instruction.
 func (e *Engine) PC() uint64 { return e.pcOf(e.idx) }
 
-// Image reports the program image the engine executes.
-func (e *Engine) Image() *vm.Image { return e.img }
-
 // Trace returns the retained committed-instruction stream (only
 // populated under Options.RecordTrace).
 func (e *Engine) Trace() []Entry { return e.trace }
@@ -234,28 +241,73 @@ func (e *Engine) FastForward(n uint64) (uint64, error) {
 	return e.steps - start, e.err
 }
 
-// frameFor resolves a virtual page to its frame's backing array,
-// mapping the page on demand (the architectural effect of the OS
-// page-fault service). Returns nil after setting the sticky error
-// when the address space bound is exceeded.
+// frameFor resolves a virtual page to its frame's backing array for
+// reading, mapping the page on demand (the architectural effect of
+// the OS page-fault service). Returns nil after setting the sticky
+// error when the address space bound is exceeded.
 func (e *Engine) frameFor(vpn uint64) *[mem.FrameSize]byte {
-	te := &e.tc[vpn&tcMask]
+	te := &e.tc[tcIndex(vpn)]
 	if te.tag == vpn+1 {
 		return te.frame
 	}
-	return e.frameSlow(vpn, te)
+	return e.frameSlow(vpn, te, false)
 }
 
-func (e *Engine) frameSlow(vpn uint64, te *tcEntry) *[mem.FrameSize]byte {
+// frameForWrite is frameFor for a store: the frame it returns is the
+// engine's own, never one a checkpoint shares.
+func (e *Engine) frameForWrite(vpn uint64) *[mem.FrameSize]byte {
+	te := &e.tc[tcIndex(vpn)]
+	if te.tag == vpn+1 && te.rw {
+		return te.frame
+	}
+	return e.frameSlow(vpn, te, true)
+}
+
+// frameSlow fills te. A load takes the frame through Physical.View,
+// so reading a page a checkpoint shares does not copy it; only a
+// store privatizes (Physical.Frame).
+func (e *Engine) frameSlow(vpn uint64, te *tcEntry, write bool) *[mem.FrameSize]byte {
+	e.tcMisses++
 	pa, err := e.as.EnsureMapped(vpn << vm.PageShift)
 	if err != nil {
 		e.err = fmt.Errorf("fastpath: pc %#x: %w", e.pcOf(e.idx), err)
 		return nil
 	}
-	f := e.phys.Frame(pa)
-	te.tag = vpn + 1
-	te.frame = f
+	var f *[mem.FrameSize]byte
+	if write {
+		f = e.phys.Frame(pa)
+	} else {
+		f = e.phys.View(pa)
+	}
+	*te = tcEntry{tag: vpn + 1, rw: write, frame: f}
 	return f
+}
+
+// Freeze returns the program image as the engine has run it so far,
+// frozen: the same code over copy-on-write clones of the engine's
+// physical memory and address space (mem.Physical.Clone,
+// vm.AddressSpace.CloneInto). Every mapped page of the frozen image
+// has its frame materialized, so concurrent readers of the image
+// never insert into its frame map, and its contents never change:
+// the engine copies a shared page before its first store to it. The
+// translation cache is flushed, since the frames it resolved for
+// stores are now shared with the frozen image.
+func (e *Engine) Freeze() *vm.Image {
+	phys := e.phys.Clone()
+	as := e.as.CloneInto(phys)
+	as.ForEachMapped(func(vpn uint64) {
+		pa, _ := as.Translate(vpn << vm.PageShift)
+		phys.View(pa)
+	})
+	e.tc = [tcSize]tcEntry{}
+	return &vm.Image{
+		Name:    e.img.Name,
+		Code:    e.img.Code,
+		CodeVA:  e.img.CodeVA,
+		CodePA:  e.img.CodePA,
+		EntryVA: e.img.EntryVA,
+		Space:   as,
+	}
 }
 
 // load mirrors refemu.loadValue / the core's architectural load path:
@@ -290,7 +342,7 @@ func (e *Engine) load(ea, n uint64, op isa.Op) (uint64, bool) {
 // instruction cache.
 func (e *Engine) store(ea, n, v uint64) {
 	a := ea &^ (n - 1)
-	f := e.frameFor(a >> vm.PageShift)
+	f := e.frameForWrite(a >> vm.PageShift)
 	if f == nil {
 		return
 	}

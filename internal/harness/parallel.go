@@ -52,6 +52,14 @@ func (f *flight[V]) claim(key string) bool {
 	return created
 }
 
+// forget drops key's entry, so its value can be collected; a later
+// claim or get of key starts afresh.
+func (f *flight[V]) forget(key string) {
+	f.mu.Lock()
+	delete(f.m, key)
+	f.mu.Unlock()
+}
+
 // get returns the value for key, running run (once) to fill it. A
 // panic inside run is captured into the entry's error rather than
 // allowed to escape: sync.Once marks itself done even when f panics,

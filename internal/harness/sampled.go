@@ -3,6 +3,8 @@ package harness
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"sync/atomic"
 
 	"mtexc/internal/core"
 	"mtexc/internal/stats"
@@ -17,8 +19,9 @@ type SampledFigure5 struct {
 	Est *Table
 	// CI holds the 95% confidence half-width for each estimate.
 	CI *Table
-	// TotalInsts sums the instructions the functional tier committed
-	// across all cells (every instruction of every run).
+	// TotalInsts sums the cells' core.SampledComparison.TotalInsts,
+	// the instructions each cell's estimate extrapolates to; each of a
+	// benchmark's cells counts the one functional pass they share.
 	TotalInsts uint64
 	// DetailedInsts sums the cells' per-comparison
 	// core.SampledComparison.DetailedInsts: each cell counts its
@@ -30,8 +33,9 @@ type SampledFigure5 struct {
 }
 
 // Figure5Sampled regenerates the Figure 5 mechanism comparison in
-// sampled mode: each cell's subject fast-forwards the workload on the
-// functional tier and simulates only periodic warm-up+window stretches
+// sampled mode: each benchmark runs once on the functional tier
+// (core.FunctionalPass), each cell's subject simulates only periodic
+// warm-up+window stretches from that pass's checkpoints
 // cycle-accurately (core.SampleWindows), and runner.compare pairs it
 // with the perfect-TLB windows its benchmark's cells share
 // (core.SampleEstimate). Cells run through the same executor as the
@@ -52,9 +56,11 @@ func Figure5Sampled(opt Options, spec core.SampleSpec) (*SampledFigure5, error) 
 			names(benches), configNames(mechs)),
 	}
 	cells := make([]core.SampledComparison, len(benches)*len(mechs))
+	passes := newRowPasses(len(benches), len(mechs))
 	err = r.grid(func(c *cell, bi, mi int) error {
+		defer passes.cellDone(bi)
 		cmp, err := r.compare(c, job{cfg: mechs[mi].cfg, loads: []core.Workload{benches[bi]},
-			sample: &spec, sim: simSampled})
+			sample: &spec, sim: passes.sim(bi)})
 		if err != nil {
 			return err
 		}
@@ -83,16 +89,62 @@ func Figure5Sampled(opt Options, spec core.SampleSpec) (*SampledFigure5, error) 
 	return out, err
 }
 
-// simSampled runs the job's configuration alone over sampled windows
-// (core.SampleWindows); runner.compare pairs the result with the
-// perfect-TLB windows of the job's baseline.
-func simSampled(ctx context.Context, j job, _ *core.Probe) (core.Result, uint64, error) {
-	runs, err := core.SampleWindows(ctx, *j.sample, j.loads[0], j.cfg)
-	if err != nil {
-		return core.Result{}, 0, err
+// rowPasses shares one functional pass among the sampled jobs of each
+// table row. A row's cells run one benchmark under one budget and
+// architecture, so its four subjects and their shared perfect-TLB
+// baseline all take their windows from the same checkpoints. The
+// first job of a row that simulates runs the pass (a journal answer
+// needs none), and the row's last cell to finish drops it, so only
+// the rows in progress hold theirs. A job waiting on a pass that a
+// row-mate is running gets that pass's error, as with a shared
+// baseline.
+type rowPasses struct {
+	flight[*core.Pass]
+	left []atomic.Int32 // cells of each row not yet finished
+}
+
+func newRowPasses(rows, cols int) *rowPasses {
+	p := &rowPasses{left: make([]atomic.Int32, rows)}
+	for i := range p.left {
+		p.left[i].Store(int32(cols))
 	}
-	res, detailed := windowsResult(runs[0])
-	return res, runs[0].TotalInsts + detailed, nil
+	return p
+}
+
+// sim returns the simulate function of row ri's sampled jobs: the
+// job's configuration alone over the row's pass (core.SampleWindows).
+// runner.compare pairs the result with the perfect-TLB windows of the
+// job's baseline, whose job copies this function. The instruction
+// count includes the pass only in the job that ran it.
+func (p *rowPasses) sim(ri int) simFunc {
+	key := strconv.Itoa(ri)
+	return func(ctx context.Context, j job, _ *core.Probe) (core.Result, uint64, error) {
+		ran := false
+		pass, err := p.get(key, func() (*core.Pass, error) {
+			ran = true
+			return core.FunctionalPass(ctx, *j.sample, j.loads[0], j.cfg)
+		})
+		if err != nil {
+			return core.Result{}, 0, err
+		}
+		runs, err := core.SampleWindows(ctx, pass, j.cfg)
+		if err != nil {
+			return core.Result{}, 0, err
+		}
+		res, insts := windowsResult(runs[0])
+		if ran {
+			insts += pass.TotalInsts
+		}
+		return res, insts, nil
+	}
+}
+
+// cellDone records that a cell of row ri finished; the row's last
+// drops its pass.
+func (p *rowPasses) cellDone(ri int) {
+	if p.left[ri].Add(-1) == 0 {
+		p.forget(strconv.Itoa(ri))
+	}
 }
 
 // windowsResult encodes a sampled run as a journalable Result: the

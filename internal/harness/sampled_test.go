@@ -2,9 +2,12 @@ package harness
 
 import (
 	"math"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"mtexc/internal/core"
+	"mtexc/internal/telemetry"
 	"mtexc/internal/workload"
 )
 
@@ -81,5 +84,83 @@ func TestFigure5SampledMatchesSampleCompare(t *testing.T) {
 	if s.TotalInsts != total || s.DetailedInsts != detailed {
 		t.Errorf("Figure5Sampled counts %d total, %d detailed insts; SampleCompare %d, %d",
 			s.TotalInsts, s.DetailedInsts, total, detailed)
+	}
+}
+
+// TestSampledRowRunsOnePass: the four cells of cmp's row and their
+// shared perfect-TLB baseline take their windows from one functional
+// pass. Every simulation reports its detailed instructions to the
+// telemetry plane, and the one that ran the pass the pass's too, so
+// what the five finished simulations report, less the detailed
+// instructions their journaled windows count, is the pass count times
+// the budget.
+func TestSampledRowRunsOnePass(t *testing.T) {
+	spec := core.SampleSpec{Period: 20_000, Warmup: 2_000, Window: 3_000}
+	j, err := OpenJournal(filepath.Join(t.TempDir(), "journal.ndjson"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	plane := telemetry.NewPlane()
+	opt := Options{Insts: 60_000, Benchmarks: []string{"cmp"}, Parallelism: 2, Journal: j, Telemetry: plane}
+	if _, err := Figure5Sampled(opt, spec); err != nil {
+		t.Fatal(err)
+	}
+	if n := j.Len(); n != 5 {
+		t.Fatalf("journal holds %d simulations, want four subjects and a baseline", n)
+	}
+	var detailed uint64
+	j.mu.Lock()
+	keys := make([]string, 0, len(j.entries))
+	for k := range j.entries {
+		keys = append(keys, k)
+	}
+	j.mu.Unlock()
+	for _, k := range keys {
+		res, _ := j.lookup(k)
+		run, err := windowsFromResult(res, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range run.Windows {
+			detailed += w.WarmInsts + w.Insts
+		}
+	}
+	var b strings.Builder
+	if err := plane.Reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	reported, err := scrapeValue(b.String(), "mtexc_sim_insts_finished_total")
+	if err != nil {
+		t.Fatal(err)
+	}
+	functional := uint64(reported) - detailed
+	if functional != opt.Insts {
+		t.Errorf("cmp's row reported %d functional instructions, %.2f passes of %d; want one pass",
+			functional, float64(functional)/float64(opt.Insts), opt.Insts)
+	}
+}
+
+// TestRowPassesDropWithLastCell: a row's pass stays while any of its
+// cells runs, and its last cell to finish drops it.
+func TestRowPassesDropWithLastCell(t *testing.T) {
+	p := newRowPasses(2, 2)
+	for _, key := range []string{"0", "1"} {
+		if _, err := p.get(key, func() (*core.Pass, error) { return &core.Pass{}, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := func() int {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return len(p.m)
+	}
+	p.cellDone(0)
+	if n := held(); n != 2 {
+		t.Fatalf("%d passes held after one of row 0's two cells finished, want 2", n)
+	}
+	p.cellDone(0)
+	if n := held(); n != 1 {
+		t.Fatalf("%d passes held after row 0 finished, want row 1's alone", n)
 	}
 }
