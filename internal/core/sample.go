@@ -368,7 +368,11 @@ func WindowMachine(cfg Config, cp *Checkpoint, insts uint64) (*Machine, error) {
 
 // runDetailedWindow runs one window machine (WindowMachine) through
 // the warm-up prefix, snapshots the counters, continues through the
-// measured window, and returns the deltas.
+// measured window, and returns the deltas. A window counts only
+// retired application instructions, and an instruction a handler
+// completes (EmulatePopc, TrapUnaligned) never retires, so a window
+// can cover more of the stream than Warmup+Window; one that covers
+// more than the period, into the next window's stretch, fails.
 func runDetailedWindow(ctx context.Context, cfg Config, cp *Checkpoint, spec SampleSpec) (WindowCounts, error) {
 	detail := spec.Warmup + spec.Window
 	m, err := WindowMachine(cfg, cp, detail)
@@ -385,6 +389,11 @@ func runDetailedWindow(ctx context.Context, cfg Config, cp *Checkpoint, spec Sam
 	full, err := m.RunUntil(detail)
 	if err != nil {
 		return WindowCounts{}, err
+	}
+	completed := full.Stats.Get("emu.committed") + full.Stats.Get("unaligned.committed")
+	if full.AppInsts+completed > spec.Period {
+		return WindowCounts{}, fmt.Errorf("core: window at %d insts covered %d instructions (%d retired, %d completed by handlers), more than its %d-instruction period",
+			cp.Pos, full.AppInsts+completed, full.AppInsts, completed, spec.Period)
 	}
 	return WindowCounts{
 		Pos:       cp.Pos,

@@ -4,9 +4,13 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"mtexc/internal/core"
+	"mtexc/internal/diffsim/gen"
+	"mtexc/internal/fastpath"
+	"mtexc/internal/mem"
 	"mtexc/internal/workload"
 )
 
@@ -240,6 +244,55 @@ func TestSampleWindowsRejectsDisagreeingPass(t *testing.T) {
 		if _, err := core.SampleWindows(context.Background(), pass, cfg, other); err == nil {
 			t.Errorf("pass with MaxInsts %d/%d, TrapUnaligned %v/%v accepted",
 				cfg.MaxInsts, other.MaxInsts, cfg.TrapUnaligned, other.TrapUnaligned)
+		}
+	}
+}
+
+// TestWindowPastPeriodFails: under TrapUnaligned a software mechanism
+// completes each unaligned load in a handler, and the load never
+// retires, so a window of Warmup+Window retired instructions covers
+// more of the stream than that. Generated program seed 7 has such
+// loads; at a period of exactly Warmup+Window its first window runs
+// into the next one's stretch and must fail, naming its position,
+// while a period covering the span passes.
+func TestWindowPastPeriodFails(t *testing.T) {
+	p := gen.Generate(7, gen.Limits{})
+	if !p.HasUnaligned() {
+		t.Fatal("generated program 7 has no unaligned loads")
+	}
+	w, err := workload.ParseFuzz(workload.FuzzPrefix + p.Spec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := w.Build(mem.NewPhysical(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := fastpath.New(img, fastpath.Options{Unaligned: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.FastForward(1 << 20); err != nil {
+		t.Fatal(err)
+	}
+	window := eng.Steps() / 5
+	cfg := core.DefaultConfig()
+	cfg.Mech = core.MechMultithreaded
+	cfg.Contexts = 2
+	cfg.TrapUnaligned = true
+	cfg.MaxInsts = 4 * window
+	for _, period := range []uint64{window, 2 * window} {
+		spec := core.SampleSpec{Period: period, Warmup: window / 2, Window: window - window/2}
+		pass, err := core.FunctionalPass(context.Background(), spec, w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = core.SampleWindows(context.Background(), pass, cfg)
+		switch {
+		case period == window && (err == nil || !strings.Contains(err.Error(), "window at 0 insts covered")):
+			t.Errorf("period %d: windows returned %v, want the first window to overrun its period", period, err)
+		case period > window && err != nil:
+			t.Errorf("period %d: %v", period, err)
 		}
 	}
 }

@@ -23,6 +23,7 @@ type cell struct {
 	index int
 	exp   string
 	tel   *telemetry.Cell // live-telemetry handle; nil when disabled (methods accept nil)
+	row   *rowValues      // what the cell's grid row shares (forRows); nil outside a grid
 
 	mu     sync.Mutex
 	cfg    *core.Config

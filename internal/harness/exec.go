@@ -22,7 +22,31 @@ type job struct {
 	cluster bool
 	// sample, when non-nil, makes the job a sampled comparison.
 	sample *core.SampleSpec
-	sim    simFunc
+	// row, when non-nil, is the grid row whose values the job shares
+	// (rowValues): its machines take the row's lent images
+	// (machineLoads), and a sampled job the row's functional pass.
+	row *rowValues
+	sim simFunc
+}
+
+// inRow returns j sharing row's values.
+func (j job) inRow(row *rowValues) job {
+	j.row = row
+	return j
+}
+
+// machineLoads returns the workloads j's machines load: j.loads
+// themselves, or, in a row that lends its images, loads that borrow
+// them (lentLoad). Fingerprints, names and repro lines read j.loads.
+func (j job) machineLoads() []core.Workload {
+	if j.row == nil {
+		return j.loads
+	}
+	loads := make([]core.Workload, len(j.loads))
+	for i, w := range j.loads {
+		loads[i] = lentLoad{Workload: w, row: j.row}
+	}
+	return loads
 }
 
 // simFunc simulates j under ctx, publishing progress into probe (nil
@@ -36,7 +60,7 @@ func exactJob(cfg core.Config, loads ...core.Workload) job {
 }
 
 func simExact(ctx context.Context, j job, probe *core.Probe) (core.Result, uint64, error) {
-	res, err := core.RunObserved(ctx, j.cfg, probe, j.loads...)
+	res, err := core.RunObserved(ctx, j.cfg, probe, j.machineLoads()...)
 	return res, res.AppInsts, err
 }
 
@@ -45,12 +69,15 @@ func simExact(ctx context.Context, j job, probe *core.Probe) (core.Result, uint6
 // one journal holds all three. A sampled entry holds one
 // configuration's per-window counts; its prefix, windows/, differs
 // from the sample/ of the paired estimates journals held before, so
-// an old estimate is never read as a window record.
+// an old estimate is never read as a window record. A cluster entry's
+// merged statistics end when core 0 finishes (simCluster); its
+// prefix, cluster-core0/, differs from the cluster/ of the
+// full-cluster statistics journals held before.
 func (j job) key() string {
 	prefix := ""
 	switch {
 	case j.cluster:
-		prefix = fmt.Sprintf("cluster/%d|", len(j.loads))
+		prefix = fmt.Sprintf("cluster-core0/%d|", len(j.loads))
 	case j.sample != nil:
 		prefix = "windows/" + j.sample.String() + "|"
 	}
@@ -101,10 +128,7 @@ var imageHashes flight[string]
 func workloadKeys(loads []core.Workload) []string {
 	keys := make([]string, len(loads))
 	for i, w := range loads {
-		id := w.Name()
-		if k, ok := w.(keyer); ok {
-			id = k.Key()
-		}
+		id := workloadID(w)
 		h, err := imageHashes.get(id, func() (string, error) { return imageHash(w) })
 		if err != nil {
 			h = "unbuilt" // the simulation's own build reports the failure
@@ -112,6 +136,14 @@ func workloadKeys(loads []core.Workload) []string {
 		keys[i] = id + "@" + h
 	}
 	return keys
+}
+
+// workloadID is w's identity: its key, or its name when it has none.
+func workloadID(w core.Workload) string {
+	if k, ok := w.(keyer); ok {
+		return k.Key()
+	}
+	return w.Name()
 }
 
 // imageHash fingerprints the program w builds at ASN 1: its code,

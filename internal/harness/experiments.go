@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mtexc/internal/core"
@@ -92,6 +93,9 @@ type runner struct {
 	base     *BaselineCache
 	journal  *Journal
 	failSpec string // MTEXC_FAIL_CELL, read once per runner
+	// rowBuilds counts the values its grid rows built: lent images
+	// and functional passes (forRows).
+	rowBuilds atomic.Int64
 }
 
 func newRunner(opt Options, exp string) *runner {
@@ -155,13 +159,11 @@ func (r *runner) baseConfig(mech core.Mechanism, appThreads, idleContexts int) c
 }
 
 // grid runs body over every row × column cell of tabs (which share
-// one shape), marks each failed cell FAIL on every table, and appends
-// the average rows.
+// one shape) through forRows, marks each failed cell FAIL on every
+// table, and appends the average rows.
 func (r *runner) grid(body func(c *cell, ri, ci int) error, tabs ...*Table) error {
 	nc := len(tabs[0].Cols)
-	err := r.forEach(len(tabs[0].Rows)*nc, func(c *cell) error {
-		return body(c, c.index/nc, c.index%nc)
-	})
+	err := r.forRows(len(tabs[0].Rows), nc, body)
 	for _, t := range tabs {
 		markFailedCells(t, err, func(i int) [][2]int { return one(i/nc, i%nc) })
 		t.AddAverageRow()
@@ -313,17 +315,20 @@ func Figure3(opt Options) (*Table, error) {
 
 // Figure5 regenerates the mechanism comparison: penalty cycles per
 // miss for the traditional trap, multithreaded handling with one and
-// three idle contexts, and the hardware walker.
-func Figure5(opt Options) (*Table, error) {
-	r := newRunner(opt, "Figure5")
-	benches, err := opt.suite()
+// three idle contexts, and the hardware walker. A benchmark's row
+// builds its image once and lends it to the row's machines, the
+// shared baseline's included.
+func Figure5(opt Options) (*Table, error) { return newRunner(opt, "Figure5").figure5() }
+
+func (r *runner) figure5() (*Table, error) {
+	benches, err := r.opt.suite()
 	if err != nil {
 		return nil, err
 	}
 	mechs := r.fig5Mechs()
 	t := NewTable("Figure 5: TLB miss penalty by exception architecture (penalty cycles/miss)", names(benches), configNames(mechs))
 	err = r.grid(func(c *cell, bi, mi int) error {
-		cmp, err := r.compare(c, exactJob(mechs[mi].cfg, benches[bi]))
+		cmp, err := r.compare(c, exactJob(mechs[mi].cfg, benches[bi]).inRow(c.row))
 		if err != nil {
 			return err
 		}

@@ -52,11 +52,11 @@ func (f *flight[V]) claim(key string) bool {
 	return created
 }
 
-// forget drops key's entry, so its value can be collected; a later
-// claim or get of key starts afresh.
-func (f *flight[V]) forget(key string) {
+// forgetAll drops every entry, so the values can be collected; a
+// later claim or get of any key starts afresh.
+func (f *flight[V]) forgetAll() {
 	f.mu.Lock()
-	delete(f.m, key)
+	clear(f.m)
 	f.mu.Unlock()
 }
 

@@ -3,8 +3,6 @@ package harness
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"sync/atomic"
 
 	"mtexc/internal/core"
 	"mtexc/internal/stats"
@@ -56,11 +54,9 @@ func Figure5Sampled(opt Options, spec core.SampleSpec) (*SampledFigure5, error) 
 			names(benches), configNames(mechs)),
 	}
 	cells := make([]core.SampledComparison, len(benches)*len(mechs))
-	passes := newRowPasses(len(benches), len(mechs))
 	err = r.grid(func(c *cell, bi, mi int) error {
-		defer passes.cellDone(bi)
 		cmp, err := r.compare(c, job{cfg: mechs[mi].cfg, loads: []core.Workload{benches[bi]},
-			sample: &spec, sim: passes.sim(bi)})
+			sample: &spec, row: c.row, sim: simSampled})
 		if err != nil {
 			return err
 		}
@@ -89,62 +85,33 @@ func Figure5Sampled(opt Options, spec core.SampleSpec) (*SampledFigure5, error) 
 	return out, err
 }
 
-// rowPasses shares one functional pass among the sampled jobs of each
-// table row. A row's cells run one benchmark under one budget and
-// architecture, so its four subjects and their shared perfect-TLB
-// baseline all take their windows from the same checkpoints. The
-// first job of a row that simulates runs the pass (a journal answer
-// needs none), and the row's last cell to finish drops it, so only
-// the rows in progress hold theirs. A job waiting on a pass that a
-// row-mate is running gets that pass's error, as with a shared
-// baseline.
-type rowPasses struct {
-	flight[*core.Pass]
-	left []atomic.Int32 // cells of each row not yet finished
-}
-
-func newRowPasses(rows, cols int) *rowPasses {
-	p := &rowPasses{left: make([]atomic.Int32, rows)}
-	for i := range p.left {
-		p.left[i].Store(int32(cols))
+// simSampled simulates a sampled job: its configuration alone over its
+// row's functional pass (core.SampleWindows). A row's cells run one
+// benchmark under one budget and architecture, so its four subjects
+// and their shared perfect-TLB baseline, whose job copies this one,
+// take their windows from the same checkpoints; the first job of the
+// row that simulates runs the pass (a journal answer needs none), and
+// the pass goes with the row's other values (rowValues).
+// runner.compare pairs the result with the baseline's windows. The
+// instruction count includes the pass only in the job that ran it.
+func simSampled(ctx context.Context, j job, _ *core.Probe) (core.Result, uint64, error) {
+	ran := false
+	pass, err := rowValue(j.row, "pass", func() (*core.Pass, error) {
+		ran = true
+		return core.FunctionalPass(ctx, *j.sample, j.loads[0], j.cfg)
+	})
+	if err != nil {
+		return core.Result{}, 0, err
 	}
-	return p
-}
-
-// sim returns the simulate function of row ri's sampled jobs: the
-// job's configuration alone over the row's pass (core.SampleWindows).
-// runner.compare pairs the result with the perfect-TLB windows of the
-// job's baseline, whose job copies this function. The instruction
-// count includes the pass only in the job that ran it.
-func (p *rowPasses) sim(ri int) simFunc {
-	key := strconv.Itoa(ri)
-	return func(ctx context.Context, j job, _ *core.Probe) (core.Result, uint64, error) {
-		ran := false
-		pass, err := p.get(key, func() (*core.Pass, error) {
-			ran = true
-			return core.FunctionalPass(ctx, *j.sample, j.loads[0], j.cfg)
-		})
-		if err != nil {
-			return core.Result{}, 0, err
-		}
-		runs, err := core.SampleWindows(ctx, pass, j.cfg)
-		if err != nil {
-			return core.Result{}, 0, err
-		}
-		res, insts := windowsResult(runs[0])
-		if ran {
-			insts += pass.TotalInsts
-		}
-		return res, insts, nil
+	runs, err := core.SampleWindows(ctx, pass, j.cfg)
+	if err != nil {
+		return core.Result{}, 0, err
 	}
-}
-
-// cellDone records that a cell of row ri finished; the row's last
-// drops its pass.
-func (p *rowPasses) cellDone(ri int) {
-	if p.left[ri].Add(-1) == 0 {
-		p.forget(strconv.Itoa(ri))
+	res, insts := windowsResult(runs[0])
+	if ran {
+		insts += pass.TotalInsts
 	}
+	return res, insts, nil
 }
 
 // windowsResult encodes a sampled run as a journalable Result: the

@@ -140,27 +140,3 @@ func TestSampledRowRunsOnePass(t *testing.T) {
 			functional, float64(functional)/float64(opt.Insts), opt.Insts)
 	}
 }
-
-// TestRowPassesDropWithLastCell: a row's pass stays while any of its
-// cells runs, and its last cell to finish drops it.
-func TestRowPassesDropWithLastCell(t *testing.T) {
-	p := newRowPasses(2, 2)
-	for _, key := range []string{"0", "1"} {
-		if _, err := p.get(key, func() (*core.Pass, error) { return &core.Pass{}, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	held := func() int {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		return len(p.m)
-	}
-	p.cellDone(0)
-	if n := held(); n != 2 {
-		t.Fatalf("%d passes held after one of row 0's two cells finished, want 2", n)
-	}
-	p.cellDone(0)
-	if n := held(); n != 1 {
-		t.Fatalf("%d passes held after row 0 finished, want row 1's alone", n)
-	}
-}

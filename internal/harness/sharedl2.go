@@ -15,16 +15,18 @@ func clusterJob(cfg core.Config, loads []core.Workload) job {
 	return job{cfg: cfg, loads: loads, cluster: true, sim: simCluster}
 }
 
-// simCluster returns the measured core's (core 0) scalars with the
-// cluster-wide merged statistics attached ("coreN."-prefixed counters
-// plus the "l2shared." aggregates), so journaled cluster runs
-// round-trip through lookup like any other simulation.
+// simCluster runs the cluster until the measured core (core 0) is
+// done (topology.Cluster.RunUntilDone), since no table reads the other
+// cores, and returns core 0's scalars with the cluster-wide merged
+// statistics attached ("coreN."-prefixed counters plus the "l2shared."
+// aggregates, up to that cycle), so journaled cluster runs round-trip
+// through lookup like any other simulation.
 func simCluster(ctx context.Context, j job, probe *core.Probe) (core.Result, uint64, error) {
 	cl, err := topology.New(topology.Config{Cores: len(j.loads), Core: j.cfg})
 	if err != nil {
 		return core.Result{}, 0, err
 	}
-	for i, w := range j.loads {
+	for i, w := range j.machineLoads() {
 		if err := cl.Load(i, w); err != nil {
 			return core.Result{}, 0, err
 		}
@@ -33,7 +35,7 @@ func simCluster(ctx context.Context, j job, probe *core.Probe) (core.Result, uin
 		cl.Core(0).SetProbe(probe)
 	}
 	cl.SetCancel(ctx)
-	results, err := cl.Run()
+	results, err := cl.RunUntilDone(0)
 	var insts uint64
 	for _, res := range results {
 		insts += res.AppInsts
@@ -68,16 +70,19 @@ const l2Measured = "mph"
 // miss against a perfect-TLB cluster of identical shape (same width,
 // same co-runners), so the column differences isolate the mechanism
 // and the row differences isolate the interference.
-func SharedL2(opt Options) (*Table, error) {
-	r := newRunner(opt, "SharedL2")
+//
+// A row builds each of its core images once and lends it to the
+// row's clusters, the shared baseline's included.
+func SharedL2(opt Options) (*Table, error) { return newRunner(opt, "SharedL2").sharedL2() }
+
+func (r *runner) sharedL2() (*Table, error) {
 	mechs := r.fig5Mechs()
 	rows := make([]string, len(l2Shapes))
 	for i, s := range l2Shapes {
 		rows[i] = s.name
 	}
 	t := NewTable("Shared-L2 topology: core-0 penalty cycles/miss (mph measured, co-runners share the L2)", rows, configNames(mechs))
-	err := r.forEach(len(l2Shapes)*len(mechs), func(c *cell) error {
-		si, mi := c.index/len(mechs), c.index%len(mechs)
+	err := r.forRows(len(l2Shapes), len(mechs), func(c *cell, si, mi int) error {
 		shape := l2Shapes[si]
 		loads, err := clusterLoads(l2Measured, shape.corunner, shape.cores)
 		if err != nil {
@@ -87,7 +92,7 @@ func SharedL2(opt Options) (*Table, error) {
 		// mechanism or its idle contexts: every column of a row shares
 		// one baseline cluster, one context per core, through the
 		// baseline cache.
-		cmp, err := r.compare(c, clusterJob(mechs[mi].cfg, loads))
+		cmp, err := r.compare(c, clusterJob(mechs[mi].cfg, loads).inRow(c.row))
 		if err != nil {
 			return err
 		}

@@ -1,8 +1,12 @@
 package harness
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
+
+	"mtexc/internal/topology"
 )
 
 // TestSharedL2Shape: the topology table must carry one row per
@@ -47,5 +51,68 @@ func TestSharedL2ParallelismIndependence(t *testing.T) {
 	if serial.String() != parallel.String() {
 		t.Errorf("parallelism changed the table:\n-- serial --\n%s\n-- parallel --\n%s",
 			serial.String(), parallel.String())
+	}
+}
+
+// TestMeasuredCoreStopMatchesRun: a SharedL2 cluster stops once core
+// 0, the only core the table reads, is done (simCluster, over the
+// row's lent images), and core 0's Result must equal a full
+// topology.Cluster.Run's over images built in place: cycles,
+// instructions, fills and every counter of its own. The cmp
+// co-runners are still running when core 0 finishes, and the vor
+// co-runners have finished before it; both must hold, or the test no
+// longer covers both cases.
+func TestMeasuredCoreStopMatchesRun(t *testing.T) {
+	r := newRunner(Options{Insts: 20_000}, "SharedL2")
+	for _, shape := range l2Shapes {
+		loads, err := clusterLoads(l2Measured, shape.corunner, shape.cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		row := &rowValues{}
+		for _, m := range r.fig5Mechs() {
+			j := clusterJob(m.cfg, loads).inRow(row)
+			got, _, err := j.sim(context.Background(), j, nil)
+			if err != nil {
+				t.Fatalf("%s %s: %v", shape.name, m.name, err)
+			}
+			cl, err := topology.New(topology.Config{Cores: len(loads), Core: m.cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, w := range loads {
+				if err := cl.Load(i, w); err != nil {
+					t.Fatal(err)
+				}
+			}
+			full, err := cl.Run()
+			if err != nil {
+				t.Fatalf("%s %s: %v", shape.name, m.name, err)
+			}
+			want := full[0]
+			if got.Cycles != want.Cycles || got.AppInsts != want.AppInsts || got.DTLBMisses != want.DTLBMisses {
+				t.Errorf("%s %s: core 0 stopped early ran %d cycles, %d insts, %d fills; a full run %d, %d, %d",
+					shape.name, m.name, got.Cycles, got.AppInsts, got.DTLBMisses, want.Cycles, want.AppInsts, want.DTLBMisses)
+			}
+			own, n := counterMap(want.Stats), 0
+			for name, v := range counterMap(got.Stats) {
+				if name, ok := strings.CutPrefix(name, "core0."); ok {
+					n++
+					if own[name] != v {
+						t.Errorf("%s %s: core 0's %s is %d stopped early, %d in a full run", shape.name, m.name, name, v, own[name])
+					}
+				}
+			}
+			if n != len(own) {
+				t.Errorf("%s %s: the merged statistics hold %d of core 0's %d counters", shape.name, m.name, n, len(own))
+			}
+			if len(full) > 1 {
+				last := full[0].Cycles < full[len(full)-1].Cycles
+				if want := shape.corunner == "cmp"; last != want {
+					t.Errorf("%s %s: core 0 finished at cycle %d, the last co-runner at %d; want core 0 first: %v",
+						shape.name, m.name, full[0].Cycles, full[len(full)-1].Cycles, want)
+				}
+			}
+		}
 	}
 }

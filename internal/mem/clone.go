@@ -16,6 +16,7 @@ package mem
 func (p *Physical) Clone() *Physical {
 	c := &Physical{
 		frames:   make(map[uint64]*[FrameSize]byte, len(p.frames)),
+		first:    p.first,
 		nextFree: p.nextFree,
 	}
 	// Each key is aliased once; map visit order cannot affect the

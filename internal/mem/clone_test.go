@@ -11,8 +11,8 @@ func TestPhysicalCloneIndependence(t *testing.T) {
 	if got := c.ReadU64(base); got != 0xdeadbeef {
 		t.Fatalf("clone read %#x, want 0xdeadbeef", got)
 	}
-	if c.FramesAllocated() != p.FramesAllocated() {
-		t.Fatalf("clone allocator frontier %d != %d", c.FramesAllocated(), p.FramesAllocated())
+	if c.NextFree() != p.NextFree() {
+		t.Fatalf("clone allocator frontier %d != %d", c.NextFree(), p.NextFree())
 	}
 
 	// Writes through the clone must not reach the original, and the
@@ -22,7 +22,7 @@ func TestPhysicalCloneIndependence(t *testing.T) {
 		t.Fatalf("clone write leaked into original: %#x", got)
 	}
 	c.AllocFrame()
-	if c.FramesAllocated() != p.FramesAllocated()+1 {
+	if c.NextFree() != p.NextFree()+1 {
 		t.Fatal("clone allocation moved the original's frontier")
 	}
 }

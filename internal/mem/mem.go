@@ -26,16 +26,24 @@ type Physical struct {
 	frames   map[uint64]*[FrameSize]byte
 	cowing   bool            // any frame not yet privatized may be aliased by a clone or a lender
 	priv     map[uint64]bool // frames privatized (or created) since the last Clone or the first Borrow
+	first    uint64          // the frame the allocator handed out first
 	nextFree uint64          // bump pointer for frame allocation, in frame numbers
 }
 
 // NewPhysical returns an empty physical memory. Frame number zero is
 // reserved so that a zero PFN can mean "invalid" in page-table
 // entries.
-func NewPhysical() *Physical {
+func NewPhysical() *Physical { return NewPhysicalAt(1) }
+
+// NewPhysicalAt returns an empty physical memory whose allocator hands
+// out frame next first. A program built into it takes the frame
+// numbers it would take built into any memory whose next free frame
+// is next, so BorrowAll can lend it to such a memory.
+func NewPhysicalAt(next uint64) *Physical {
 	return &Physical{
 		frames:   make(map[uint64]*[FrameSize]byte),
-		nextFree: 1,
+		first:    next,
+		nextFree: next,
 	}
 }
 
@@ -56,8 +64,8 @@ func (p *Physical) AllocFrames(n uint64) uint64 {
 	return pfn
 }
 
-// FramesAllocated reports how many frames have been reserved.
-func (p *Physical) FramesAllocated() uint64 { return p.nextFree - 1 }
+// NextFree reports the frame number the allocator hands out next.
+func (p *Physical) NextFree() uint64 { return p.nextFree }
 
 // Frame exposes the backing array of the frame containing pa,
 // allocating the backing store on first touch. The functional
@@ -92,6 +100,25 @@ func (p *Physical) Borrow(pa uint64, f *[FrameSize]byte) {
 	fn := pa >> FrameShift
 	p.frames[fn] = f
 	delete(p.priv, fn)
+}
+
+// BorrowAll lends p everything src holds, so that p ends up as a
+// build into p would have left it. src must start where p's allocator
+// stands (NewPhysicalAt(p.NextFree())): every frame src holds is
+// borrowed copy-on-write, as by Borrow, at its own frame number, and
+// p's allocator advances past src's. src is only read, so any number
+// of memories may borrow from it at once while nothing writes it.
+func (p *Physical) BorrowAll(src *Physical) error {
+	if src.first != p.nextFree {
+		return fmt.Errorf("mem: lending frames from %d to a memory whose next free frame is %d", src.first, p.nextFree)
+	}
+	// Each frame is borrowed once, at its own number; map visit order
+	// cannot affect the result.
+	for fn, f := range src.frames {
+		p.Borrow(fn<<FrameShift, f)
+	}
+	p.nextFree = src.nextFree
+	return nil
 }
 
 func (p *Physical) frame(pa uint64) *[FrameSize]byte {

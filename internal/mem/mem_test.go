@@ -19,8 +19,8 @@ func TestFrameAllocation(t *testing.T) {
 	if c != b+1 {
 		t.Errorf("AllocFrames start = %d, want %d", c, b+1)
 	}
-	if p.FramesAllocated() != 12 {
-		t.Errorf("FramesAllocated = %d, want 12", p.FramesAllocated())
+	if p.NextFree() != 13 {
+		t.Errorf("NextFree = %d, want 13", p.NextFree())
 	}
 }
 
@@ -134,7 +134,39 @@ func TestPhysicalBorrowCopyOnWrite(t *testing.T) {
 	if dst.View(pt) != ptArr {
 		t.Fatal("borrower copied a frame it owned before borrowing")
 	}
-	if dst.FramesAllocated() != 3 {
-		t.Fatalf("borrowing moved the allocator: %d frames", dst.FramesAllocated())
+	if dst.NextFree() != 4 {
+		t.Fatalf("borrowing moved the allocator to frame %d", dst.NextFree())
+	}
+}
+
+// TestPhysicalBorrowAll: a memory built from p's next free frame on
+// lends p all of itself copy-on-write, at the same frame numbers, and
+// moves p's allocator past it; one built from another frame is
+// refused.
+func TestPhysicalBorrowAll(t *testing.T) {
+	dst := NewPhysical()
+	own := dst.AllocFrames(3) << FrameShift
+	dst.WriteU64(own, 0x1111)
+
+	src := NewPhysicalAt(dst.NextFree())
+	lent := src.AllocFrames(2) << FrameShift
+	src.WriteU64(lent, 0xbeef)
+	src.WriteU64(lent+FrameSize, 0xcafe)
+	if err := NewPhysical().BorrowAll(src); err == nil {
+		t.Fatal("a memory whose next free frame is 1 borrowed frames from 4 on")
+	}
+	if err := dst.BorrowAll(src); err != nil {
+		t.Fatal(err)
+	}
+	if dst.NextFree() != src.NextFree() {
+		t.Fatalf("borrower's next free frame is %d, lender's %d", dst.NextFree(), src.NextFree())
+	}
+	if dst.ReadU64(lent) != 0xbeef || dst.ReadU64(lent+FrameSize) != 0xcafe || dst.ReadU64(own) != 0x1111 {
+		t.Fatal("borrower does not read the lent frames and its own at their numbers")
+	}
+	dst.WriteU64(lent, 0x2222)
+	dst.WriteU64(own, 0x3333)
+	if src.ReadU64(lent) != 0xbeef || dst.ReadU64(lent) != 0x2222 || dst.ReadU64(own) != 0x3333 {
+		t.Fatal("borrower's writes reached the lender or were lost")
 	}
 }

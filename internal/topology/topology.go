@@ -38,6 +38,7 @@ type Cluster struct {
 	dom   *cache.L2Domain
 	cores []*cpu.Machine
 	names []string // workload name per core, for reports
+	next  int      // the lowest core Load still accepts
 }
 
 // New builds an empty cluster: cfg.Cores machines over one physical
@@ -73,12 +74,18 @@ func (c *Cluster) Domain() *cache.L2Domain { return c.dom }
 func (c *Cluster) Phys() *mem.Physical { return c.phys }
 
 // Load builds w's program image in the cluster's shared physical
-// memory and attaches it to core i. Call in ascending core order:
-// the shared bump allocator makes image placement — and therefore L2
-// set mapping — depend on load order.
+// memory and attaches it to core i. Cores load once each, in
+// ascending order, and Load rejects any other: the shared bump
+// allocator makes image placement — and therefore L2 set mapping —
+// depend on load order.
 func (c *Cluster) Load(i int, w core.Workload) error {
-	if i < 0 || i >= len(c.cores) {
+	switch {
+	case i < 0 || i >= len(c.cores):
 		return fmt.Errorf("topology: core %d out of range [0,%d)", i, len(c.cores))
+	case i == c.next-1:
+		return fmt.Errorf("topology: core %d is already loaded", i)
+	case i < c.next:
+		return fmt.Errorf("topology: core %d loaded after core %d; load cores in ascending order", i, c.next-1)
 	}
 	// ASNs are per-core (private TLBs); each core's application runs
 	// under ASN 1 like a single-core run. Frames are cluster-unique
@@ -92,6 +99,7 @@ func (c *Cluster) Load(i int, w core.Workload) error {
 	}
 	c.cores[i].WarmPageTable(img.Space)
 	c.names[i] = w.Name()
+	c.next = i + 1
 	return nil
 }
 
@@ -113,7 +121,23 @@ func (c *Cluster) SetCancel(ctx context.Context) {
 // A core's StepCycle error — a *cpu.LivelockError or a
 // *cpu.CancelledError — ends the run: it returns wrapped with the
 // core's index, alongside every core's partial Result.
-func (c *Cluster) Run() ([]core.Result, error) {
+func (c *Cluster) Run() ([]core.Result, error) { return c.run(-1) }
+
+// RunUntilDone drives the cluster as Run does, but only until core
+// measured is Done. Its Result is exactly Run's: a Done core takes no
+// further cycle, and the cores that run on touch only the shared L2
+// and their own state, never its counters. The other cores' Results,
+// and the shared-L2 totals, cover the cycles simulated so far.
+func (c *Cluster) RunUntilDone(measured int) ([]core.Result, error) {
+	if measured < 0 || measured >= len(c.cores) {
+		return nil, fmt.Errorf("topology: core %d out of range [0,%d)", measured, len(c.cores))
+	}
+	return c.run(measured)
+}
+
+// run is the round-robin loop of Run and RunUntilDone: it stops once
+// every core is Done or, when measured is a core, once that core is.
+func (c *Cluster) run(measured int) ([]core.Result, error) {
 	for active := true; active; {
 		active = false
 		for i, m := range c.cores {
@@ -124,6 +148,9 @@ func (c *Cluster) Run() ([]core.Result, error) {
 			if err := m.StepCycle(); err != nil {
 				return c.finishAll(), fmt.Errorf("topology: core %d: %w", i, err)
 			}
+		}
+		if measured >= 0 && c.cores[measured].Done() {
+			break
 		}
 	}
 	return c.finishAll(), nil

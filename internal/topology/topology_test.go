@@ -171,7 +171,10 @@ func TestMergedStatsNamespacing(t *testing.T) {
 	}
 }
 
-// TestClusterErrors: construction and loading reject bad shapes.
+// TestClusterErrors: construction and loading reject bad shapes, and
+// Load takes each core once, in ascending order: a second Load of a
+// core with an idle context would attach a second application thread,
+// and loading out of order would move every image's frames.
 func TestClusterErrors(t *testing.T) {
 	if _, err := New(Config{Cores: 0, Core: testConfig(t)}); err == nil {
 		t.Error("New accepted a 0-core cluster")
@@ -182,6 +185,31 @@ func TestClusterErrors(t *testing.T) {
 	}
 	if c.Cores() != 1 {
 		t.Errorf("Cores() = %d, want 1", c.Cores())
+	}
+	if _, err := c.RunUntilDone(1); err == nil {
+		t.Error("RunUntilDone accepted an out-of-range core index")
+	}
+	c, err := New(Config{Cores: 3, Core: testConfig(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		core int
+		ok   bool
+		want string
+	}{
+		{1, true, ""},
+		{1, false, "topology: core 1 is already loaded"},
+		{0, false, "topology: core 0 loaded after core 1"},
+		{2, true, ""},
+	} {
+		err := c.Load(tc.core, mustBench(t, "cmp"))
+		if tc.ok && err != nil {
+			t.Errorf("Load(%d): %v", tc.core, err)
+		}
+		if !tc.ok && (err == nil || !strings.HasPrefix(err.Error(), tc.want)) {
+			t.Errorf("Load(%d) returned %v, want %q", tc.core, err, tc.want)
+		}
 	}
 }
 

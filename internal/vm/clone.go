@@ -1,6 +1,10 @@
 package vm
 
-import "mtexc/internal/mem"
+import (
+	"fmt"
+
+	"mtexc/internal/mem"
+)
 
 // Clone returns a deep copy of the TLB: entries, LRU stamps,
 // speculative-fill tags and statistics. Lookups and fills on either
@@ -39,4 +43,23 @@ func (as *AddressSpace) CloneInto(phys *mem.Physical) *AddressSpace {
 		}
 	}
 	return c
+}
+
+// LendTo attaches img to phys without building it again. img must have
+// been built into a memory of its own that starts where phys's
+// allocator stands (mem.NewPhysicalAt(phys.NextFree())). phys borrows
+// every frame of that memory copy-on-write and its allocator advances
+// past them (mem.Physical.BorrowAll); the returned image shares img's
+// code and initial registers, over a clone of its address space bound
+// to phys (CloneInto). Frame numbers, page-table entries and the
+// page-table base are then exactly those a build into phys produces.
+// img is only read, so any number of machines may take it at once,
+// and none of their writes reach it.
+func (img *Image) LendTo(phys *mem.Physical) (*Image, error) {
+	if err := phys.BorrowAll(img.Space.Phys()); err != nil {
+		return nil, fmt.Errorf("vm: lending image %q: %w", img.Name, err)
+	}
+	c := *img
+	c.Space = img.Space.CloneInto(phys)
+	return &c, nil
 }

@@ -56,18 +56,18 @@ func TestTwoLevelLeafSharing(t *testing.T) {
 	as := NewAddressSpaceTwoLevel(phys, 1, 1<<20)
 	// Two pages under the same root entry share a leaf frame.
 	as.MapPage(5)
-	framesAfterFirst := phys.FramesAllocated()
+	framesAfterFirst := phys.NextFree()
 	as.MapPage(6)
-	if phys.FramesAllocated() != framesAfterFirst+1 {
+	if phys.NextFree() != framesAfterFirst+1 {
 		t.Error("second page in the same leaf allocated more than its data frame")
 	}
 	// A page in a distant region allocates a new leaf.
 	if _, err := as.MapPage(500 * 1024); err != nil {
 		t.Fatal(err)
 	}
-	if phys.FramesAllocated() != framesAfterFirst+3 {
+	if phys.NextFree() != framesAfterFirst+3 {
 		t.Errorf("distant page should cost a leaf + data frame (frames %d -> %d)",
-			framesAfterFirst, phys.FramesAllocated())
+			framesAfterFirst, phys.NextFree())
 	}
 }
 
