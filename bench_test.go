@@ -281,13 +281,27 @@ func cloneBenchMachine(b *testing.B) *core.Machine {
 	return m
 }
 
-// BenchmarkMachineClone measures forking a warmed-up machine.
+// BenchmarkMachineClone measures forking a warmed-up machine into a
+// new one.
 func BenchmarkMachineClone(b *testing.B) {
 	m := cloneBenchMachine(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if c := m.Clone(); c == nil {
+		if c := m.CloneInto(nil); c == nil {
 			b.Fatal("nil clone")
+		}
+	}
+}
+
+// BenchmarkMachineCloneInto measures forking a warmed-up machine into
+// the clone before, as a fault campaign's trials recycle theirs.
+func BenchmarkMachineCloneInto(b *testing.B) {
+	m := cloneBenchMachine(b)
+	spare := m.CloneInto(nil)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c := m.CloneInto(spare); c != spare {
+			b.Fatal("spare not reused")
 		}
 	}
 }

@@ -35,9 +35,15 @@ func TestDirPredictorCloneAndReset(t *testing.T) {
 		d := NewDirPredictor(kind)
 		train(d, 500)
 
-		c := CloneDirPredictor(d)
+		c := CloneDirPredictorInto(d, nil)
 		if !agree(d, c) {
 			t.Errorf("%s: clone disagrees with original", kind)
+		}
+		// A recycled predictor takes the original's state in place.
+		spare := NewDirPredictor(kind)
+		spare.Update(0x1000, 0, false)
+		if r := CloneDirPredictorInto(d, spare); r != spare || !agree(d, r) {
+			t.Errorf("%s: clone into a used predictor is not the original's copy in place", kind)
 		}
 		// Diverging the clone's training must not drag the original.
 		for i := 0; i < 500; i++ {
@@ -56,7 +62,12 @@ func TestIndirectCloneAndReset(t *testing.T) {
 	for i := uint64(0); i < 200; i++ {
 		p.Update(0x2000+i%13*4, i, 0x9000+i%7*16)
 	}
-	c := p.Clone()
+	spare := NewIndirect(DefaultIndirectConfig())
+	spare.Update(0x2000, 0, 0x1234)
+	c := p.CloneInto(spare)
+	if c != spare {
+		t.Fatal("CloneInto did not reuse the spare predictor")
+	}
 	for i := uint64(0); i < 64; i++ {
 		pt, ph := p.Predict(0x2000+i%13*4, i)
 		ct, ch := c.Predict(0x2000+i%13*4, i)
@@ -75,7 +86,7 @@ func TestRASCloneAndReset(t *testing.T) {
 	for i := uint64(1); i <= 5; i++ {
 		r.Push(0x100 * i)
 	}
-	c := r.Clone()
+	c := r.CloneInto(nil)
 	// Popping the clone dry must not disturb the original: both hold
 	// the same five entries.
 	for _, s := range []*RAS{c, r} {

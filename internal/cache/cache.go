@@ -32,7 +32,7 @@ type line struct {
 }
 
 // blockSets is the copy-on-write granule: a cache stores its lines in
-// blocks of this many sets, a Clone shares every block, and each side
+// blocks of this many sets, a clone shares every block, and each side
 // copies a block on its first mutating access to it.
 const blockSets = 64
 
@@ -43,7 +43,7 @@ type Cache struct {
 	// blocks holds blockSets consecutive sets of Assoc ways each (all
 	// sets, when the cache has fewer).
 	blocks [][]line
-	// shared marks the blocks a Clone still aliases; nil when the
+	// shared marks the blocks a clone still aliases; nil when the
 	// cache has never been cloned.
 	shared   []bool
 	stamp    uint64
@@ -53,6 +53,9 @@ type Cache struct {
 	Misses   uint64
 	Evicts   uint64
 	Writebks uint64
+	// free holds blocks a recycled cache owned before CloneInto
+	// overwrote it, which own copies into instead of allocating.
+	free [][]line
 }
 
 // New returns an empty cache with the given geometry. It panics on a
@@ -96,7 +99,7 @@ func (c *Cache) set(pa uint64) []line {
 	return c.blocks[si/blockSets][off : off+uint64(c.cfg.Assoc)]
 }
 
-// unshare gives the cache its own copy of block b if a Clone still
+// unshare gives the cache its own copy of block b if a clone still
 // shares it. Every mutating path calls it before it touches a line.
 func (c *Cache) unshare(b uint64) {
 	if c.shared != nil && c.shared[b] {

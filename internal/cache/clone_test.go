@@ -16,7 +16,7 @@ func TestCacheCloneIndependence(t *testing.T) {
 		c.Access(pa, pa%128 == 0)
 	}
 
-	cl := c.Clone()
+	cl := c.CloneInto(nil)
 	if cl.Hits != c.Hits || cl.Misses != c.Misses || cl.Evicts != c.Evicts {
 		t.Fatal("clone counters differ")
 	}
@@ -58,7 +58,7 @@ func TestHierarchyCloneReplay(t *testing.T) {
 	h := NewHierarchy(DefaultHierConfig())
 	now := warm(h)
 
-	c := h.Clone()
+	c := h.CloneInto(nil)
 	for i := uint64(0); i < 400; i++ {
 		pa := (i * 22695477) % (1 << 18) &^ 63
 		lo := h.AccessData(now+i, pa, i%5 == 0)
@@ -101,8 +101,11 @@ func (a *cloneActor) do(o cacheOp) {
 	a.hist = append(a.hist, o)
 }
 
-func (a *cloneActor) clone() *cloneActor {
-	return &cloneActor{c: a.c.Clone(), hist: append([]cacheOp(nil), a.hist...)}
+func (a *cloneActor) clone() *cloneActor { return a.cloneInto(nil) }
+
+// cloneInto clones a's cache into spare's, which no one uses after.
+func (a *cloneActor) cloneInto(spare *Cache) *cloneActor {
+	return &cloneActor{c: a.c.CloneInto(spare), hist: append([]cacheOp(nil), a.hist...)}
 }
 
 // cacheLines flattens a cache's line state in set order.
@@ -129,7 +132,8 @@ func aliasedBlocks(a, b *Cache) int {
 // the source, a clone, and a second clone taken after the source has
 // stepped on — ends in exactly the state of a never-cloned cache fed
 // the same operations, whichever side wrote first. A write copies
-// only the block it lands in. Covered for a cache of many blocks and
+// only the block it lands in, and a recycled clone makes its copies in
+// the blocks it owned before. Covered for a cache of many blocks and
 // for one with fewer sets than a block.
 func TestCacheCloneBlocksCopyOnWrite(t *testing.T) {
 	for _, cfg := range []Config{
@@ -194,5 +198,30 @@ func TestCacheCloneBlocksCopyOnWrite(t *testing.T) {
 			again.do(op())
 		}
 		check("after a flush of the first clone", src, cl, again)
+
+		// Recycling a clone that owns some blocks and still shares the
+		// rest with its source, as the storage of a new clone: the
+		// blocks it owned, and only those, take its later copies.
+		part := src.clone()
+		for i := 0; i < 20; i++ {
+			part.do(op())
+		}
+		owned := nblocks - aliasedBlocks(src.c, part.c)
+		re := src.cloneInto(part.c)
+		if re.c != part.c || len(re.c.free) != owned {
+			t.Errorf("%d sets: recycled clone kept %d spare blocks, want the %d it owned", cfg.Sets(), len(re.c.free), owned)
+		}
+		for i := 0; i < 400; i++ {
+			re.do(op())
+			src.do(op())
+			again.do(op())
+		}
+		check("after recycling a clone", src, cl, again, re)
+
+		// A cache of another geometry lends none of its blocks.
+		other := New(Config{Size: 512, LineSize: 32, Assoc: 4, Latency: 1})
+		if odd := src.cloneInto(other); len(odd.c.free) != 0 {
+			t.Errorf("%d sets: a cache of another geometry kept %d blocks", cfg.Sets(), len(odd.c.free))
+		}
 	}
 }

@@ -44,7 +44,7 @@ func TestUopArenaNeverRegrows(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			m = m.Clone()
+			m = m.CloneInto(nil)
 		}
 		if _, err := m.Run(); err != nil {
 			t.Fatal(err)

@@ -1,12 +1,17 @@
 package cpu
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"unsafe"
 
 	"mtexc/internal/diffsim/gen"
+	"mtexc/internal/isa"
+	"mtexc/internal/obs"
 	"mtexc/internal/vm"
 )
 
@@ -143,7 +148,7 @@ func TestCloneEquivalenceMidRun(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/prefix%d", c.name, prefix), func(t *testing.T) {
 				m, tid := buildGenMachine(t, cloneTestConfig(c.mech, c.contexts, c.quick), p)
 				stepCycles(m, prefix)
-				clone := m.Clone()
+				clone := m.CloneInto(nil)
 				// The clone runs to completion first; the original —
 				// whose outcome is collected afterwards — would show
 				// any state the clone's run leaked into it.
@@ -165,7 +170,7 @@ func TestCloneEquivalenceTwoLevel(t *testing.T) {
 		cfg.PageTable = vm.PTTwoLevel
 		m, tid := buildGenMachine(t, cfg, p)
 		stepCycles(m, 1500)
-		clone := m.Clone()
+		clone := m.CloneInto(nil)
 		got := finishRun(t, clone, tid)
 		want := finishRun(t, m, tid)
 		checkOutcome(t, mech.String()+"/twolevel", got, want)
@@ -182,7 +187,7 @@ func TestCloneEquivalenceSampler(t *testing.T) {
 	cfg.SampleInterval = 1000
 	m, tid := buildGenMachine(t, cfg, p)
 	stepCycles(m, 2500) // mid-epoch: 2.5 sampling intervals in
-	clone := m.Clone()
+	clone := m.CloneInto(nil)
 	got := finishRun(t, clone, tid)
 	want := finishRun(t, m, tid)
 	checkOutcome(t, "sampler", got, want)
@@ -201,7 +206,7 @@ func TestCloneIsolation(t *testing.T) {
 	stepCycles(m, 1000)
 	before := m.threads[tid].as.ContentHash()
 	dtlbBefore := *m.dtlb
-	clone := m.Clone()
+	clone := m.CloneInto(nil)
 	if _, err := clone.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +244,7 @@ func FuzzCloneEquivalence(f *testing.F) {
 		p := gen.Generate(seed, gen.Limits{MaxPages: 64, NoFault: true, NoUnaligned: true})
 		m, tid := buildGenMachine(t, cloneTestConfig(mech, contexts, quick), p)
 		stepCycles(m, uint64(prefix))
-		clone := m.Clone()
+		clone := m.CloneInto(nil)
 		got := finishRun(t, clone, tid)
 		want := finishRun(t, m, tid)
 		checkOutcome(t, "fuzz", got, want)
@@ -247,7 +252,7 @@ func FuzzCloneEquivalence(f *testing.F) {
 }
 
 // TestUopSize holds the uop to the 360 bytes it had before event-driven
-// scheduling added its wakeup fields. Clone copies the whole uop arena
+// scheduling added its wakeup fields. CloneInto copies the whole uop arena
 // once per fault trial, and the fault-campaign benchmark's alloc_mb
 // bound is 2%: growing every uop (plus dense buckets on every
 // histogram) once moved that metric by 6.5%. New fields fit by
@@ -255,5 +260,130 @@ func FuzzCloneEquivalence(f *testing.F) {
 func TestUopSize(t *testing.T) {
 	if got := unsafe.Sizeof(uop{}); got > 360 {
 		t.Fatalf("uop is %d bytes, want at most 360", got)
+	}
+}
+
+// armedOutcome is everything a run with a fault plan armed produced,
+// including how it ended: an error or a panic is recorded, not fatal.
+type armedOutcome struct {
+	stream      []RetiredInst
+	fingerprint string // statistics plus the obs snapshot
+	cycles      uint64
+	regs        isa.RegFile
+	mem         uint64
+	rec         FaultRecord
+	end         string
+}
+
+// runArmedOutcome arms plan on m, runs it to the end and collects the
+// outcome.
+func runArmedOutcome(t *testing.T, m *Machine, tid int, plan FaultPlan) armedOutcome {
+	t.Helper()
+	var out armedOutcome
+	m.RetireHook = func(ri RetiredInst) { out.stream = append(out.stream, ri) }
+	m.SetFaultPlan(plan)
+	func() {
+		defer func() {
+			if r := recover(); r != nil {
+				out.end = fmt.Sprint("panic: ", r)
+			}
+		}()
+		if _, err := m.Run(); err != nil {
+			out.end = err.Error()
+		}
+	}()
+	res := m.Finish()
+	var buf bytes.Buffer
+	buf.WriteString(res.Stats.String())
+	if err := obs.WriteJSON(&buf, obs.BuildSnapshot(obs.Meta{Cycles: res.Cycles, AppInsts: res.AppInsts},
+		res.Stats, res.Obs)); err != nil {
+		t.Fatal(err)
+	}
+	out.fingerprint = buf.String()
+	out.cycles, out.regs, out.rec = m.Now(), m.ArchRegs(tid), m.FaultRecord()
+	out.mem = m.Space(tid).ContentHash()
+	return out
+}
+
+// TestCloneIntoMatchesClone: a clone made in a used machine's storage
+// (CloneInto(spare)) runs exactly as a fresh one (CloneInto(nil)) does:
+// the same retirement stream, statistics and observations, registers,
+// memory, fault record and end. The spares are what a fault campaign
+// leaves behind: a machine abandoned mid-run by a panicking RetireHook,
+// one stopped by the livelock watchdog, and a clone whose armed plan
+// flipped a window payload. The first two ran another program, so
+// every reused buffer must be overwritten, not merely kept.
+func TestCloneIntoMatchesClone(t *testing.T) {
+	limits := gen.Limits{MaxPages: 64, NoFault: true, NoUnaligned: true}
+	for _, c := range []struct {
+		name     string
+		mech     Mechanism
+		contexts int
+	}{
+		{"traditional", MechTraditional, 1},
+		{"multithreaded(3)", MechMultithreaded, 4},
+		{"hardware", MechHardware, 1},
+	} {
+		cfg := cloneTestConfig(c.mech, c.contexts, false)
+		cfg.CheckInvariants = false
+		p, other := gen.Generate(4600, limits), gen.Generate(4601, limits)
+
+		panicked, _ := buildGenMachine(t, cfg, other)
+		n := 0
+		panicked.RetireHook = func(RetiredInst) {
+			if n++; n == 150 {
+				panic("retire hook gives up")
+			}
+		}
+		func() {
+			defer func() { _ = recover() }()
+			_, _ = panicked.Run()
+		}()
+		if n != 150 {
+			t.Fatalf("%s: the panicking spare retired %d instructions, want 150", c.name, n)
+		}
+
+		lcfg := cfg
+		lcfg.NoProgressLimit = 40
+		livelocked, _ := buildGenMachine(t, lcfg, other)
+		var ll *LivelockError
+		if _, err := livelocked.Run(); !errors.As(err, &ll) {
+			t.Fatalf("%s: the livelocking spare ended with %v, want a livelock", c.name, err)
+		}
+
+		m, tid := buildGenMachine(t, cfg, p)
+		stepCycles(m, 200)
+		flipped := m.CloneInto(nil)
+		if runArmedOutcome(t, flipped, tid, FaultPlan{Class: FaultWindow, At: m.Now() + 5, Seed: 7}).rec.Applied == false {
+			t.Fatalf("%s: the window flip of the third spare never fired", c.name)
+		}
+		stepCycles(m, 300)
+
+		plan := FaultPlan{Class: FaultArchReg, At: m.Now() + 20, Seed: 11}
+		want := runArmedOutcome(t, m.CloneInto(nil), tid, plan)
+		if !want.rec.Applied {
+			t.Fatalf("%s: the compared plan never fired", c.name)
+		}
+		for _, s := range []struct {
+			name  string
+			spare *Machine
+		}{{"panicked", panicked}, {"livelocked", livelocked}, {"window-flipped", flipped}} {
+			clone := m.CloneInto(s.spare)
+			if clone != s.spare {
+				t.Fatalf("%s: CloneInto did not reuse the %s spare", c.name, s.name)
+			}
+			got := runArmedOutcome(t, clone, tid, plan)
+			where := c.name + " into the " + s.name + " spare"
+			switch {
+			case !slices.Equal(got.stream, want.stream):
+				t.Errorf("%s: retirement streams differ (%d vs %d retired)", where, len(got.stream), len(want.stream))
+			case got.fingerprint != want.fingerprint:
+				t.Errorf("%s: statistics or observations differ", where)
+			case got.cycles != want.cycles || got.regs != want.regs || got.mem != want.mem:
+				t.Errorf("%s: final cycle, registers or memory differ (%d vs %d cycles)", where, got.cycles, want.cycles)
+			case got.rec != want.rec || got.end != want.end:
+				t.Errorf("%s: fault record %+v, end %q; fresh clone %+v, %q", where, got.rec, got.end, want.rec, want.end)
+			}
+		}
 	}
 }

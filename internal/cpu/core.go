@@ -36,7 +36,7 @@ type Machine struct {
 	// cross-references between them are index handles (uopIdx/hIdx,
 	// generation-checked as depRef/hRef). No pipeline structure holds
 	// a pointer into another structure, which is what makes a machine
-	// deep-copyable by Clone: copying the slices copies the state, and
+	// deep-copyable by CloneInto: copying the slices copies the state, and
 	// the handles stay valid against the copied arenas.
 	//
 	// Arena growth contract: the uops and hArena slices grow only
@@ -127,7 +127,7 @@ type Machine struct {
 	faultRec   FaultRecord
 
 	// scratch reused each cycle; contents are dead between uses, only
-	// the capacity is retained (Clone resets them to empty). These
+	// the capacity is retained (a clone keeps only its spare's). These
 	// hold indices, not pointers: the issue and complete loops that
 	// consume them can allocate uops (handler spawns, traps) and grow
 	// the arena mid-iteration, which would invalidate *uop entries.
@@ -303,7 +303,7 @@ func NewOnSubstrate(cfg Config, phys *mem.Physical, hier *cache.Hierarchy) *Mach
 	m.threads = make([]thread, cfg.Contexts)
 	for i := 0; i < cfg.Contexts; i++ {
 		m.threads[i] = thread{id: i, state: ctxIdle}
-		m.threads[i].setQueues(make([]uopIdx, 2*queueCap), nil, nil)
+		m.threads[i].setQueues(make([]uopIdx, queueCap), make([]uopIdx, queueCap), nil, nil)
 		m.ras = append(m.ras, bpred.NewRAS(64))
 	}
 	m.Observ = &obs.Observations{
@@ -319,7 +319,7 @@ func NewOnSubstrate(cfg Config, phys *mem.Physical, hier *cache.Hierarchy) *Mach
 
 // samplerSpec names one default interval time series and how it is
 // sampled. The spec list (samplerSpecs) and the per-name reader
-// (samplerSource) are split so Clone can rebind a copied sampler's
+// (samplerSource) are split so CloneInto can rebind a copied sampler's
 // closures onto the clone by name.
 type samplerSpec struct {
 	name string

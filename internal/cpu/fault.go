@@ -116,153 +116,233 @@ func (s *faultRng) next() uint64 {
 	return z
 }
 
-// faultSite is one flippable 64-bit field, collected in deterministic
-// machine-scan order so the seeded pick is reproducible.
+// faultSite is one flippable 64-bit field and the label that ends its
+// name in a FaultRecord's Target.
 type faultSite struct {
-	name string
-	p    *uint64
+	label string
+	p     *uint64
 }
+
+// faultTargets counts the candidates the first seeded draw of a class
+// c flip picks among: the running application contexts (reg), the
+// valid TLB entries (tlb), or the flippable fields of the live
+// handlers (handler) and of the in-window instructions (window).
+// FaultNone has none. It changes no state and formats no names, so it
+// can be asked every cycle.
+func (m *Machine) faultTargets(c FaultClass) uint64 {
+	var n uint64
+	switch c {
+	case FaultArchReg:
+		for i := range m.threads {
+			if m.threads[i].state == ctxRunning {
+				n++
+			}
+		}
+	case FaultHandlerCtx:
+		for _, hi := range m.handlers {
+			if ctx := &m.hArena[hi]; !ctx.dead && !ctx.rfeRetired {
+				n += m.handlerSiteCount(ctx)
+			}
+		}
+	case FaultTLB:
+		n = uint64(m.dtlb.ValidEntries())
+	case FaultWindow:
+		for ti := range m.threads {
+			for _, ui := range m.threads[ti].inflight {
+				if u := m.at(ui); u.stage != stageFetched {
+					_, k := payloadSites(u)
+					n += uint64(k)
+				}
+			}
+		}
+	}
+	return n
+}
+
+// HasFaultTarget reports whether class c has a live target at the
+// current cycle, that is, whether a plan of that class that is
+// eligible now fires in the next StepCycle. It changes no state:
+// forked fault trials step an unarmed machine until it holds and fork
+// there (diffsim.Fork.RunFault), and tryInjectFault fires on the same
+// count.
+func (m *Machine) HasFaultTarget(c FaultClass) bool { return m.faultTargets(c) > 0 }
 
 // tryInjectFault attempts the armed flip. Called from the cycle loop
 // once m.now has reached the plan's cycle; retries every cycle until
 // a live target exists. The selection RNG restarts from the plan seed
 // on every attempt, so the choice depends only on the machine state
-// at the cycle the flip actually fires.
+// at the cycle the flip actually fires. Only the flipped site's name
+// is formatted.
 func (m *Machine) tryInjectFault() {
-	r := faultRng(m.fault.Seed)
-	var target string
-	var ok bool
-	switch m.fault.Class {
-	case FaultNone:
-		m.faultArmed = false
-		return
-	case FaultArchReg:
-		target, ok = m.flipArchReg(&r)
-	case FaultHandlerCtx:
-		target, ok = m.flipHandlerState(&r)
-	case FaultTLB:
-		target, ok = m.dtlb.CorruptEntry(r.next(), r.next(), r.next())
-	case FaultWindow:
-		target, ok = m.flipWindowPayload(&r)
-	default:
+	c := m.fault.Class
+	if c == FaultNone || c > FaultWindow {
 		m.faultArmed = false
 		return
 	}
-	if !ok {
+	n := m.faultTargets(c)
+	if n == 0 {
 		return // no live target this cycle; stay armed
+	}
+	r := faultRng(m.fault.Seed)
+	pick := r.next() % n
+	var target string
+	switch c {
+	case FaultArchReg:
+		target = m.flipArchReg(pick, &r)
+	case FaultHandlerCtx:
+		target = m.flipHandlerState(pick, &r)
+	case FaultTLB:
+		target, _ = m.dtlb.CorruptEntry(pick, r.next(), r.next())
+	case FaultWindow:
+		target = m.flipWindowPayload(pick, &r)
 	}
 	m.faultArmed = false
 	m.faultRec = FaultRecord{Applied: true, Cycle: m.now, Target: target}
 	m.Stats.Counter("fault.injected").Inc()
 }
 
-// flipBit XORs a seeded bit of the chosen site.
-func flipBit(s faultSite, r *faultRng) string {
+// flipBit XORs a seeded bit of *p and names the flip.
+func flipBit(p *uint64, name string, r *faultRng) string {
 	bit := r.next() % 64
-	*s.p ^= 1 << bit
-	return fmt.Sprintf("%s bit%d", s.name, bit)
+	*p ^= 1 << bit
+	return fmt.Sprintf("%s bit%d", name, bit)
 }
 
-// flipArchReg corrupts one architectural register of a live
-// application context. The zero register is hardwired and excluded;
-// 31 integer + 32 FP registers are equally likely.
-func (m *Machine) flipArchReg(r *faultRng) (string, bool) {
-	var cands []*thread
+// flipArchReg corrupts one architectural register of the pick-th
+// running application context. The zero register is hardwired and
+// excluded; 31 integer + 32 FP registers are equally likely.
+func (m *Machine) flipArchReg(pick uint64, r *faultRng) string {
+	var t *thread
 	for i := range m.threads {
-		if m.threads[i].state == ctxRunning {
-			cands = append(cands, &m.threads[i])
+		if m.threads[i].state != ctxRunning {
+			continue
 		}
+		if pick == 0 {
+			t = &m.threads[i]
+			break
+		}
+		pick--
 	}
-	if len(cands) == 0 {
-		return "", false
-	}
-	t := cands[r.next()%uint64(len(cands))]
 	sel := r.next() % 63
 	if sel < 31 {
 		reg := int(sel)
 		if reg >= int(isa.RegZero) {
 			reg++
 		}
-		return flipBit(faultSite{fmt.Sprintf("tid%d r%d", t.id, reg), &t.rf.Int[reg]}, r), true
+		return flipBit(&t.rf.Int[reg], fmt.Sprintf("tid%d r%d", t.id, reg), r)
 	}
 	reg := int(sel - 31)
-	return flipBit(faultSite{fmt.Sprintf("tid%d f%d", t.id, reg), &t.rf.FP[reg]}, r), true
+	return flipBit(&t.rf.FP[reg], fmt.Sprintf("tid%d f%d", t.id, reg), r)
 }
 
-// handlerSites collects the flippable state of one live handler
-// context: the snapshot fields the mechanism replays after the master
-// uop is gone, plus the registers the handler code itself reads —
-// the handler thread's integer and privileged registers under the
-// multithreaded mechanism, the master thread's PAL shadow registers
-// under the traditional one.
-func (m *Machine) handlerSites(i int, ctx *handlerCtx, sites []faultSite) []faultSite {
-	tag := fmt.Sprintf("h%d", i)
-	sites = append(sites,
-		faultSite{tag + ".excPC", &ctx.excPC},
-		faultSite{tag + ".masterPC", &ctx.masterPC},
-		faultSite{tag + ".faultVPN", &ctx.faultVPN},
-		faultSite{tag + ".faultVA", &ctx.faultVA},
-	)
-	privs := []isa.PrivReg{isa.PrFaultVA, isa.PrExcPC, isa.PrPTBase, isa.PrSrcVal0}
+// handlerPrivs are the privileged registers a handler's code reads.
+var handlerPrivs = [...]isa.PrivReg{isa.PrFaultVA, isa.PrExcPC, isa.PrPTBase, isa.PrSrcVal0}
+
+// handlerRegs returns the register context the code of a live handler
+// reads, with the letter that names its registers: the handler
+// thread's integer registers ("r") under the multithreaded mechanism,
+// the master thread's PAL shadow registers ("s") under the
+// traditional one. It returns a nil thread while that context is not
+// live, or under the hardware mechanism, which runs no handler code.
+func (m *Machine) handlerRegs(ctx *handlerCtx) (*thread, *[isa.NumIntRegs]uint64, string) {
 	switch ctx.mech {
 	case MechMultithreaded:
-		ht := &m.threads[ctx.tid]
-		if ht.state != ctxException {
-			return sites
-		}
-		for reg := 0; reg < 32; reg++ {
-			if reg == int(isa.RegZero) {
-				continue
-			}
-			sites = append(sites, faultSite{fmt.Sprintf("%s.tid%d.r%d", tag, ht.id, reg), &ht.rf.Int[reg]})
-		}
-		for _, pr := range privs {
-			sites = append(sites, faultSite{fmt.Sprintf("%s.tid%d.priv%d", tag, ht.id, pr), &ht.priv[pr]})
+		if t := &m.threads[ctx.tid]; t.state == ctxException {
+			return t, &t.rf.Int, "r"
 		}
 	case MechTraditional:
-		mt := &m.threads[ctx.masterTid]
-		if !mt.inPAL {
-			return sites
-		}
-		for reg := 0; reg < 32; reg++ {
-			if reg == int(isa.RegZero) {
-				continue
-			}
-			sites = append(sites, faultSite{fmt.Sprintf("%s.tid%d.s%d", tag, mt.id, reg), &mt.shadowRF.Int[reg]})
-		}
-		for _, pr := range privs {
-			sites = append(sites, faultSite{fmt.Sprintf("%s.tid%d.priv%d", tag, mt.id, pr), &mt.priv[pr]})
+		if t := &m.threads[ctx.masterTid]; t.inPAL {
+			return t, &t.shadowRF.Int, "s"
 		}
 	}
-	return sites
+	return nil, nil, ""
 }
 
-// flipHandlerState corrupts live exception-handler state. With no
-// handler in flight there is no target; the plan stays armed.
-func (m *Machine) flipHandlerState(r *faultRng) (string, bool) {
-	var sites []faultSite
+// handlerSiteCount counts the sites handlerSite numbers for a live
+// handler context: the four snapshot fields the mechanism replays
+// after the master uop is gone, plus, while its register context is
+// live, 31 registers and the privileged registers.
+func (m *Machine) handlerSiteCount(ctx *handlerCtx) uint64 {
+	if t, _, _ := m.handlerRegs(ctx); t != nil {
+		return 4 + 31 + uint64(len(handlerPrivs))
+	}
+	return 4
+}
+
+// handlerSite returns site k of the i-th live handler context ctx
+// and its name: the snapshot fields, then the registers (the zero
+// register excluded), then the privileged registers.
+func (m *Machine) handlerSite(i int, ctx *handlerCtx, k uint64) (*uint64, string) {
+	tag := fmt.Sprintf("h%d", i)
+	switch k {
+	case 0:
+		return &ctx.excPC, tag + ".excPC"
+	case 1:
+		return &ctx.masterPC, tag + ".masterPC"
+	case 2:
+		return &ctx.faultVPN, tag + ".faultVPN"
+	case 3:
+		return &ctx.faultVA, tag + ".faultVA"
+	}
+	t, regs, letter := m.handlerRegs(ctx)
+	if k -= 4; k < 31 {
+		reg := int(k)
+		if reg >= int(isa.RegZero) {
+			reg++
+		}
+		return &regs[reg], fmt.Sprintf("%s.tid%d.%s%d", tag, t.id, letter, reg)
+	}
+	pr := handlerPrivs[k-31]
+	return &t.priv[pr], fmt.Sprintf("%s.tid%d.priv%d", tag, t.id, pr)
+}
+
+// flipHandlerState corrupts the pick-th site of the live
+// exception-handler state, in handler spawn order.
+func (m *Machine) flipHandlerState(pick uint64, r *faultRng) string {
 	for i, hi := range m.handlers {
 		ctx := &m.hArena[hi]
 		if ctx.dead || ctx.rfeRetired {
 			continue
 		}
-		sites = m.handlerSites(i, ctx, sites)
+		if n := m.handlerSiteCount(ctx); pick >= n {
+			pick -= n
+			continue
+		}
+		p, name := m.handlerSite(i, ctx, pick)
+		return flipBit(p, name, r)
 	}
-	if len(sites) == 0 {
-		return "", false
-	}
-	return flipBit(sites[r.next()%uint64(len(sites))], r), true
+	panic("cpu: handler fault site out of range")
 }
 
-// flipWindowPayload corrupts the payload of one in-window dynamic
-// instruction: the functional result every consumer reads, the
-// effective address a memory op retires against, the value a store
-// commits, or the next PC a control transfer resolves to. Handler
-// (PAL) instructions are eligible exactly like application ones —
-// that is the "extra state live across contexts" the campaign
-// measures.
-func (m *Machine) flipWindowPayload(r *faultRng) (string, bool) {
-	// Sites are enumerated in dispatch order, the window's age order.
+// payloadSites lists the flippable payload fields of an in-window
+// instruction, in site order: the functional result every consumer
+// reads, then the effective address a memory op retires against, the
+// value a store commits and the next PC a control transfer resolves
+// to, when it has them.
+func payloadSites(u *uop) (sites [4]faultSite, n int) {
+	sites[n] = faultSite{".result", &u.result}
+	n++
+	if u.isMem() {
+		sites[n] = faultSite{".ea", &u.ea}
+		n++
+	}
+	if u.isStore() {
+		sites[n] = faultSite{".storeVal", &u.storeVal}
+		n++
+	}
+	if u.isControl() {
+		sites[n] = faultSite{".nextPC", &u.nextPC}
+		n++
+	}
+	return sites, n
+}
+
+// flipWindowPayload corrupts the pick-th payload site of the
+// in-window dynamic instructions, taken in dispatch order, the
+// window's age order. Handler (PAL) instructions are eligible exactly
+// like application ones — that is the "extra state live across
+// contexts" the campaign measures.
+func (m *Machine) flipWindowPayload(pick uint64, r *faultRng) string {
 	var window []*uop
 	for ti := range m.threads {
 		for _, ui := range m.threads[ti].inflight {
@@ -272,22 +352,14 @@ func (m *Machine) flipWindowPayload(r *faultRng) (string, bool) {
 		}
 	}
 	sort.Slice(window, func(i, j int) bool { return window[i].dispatchSeq < window[j].dispatchSeq })
-	var sites []faultSite
 	for _, u := range window {
-		tag := fmt.Sprintf("w.seq%d.%v", u.seq, u.inst.Op)
-		sites = append(sites, faultSite{tag + ".result", &u.result})
-		if u.isMem() {
-			sites = append(sites, faultSite{tag + ".ea", &u.ea})
+		sites, n := payloadSites(u)
+		if pick >= uint64(n) {
+			pick -= uint64(n)
+			continue
 		}
-		if u.isStore() {
-			sites = append(sites, faultSite{tag + ".storeVal", &u.storeVal})
-		}
-		if u.isControl() {
-			sites = append(sites, faultSite{tag + ".nextPC", &u.nextPC})
-		}
+		s := sites[pick]
+		return flipBit(s.p, fmt.Sprintf("w.seq%d.%v%s", u.seq, u.inst.Op, s.label), r)
 	}
-	if len(sites) == 0 {
-		return "", false
-	}
-	return flipBit(sites[r.next()%uint64(len(sites))], r), true
+	panic("cpu: window fault site out of range")
 }

@@ -96,7 +96,7 @@ func (m *Machine) ArchRegs(tid int) isa.RegFile {
 }
 
 // Space returns context tid's address space: the loaded image's, or
-// on a Clone its copy over the clone's physical memory.
+// on a clone its copy over the clone's physical memory.
 func (m *Machine) Space(tid int) *vm.AddressSpace { return m.threads[tid].as }
 
 // ThreadHalted reports whether context tid has retired a HALT.

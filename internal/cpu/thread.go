@@ -335,13 +335,13 @@ func (t *thread) popSSBHead(u *uop) bool {
 	return true
 }
 
-// setQueues splits back into the thread's two backing arrays and
-// places the queues' entries, fetch and inflight, at their fronts.
-func (t *thread) setQueues(back, fetch, inflight []uopIdx) {
-	n := len(back) / 2
-	t.fetchBack, t.inflightBack = back[:n:n], back[n:]
-	t.fetchBuf = t.fetchBack[:copy(t.fetchBack, fetch)]
-	t.inflight = t.inflightBack[:copy(t.inflightBack, inflight)]
+// setQueues makes fetchBack and inflightBack the thread's backing
+// arrays and places the queues' entries, fetch and inflight, at their
+// fronts.
+func (t *thread) setQueues(fetchBack, inflightBack, fetch, inflight []uopIdx) {
+	t.fetchBack, t.inflightBack = fetchBack, inflightBack
+	t.fetchBuf = fetchBack[:copy(fetchBack, fetch)]
+	t.inflight = inflightBack[:copy(inflightBack, inflight)]
 }
 
 // pushFetched appends a fetched uop to the thread's fetch buffer and

@@ -31,7 +31,7 @@ const (
 // the reserved sentinel slot (never allocated), so zero-valued
 // references are naturally empty. Handles are stable for the life of
 // a machine — arena storage is recycled in place, never compacted —
-// and remain meaningful across Machine.Clone, which copies the arena
+// and remain meaningful across Machine.CloneInto, which copies the arena
 // wholesale.
 type uopIdx int32
 
@@ -94,7 +94,7 @@ func (m *Machine) at(i uopIdx) *uop { return &m.uops[i] }
 //
 // Fields are grouped by alignment, with the ones the scheduler reads
 // every cycle (stage, parking, readiness, age, the wake list) in the
-// first 64 bytes. Clone copies the whole arena once per fault trial,
+// first 64 bytes. CloneInto copies the whole arena once per fault trial,
 // so TestUopSize holds the struct to its size before event-driven
 // scheduling.
 type uop struct {

@@ -185,13 +185,16 @@ type Options struct {
 	Inject cpu.InjectedBug
 }
 
-// RefRun caches one reference-emulator execution and the resulting
-// memory signature, per architecture variant (aligned/unaligned). It
-// is the oracle every machine execution — and every fault-injection
+// RefRun caches one reference-emulator execution and its final
+// address space, per architecture variant (aligned/unaligned). It is
+// the oracle every machine execution — and every fault-injection
 // trial — is compared against.
 type RefRun struct {
-	Res  *refemu.Result
-	Hash uint64
+	Res *refemu.Result
+	// Space is the reference run's final address space. Every mapped
+	// frame of it is materialized and nothing writes it, so any number
+	// of oracles may compare against it at once.
+	Space *vm.AddressSpace
 }
 
 // NewRefRun executes the program once under the reference emulator.
@@ -206,7 +209,18 @@ func NewRefRun(p *gen.Program, unaligned bool) (*RefRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RefRun{Res: res, Hash: img.Space.ContentHash()}, nil
+	img.Space.Materialize()
+	return &RefRun{Res: res, Space: img.Space}, nil
+}
+
+// memoryDiff compares a run's mapped memory with the reference's
+// (vm.AddressSpace.EqualContent) and describes a difference by the
+// two spaces' content hashes, which only a divergence computes.
+func memoryDiff(space *vm.AddressSpace, ref *RefRun) string {
+	if space.EqualContent(ref.Space) {
+		return ""
+	}
+	return fmt.Sprintf("mapped-memory hash %#x != reference %#x", space.ContentHash(), ref.Space.ContentHash())
 }
 
 // CheckProgram runs the program under the full grid and collects
@@ -250,7 +264,7 @@ func CheckProgram(p *gen.Program, opt Options) ([]Divergence, error) {
 // runFastpath cross-checks the threaded-code functional tier
 // (internal/fastpath) against the cached reference run: identical
 // committed-instruction stream, step count, final registers and
-// mapped-memory signature. The functional tier is the architectural
+// mapped memory. The functional tier is the architectural
 // state source for sampled simulation (core.SampleCompare), so a
 // divergence here would silently corrupt every sampled estimate —
 // it is held to the same oracle as the cycle-accurate machines.
@@ -289,9 +303,8 @@ func runFastpath(p *gen.Program, unaligned bool, ref *RefRun) (div *Divergence) 
 	if regs := eng.Regs(); regs != ref.Res.Regs {
 		return &Divergence{Case: c, Kind: "registers", Detail: regsDiff(regs, ref.Res.Regs)}
 	}
-	if h := img.Space.ContentHash(); h != ref.Hash {
-		return &Divergence{Case: c, Kind: "memory",
-			Detail: fmt.Sprintf("mapped-memory hash %#x != reference %#x", h, ref.Hash)}
+	if d := memoryDiff(img.Space, ref); d != "" {
+		return &Divergence{Case: c, Kind: "memory", Detail: d}
 	}
 	return nil
 }
@@ -319,6 +332,8 @@ func skippable(op isa.Op, cfg cpu.Config) bool {
 // the divergence (nil if the run matched the reference) and the
 // core's partial result, which fault-injection trials read for cycle
 // counts and exception-activity counters even when the run diverged.
+// A Fork recycles its trial machine, so the Stats and Obs of a
+// RunFault result are valid only until the fork's next run.
 type RunResult struct {
 	Div *Divergence
 	Res cpu.Result
@@ -382,8 +397,8 @@ func (o *oracle) verify(m *cpu.Machine) (kind, detail string) {
 	if regs := m.ArchRegs(o.tid); regs != o.ref.Res.Regs {
 		return "registers", regsDiff(regs, o.ref.Res.Regs)
 	}
-	if h := m.Space(o.tid).ContentHash(); h != o.ref.Hash {
-		return "memory", fmt.Sprintf("mapped-memory hash %#x != reference %#x", h, o.ref.Hash)
+	if d := memoryDiff(m.Space(o.tid), o.ref); d != "" {
+		return "memory", d
 	}
 	return "", ""
 }
@@ -413,8 +428,8 @@ func errKind(err error) string {
 
 // RunCaseConfigured executes the program under one configuration and
 // compares the committed-instruction stream (streamed through
-// RetireHook), the final architectural registers and the
-// mapped-memory signature against the reference run. A panic inside
+// RetireHook), the final architectural registers and the mapped
+// memory against the reference run. A panic inside
 // the core is itself a divergence. pre, if non-nil, runs after the
 // program is loaded and before the machine starts — the seam where
 // the fuzzer arms InjectBug and the fault injector arms its
@@ -431,9 +446,10 @@ func RunCaseConfigured(p *gen.Program, c Case, cfg cpu.Config, ref *RefRun, pre 
 	return f.o.run(f.m, c)
 }
 
-// Fork runs RunCaseConfigured's check on clones of one unarmed
-// machine, so runs that differ only from some cycle on simulate their
-// common prefix once.
+// Fork runs RunCaseConfigured's check of fault trials on clones of
+// one unarmed machine, so trials that differ only from their firing
+// cycle on simulate their common prefix once, and each trial after
+// the first recycles the machine of the one before.
 type Fork struct {
 	p   *gen.Program
 	c   Case
@@ -441,6 +457,11 @@ type Fork struct {
 	ref *RefRun
 	m   *cpu.Machine // the unarmed machine; nil until loaded
 	o   oracle       // m's comparison so far
+	// m has had no target of class since cycle since (HasFaultTarget
+	// was false at every cycle of [since, m.Now())).
+	class cpu.FaultClass
+	since uint64
+	trial *cpu.Machine // the last trial's machine, recycled by the next
 }
 
 // NewFork prepares forked runs of p under cfg, checked against ref.
@@ -462,41 +483,63 @@ func (f *Fork) load() error {
 	return err
 }
 
-// RunFrom is RunCaseConfigured with pre applied at cycle at: it steps
-// the unarmed machine to at (or until it is Done), applies pre to a
-// clone and finishes the clone under a copy of the oracle. For a pre
-// that takes effect from cycle at, such as a FaultPlan with that At,
-// it returns what RunCaseConfigured does. An at behind the unarmed
-// machine reloads it, so callers going in increasing at simulate each
-// prefix cycle once.
-func (f *Fork) RunFrom(at uint64, pre func(*cpu.Machine)) (out RunResult) {
+// RunFault is RunCaseConfigured with plan armed before cycle 0, plus
+// the plan's fault record. It steps the unarmed machine to the cycle
+// the plan fires at, the first from plan.At on where its class has a
+// target (cpu.Machine.HasFaultTarget), and arms the plan on a clone
+// taken there, which fires at once and finishes under a copy of the
+// oracle. The clone is made in the previous trial's machine
+// (cpu.Machine.CloneInto). A plan whose class finds no target before
+// the unarmed machine is Done never fires: its run is the unarmed
+// one, checked without a clone.
+//
+// A firing cycle behind the unarmed machine reloads it, unless the
+// machine got there looking for a target of the same class from no
+// later than plan.At. So plans of one class taken in increasing At
+// simulate each prefix cycle once.
+func (f *Fork) RunFault(plan cpu.FaultPlan) (out RunResult, rec cpu.FaultRecord) {
 	defer recoverDiv(&out.Div, f.c)
-	if f.m == nil || f.m.Now() > at {
+	if f.m == nil || f.m.Now() > plan.At && (plan.Class != f.class || f.since > plan.At) {
 		if err := f.load(); err != nil {
 			f.m = nil
-			return RunResult{Div: &Divergence{Case: f.c, Kind: "error", Detail: err.Error()}}
+			return RunResult{Div: &Divergence{Case: f.c, Kind: "error", Detail: err.Error()}}, rec
 		}
 	}
 	// A panic or error while stepping leaves no half-stepped machine
 	// behind: the next call reloads.
 	m := f.m
 	f.m = nil
-	for m.Now() < at && !m.Done() {
-		if err := m.StepCycle(); err != nil {
-			// The run with pre applied failed the same way, before at.
-			if pre != nil {
-				pre(m)
+	if m.Now() <= plan.At {
+		for m.Now() < plan.At && !m.Done() {
+			if err := m.StepCycle(); err != nil {
+				return f.failed(m, err), rec
 			}
-			return RunResult{Div: &Divergence{Case: f.c, Kind: errKind(err), Detail: err.Error()}, Res: m.Finish()}
+		}
+		f.class, f.since = plan.Class, m.Now()
+	}
+	for !m.Done() && !m.HasFaultTarget(plan.Class) {
+		if err := m.StepCycle(); err != nil {
+			return f.failed(m, err), rec
 		}
 	}
 	f.m = m
-	fork := m.Clone()
-	if pre != nil {
-		pre(fork)
-	}
 	o := f.o
-	return o.run(fork, f.c)
+	if m.Done() {
+		return o.run(m, f.c), rec
+	}
+	trial := m.CloneInto(f.trial)
+	f.trial = trial
+	trial.SetFaultPlan(plan)
+	// Read the record after the run, even one that panics.
+	defer func() { rec = trial.FaultRecord() }()
+	return o.run(trial, f.c), rec
+}
+
+// failed is the armed run's result when a step of the unarmed machine
+// m fails with err before the plan fires: the armed run failed the
+// same way.
+func (f *Fork) failed(m *cpu.Machine, err error) RunResult {
+	return RunResult{Div: &Divergence{Case: f.c, Kind: errKind(err), Detail: err.Error()}, Res: m.Finish()}
 }
 
 // regsDiff names the first few differing registers.

@@ -295,10 +295,7 @@ func (e *Engine) frameSlow(vpn uint64, te *tcEntry, write bool) *[mem.FrameSize]
 func (e *Engine) Freeze() *vm.Image {
 	phys := e.phys.Clone()
 	as := e.as.CloneInto(phys)
-	as.ForEachMapped(func(vpn uint64) {
-		pa, _ := as.Translate(vpn << vm.PageShift)
-		phys.View(pa)
-	})
+	as.Materialize()
 	e.tc = [tcSize]tcEntry{}
 	return &vm.Image{
 		Name:    e.img.Name,

@@ -237,10 +237,12 @@ type Trial struct {
 
 // RunTrials classifies one trial per plan against the baseline and
 // returns them in plan order. It simulates the unfaulted prefix once:
-// one unfaulted machine steps through the plans' injection cycles in
-// increasing order, and each trial runs on a clone taken at its
-// plan's At (diffsim.Fork), yielding the Trial a run armed before
-// cycle 0 would. ctx is checked between trials.
+// one unfaulted machine steps through the plans in increasing At
+// order, and each trial runs on a clone taken at the cycle its flip
+// fires (diffsim.Fork.RunFault), in the machine of the trial before,
+// yielding the Trial a run armed before cycle 0 would. A plan that
+// never fires is the baseline's trial, masked, and needs no clone.
+// ctx is checked between trials.
 func RunTrials(ctx context.Context, p *gen.Program, mc MechCase, b *Baseline, plans []cpu.FaultPlan) ([]Trial, error) {
 	c := mc.DiffCase(p)
 	fork := diffsim.NewFork(p, c, TrialConfig(c, b.Ref.Res.Steps), b.Ref)
@@ -254,12 +256,8 @@ func RunTrials(ctx context.Context, p *gen.Program, mc MechCase, b *Baseline, pl
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		var m *cpu.Machine
-		rr := fork.RunFrom(plans[i].At, func(mm *cpu.Machine) {
-			m = mm
-			mm.SetFaultPlan(plans[i])
-		})
-		trials[i] = classify(b, plans[i], m, rr)
+		rr, rec := fork.RunFault(plans[i])
+		trials[i] = classify(b, plans[i], rec, rr)
 	}
 	return trials, nil
 }
@@ -273,14 +271,9 @@ func RunTrial(p *gen.Program, mc MechCase, b *Baseline, plan cpu.FaultPlan) Tria
 	return trials[0]
 }
 
-// classify turns one armed run on machine m (nil if it never loaded)
-// into its Trial.
-func classify(b *Baseline, plan cpu.FaultPlan, m *cpu.Machine, rr diffsim.RunResult) Trial {
-	t := Trial{Plan: plan}
-	if m != nil {
-		rec := m.FaultRecord()
-		t.Fired, t.FiredAt, t.Target = rec.Applied, rec.Cycle, rec.Target
-	}
+// classify turns one armed run and its fault record into its Trial.
+func classify(b *Baseline, plan cpu.FaultPlan, rec cpu.FaultRecord, rr diffsim.RunResult) Trial {
+	t := Trial{Plan: plan, Fired: rec.Applied, FiredAt: rec.Cycle, Target: rec.Target}
 	if rr.Div == nil {
 		if sig := signatureOf(rr.Res); sig != b.Sig {
 			t.Outcome = Detected

@@ -2,6 +2,7 @@ package faultinject
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -240,7 +241,7 @@ func runArmed(t *testing.T, p *gen.Program, cfg cpu.Config, plan cpu.FaultPlan, 
 		if m.Now() != plan.At {
 			t.Fatalf("unarmed prefix halted at cycle %d, before injection cycle %d", m.Now(), plan.At)
 		}
-		m = m.Clone()
+		m = m.CloneInto(nil)
 		m.RetireHook = record
 	}
 	m.SetFaultPlan(plan)
@@ -316,7 +317,7 @@ func TestCloneAtInjectionMatchesReplay(t *testing.T) {
 	}
 }
 
-// TestForkedCloneMatchesReplayAtEdges: diffsim.Fork.RunFrom, fed plans out of
+// TestForkedCloneMatchesReplayAtEdges: diffsim.Fork.RunFault, fed plans out of
 // order, with a repeated injection cycle, at cycle 1, at the
 // unfaulted run's last cycle and far past it, returns exactly what
 // RunCaseConfigured returns with the plan armed before cycle 0: the
@@ -347,8 +348,8 @@ func TestForkedCloneMatchesReplayAtEdges(t *testing.T) {
 		}
 		fork := diffsim.NewFork(p, c, cfg, b.Ref)
 		for i, plan := range plans {
-			var fm, rm *cpu.Machine
-			got := fork.RunFrom(plan.At, func(m *cpu.Machine) { fm = m; m.SetFaultPlan(plan) })
+			var rm *cpu.Machine
+			got, rec := fork.RunFault(plan)
 			want := diffsim.RunCaseConfigured(p, c, cfg, b.Ref, func(m *cpu.Machine) { rm = m; m.SetFaultPlan(plan) })
 			where := fmt.Sprintf("%s plan %d (at %d, baseline %d cycles)", name, i, plan.At, b.Cycles)
 			switch {
@@ -358,8 +359,8 @@ func TestForkedCloneMatchesReplayAtEdges(t *testing.T) {
 				t.Errorf("%s: %d cycles, replay %d", where, got.Res.Cycles, want.Res.Cycles)
 			case !bytes.Equal(runFingerprint(t, got.Res), runFingerprint(t, want.Res)):
 				t.Errorf("%s: statistics or observations differ", where)
-			case fm.FaultRecord() != rm.FaultRecord():
-				t.Errorf("%s: fault record %+v, replay %+v", where, fm.FaultRecord(), rm.FaultRecord())
+			case rec != rm.FaultRecord():
+				t.Errorf("%s: fault record %+v, replay %+v", where, rec, rm.FaultRecord())
 			}
 		}
 	}
@@ -367,7 +368,7 @@ func TestForkedCloneMatchesReplayAtEdges(t *testing.T) {
 
 // TestForkedPrefixLivelockMatchesReplay: when the unarmed prefix
 // itself trips the no-progress watchdog before a plan's injection
-// cycle, Fork.RunFrom reports the livelock RunCaseConfigured reports
+// cycle, Fork.RunFault reports the livelock RunCaseConfigured reports
 // for the armed run, at the same cycle, and keeps doing so for later
 // plans.
 func TestForkedPrefixLivelockMatchesReplay(t *testing.T) {
@@ -383,7 +384,7 @@ func TestForkedPrefixLivelockMatchesReplay(t *testing.T) {
 	fork := diffsim.NewFork(p, c, cfg, b.Ref)
 	for _, at := range []uint64{b.Cycles / 2, b.Cycles / 2, b.Cycles} {
 		plan := cpu.FaultPlan{Class: cpu.FaultArchReg, At: at, Seed: 9}
-		got := fork.RunFrom(at, func(m *cpu.Machine) { m.SetFaultPlan(plan) })
+		got, _ := fork.RunFault(plan)
 		want := diffsim.RunCaseConfigured(p, c, cfg, b.Ref, func(m *cpu.Machine) { m.SetFaultPlan(plan) })
 		if want.Div == nil || want.Div.Kind != "livelock" || want.Res.Cycles >= at {
 			t.Fatalf("at %d: replay %v after %d cycles, want a livelock before the injection cycle", at, want.Div, want.Res.Cycles)
@@ -393,6 +394,158 @@ func TestForkedPrefixLivelockMatchesReplay(t *testing.T) {
 			t.Errorf("at %d: divergence %v, replay %v", at, got.Div, want.Div)
 		case !bytes.Equal(runFingerprint(t, got.Res), runFingerprint(t, want.Res)):
 			t.Errorf("at %d: statistics or observations differ (%d vs %d cycles)", at, got.Res.Cycles, want.Res.Cycles)
+		}
+	}
+}
+
+// replayTrial classifies plan armed before cycle 0 of a machine of
+// its own, the run RunTrials' forks stand in for.
+func replayTrial(p *gen.Program, mc MechCase, b *Baseline, plan cpu.FaultPlan) Trial {
+	c := mc.DiffCase(p)
+	var m *cpu.Machine
+	rr := diffsim.RunCaseConfigured(p, c, TrialConfig(c, b.Ref.Res.Steps), b.Ref, func(mm *cpu.Machine) {
+		m = mm
+		mm.SetFaultPlan(plan)
+	})
+	return classify(b, plan, m.FaultRecord(), rr)
+}
+
+// checkTrials runs plans through RunTrials and fails on any Trial
+// that differs from its replay.
+func checkTrials(t *testing.T, label string, p *gen.Program, mc MechCase, b *Baseline, plans []cpu.FaultPlan) []Trial {
+	t.Helper()
+	got, err := RunTrials(context.Background(), p, mc, b, plans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, plan := range plans {
+		if want := replayTrial(p, mc, b, plan); got[i] != want {
+			t.Errorf("%s plan %d (%s at %d): forked %+v, replay %+v", label, i, plan.Class, plan.At, got[i], want)
+		}
+	}
+	return got
+}
+
+// TestForkedCloneTrialsMatchReplay: RunTrials, which forks each trial
+// where its flip fires and recycles the machine of the trial before,
+// classifies every plan exactly as a run armed before cycle 0 does:
+// equal Trials, field for field, over the campaign's whole default
+// grid. It also covers plans of mixed classes out of At order (which
+// reload the unarmed machine), s202's TLB plans, which all wait for
+// the one late cycle its DTLB first holds an entry, and handler plans
+// under the hardware mechanism that start after its last walk and
+// never fire.
+func TestForkedCloneTrialsMatchReplay(t *testing.T) {
+	trials := 8
+	if testing.Short() {
+		trials = 2
+	}
+	specs := workload.FaultInjectionSuite()
+	for _, spec := range specs {
+		p, err := gen.ParseSpec(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mc := range DefaultMechs() {
+			b, err := NewBaseline(p, mc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, class := range DefaultClasses() {
+				key := fmt.Sprintf("%s|%s|%s", class, mc.Name, spec)
+				plans := make([]cpu.FaultPlan, trials)
+				for i := range plans {
+					plans[i] = PlanFor(1, key, i, class, b.Cycles, 0)
+				}
+				checkTrials(t, key, p, mc, b, plans)
+			}
+		}
+	}
+
+	p, err := gen.ParseSpec(specs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"trad", "hw"} {
+		mc, _ := MechByName(name)
+		b, err := NewBaseline(p, mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mixed []cpu.FaultPlan
+		for i, class := range []cpu.FaultClass{cpu.FaultTLB, cpu.FaultWindow, cpu.FaultArchReg, cpu.FaultHandlerCtx} {
+			for j := uint64(0); j < 2; j++ {
+				mixed = append(mixed, cpu.FaultPlan{Class: class, At: b.Cycles * (4 - uint64(i) + 3*j) / 8, Seed: uint64(i)*10 + j})
+			}
+		}
+		checkTrials(t, name+" mixed", p, mc, b, mixed)
+
+		late := make([]cpu.FaultPlan, 6)
+		for i := range late {
+			late[i] = cpu.FaultPlan{Class: cpu.FaultTLB, At: 1 + b.Cycles*uint64(i)/8, Seed: uint64(i)}
+		}
+		got := checkTrials(t, name+" tlb", p, mc, b, late)
+		for i, tr := range got {
+			if !tr.Fired || tr.FiredAt != got[0].FiredAt || tr.FiredAt < b.Cycles/2 {
+				t.Errorf("%s tlb plan %d (at %d) fired %v at %d: s202's TLB plans should all fire at one late cycle",
+					name, i, tr.Plan.At, tr.Fired, tr.FiredAt)
+			}
+		}
+	}
+
+	mc, _ := MechByName("hw")
+	b, err := NewBaseline(p, mc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	never := []cpu.FaultPlan{
+		{Class: cpu.FaultHandlerCtx, At: b.Cycles - 1, Seed: 1},
+		{Class: cpu.FaultHandlerCtx, At: b.Cycles - 1, Seed: 2},
+		{Class: cpu.FaultArchReg, At: b.Cycles / 2, Seed: 3},
+	}
+	for i, tr := range checkTrials(t, "hw never", p, mc, b, never)[:2] {
+		if tr.Fired || tr.Outcome != Masked {
+			t.Errorf("hw handler plan %d at %d: fired %v, %s; want a masked plan that never fires", i, tr.Plan.At, tr.Fired, tr.Outcome)
+		}
+	}
+}
+
+// TestFaultTargetNames pins the name a flip reports for each kind of
+// site, and the cycle it fires at: replay output and telemetry events
+// print them, and only the flipped site is named, so a change to the
+// enumeration order or a format string shows here first.
+func TestFaultTargetNames(t *testing.T) {
+	p, err := gen.ParseSpec(workload.FaultInjectionSuite()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		mech    string
+		plan    cpu.FaultPlan
+		firedAt uint64
+		target  string
+	}{
+		{"trad", cpu.FaultPlan{Class: cpu.FaultArchReg, At: 70, Seed: 17529683047194977110}, 70, "tid0 r19 bit3"},
+		{"trad", cpu.FaultPlan{Class: cpu.FaultArchReg, At: 990, Seed: 6302967268817107850}, 990, "tid0 f21 bit57"},
+		{"trad", cpu.FaultPlan{Class: cpu.FaultHandlerCtx, At: 1775, Seed: 669276693619378032}, 1786, "h0.excPC bit34"},
+		{"trad", cpu.FaultPlan{Class: cpu.FaultHandlerCtx, At: 690, Seed: 5611617660608213515}, 708, "h0.faultVA bit61"},
+		{"trad", cpu.FaultPlan{Class: cpu.FaultHandlerCtx, At: 853, Seed: 7643777632067781321}, 855, "h0.tid0.s17 bit26"},
+		{"trad", cpu.FaultPlan{Class: cpu.FaultHandlerCtx, At: 486, Seed: 11401285483386621746}, 486, "h0.tid0.priv1 bit41"},
+		{"multi1", cpu.FaultPlan{Class: cpu.FaultHandlerCtx, At: 1107, Seed: 14151682044242253653}, 1107, "h0.tid1.r14 bit29"},
+		{"trad", cpu.FaultPlan{Class: cpu.FaultTLB, At: 1004, Seed: 1916663729013342428}, 1004, "tlb[63].valid"},
+		{"trad", cpu.FaultPlan{Class: cpu.FaultTLB, At: 1881, Seed: 3106800445769613424}, 1881, "tlb[63].asn bit7"},
+		{"trad", cpu.FaultPlan{Class: cpu.FaultWindow, At: 190, Seed: 916662412864927683}, 218, "w.seq34.add.result bit55"},
+		{"trad", cpu.FaultPlan{Class: cpu.FaultWindow, At: 1133, Seed: 14368021854084215064}, 1133, "w.seq2124.stq.storeVal bit57"},
+		{"trad", cpu.FaultPlan{Class: cpu.FaultWindow, At: 515, Seed: 9991448306920175729}, 515, "w.seq114.rfe.nextPC bit31"},
+	} {
+		mc, _ := MechByName(c.mech)
+		b, err := NewBaseline(p, mc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tr := RunTrial(p, mc, b, c.plan); !tr.Fired || tr.FiredAt != c.firedAt || tr.Target != c.target {
+			t.Errorf("%s %s plan at %d: fired %v at %d on %q, want %d on %q",
+				c.mech, c.plan.Class, c.plan.At, tr.Fired, tr.FiredAt, tr.Target, c.firedAt, c.target)
 		}
 	}
 }

@@ -28,6 +28,9 @@ type Physical struct {
 	priv     map[uint64]bool // frames privatized (or created) since the last Clone or the first Borrow
 	first    uint64          // the frame the allocator handed out first
 	nextFree uint64          // bump pointer for frame allocation, in frame numbers
+	// free holds frames a recycled memory owned before CloneInto
+	// overwrote it, which it fills instead of allocating.
+	free []*[FrameSize]byte
 }
 
 // NewPhysical returns an empty physical memory. Frame number zero is
@@ -125,9 +128,8 @@ func (p *Physical) frame(pa uint64) *[FrameSize]byte {
 	fn := pa >> FrameShift
 	f, ok := p.frames[fn]
 	if !ok {
+		f = p.newFrame(nil)
 		//lint:allow hotpathlint frame materialized once per physical page on first touch, then reused
-		f = new([FrameSize]byte)
-		//lint:allow hotpathlint same: one frame-table insert per page lifetime
 		p.frames[fn] = f
 	}
 	return f
@@ -140,9 +142,8 @@ func (p *Physical) wframe(pa uint64) *[FrameSize]byte {
 	fn := pa >> FrameShift
 	f, ok := p.frames[fn]
 	if !ok {
+		f = p.newFrame(nil)
 		//lint:allow hotpathlint frame materialized once per physical page on first touch, then reused
-		f = new([FrameSize]byte)
-		//lint:allow hotpathlint same: one frame-table insert per page lifetime
 		p.frames[fn] = f
 		if p.cowing {
 			p.markPriv(fn)
@@ -150,11 +151,33 @@ func (p *Physical) wframe(pa uint64) *[FrameSize]byte {
 		return f
 	}
 	if p.cowing && !p.priv[fn] {
-		nf := *f
-		f = &nf
+		f = p.newFrame(f)
 		//lint:allow hotpathlint copy-on-write: one frame-table update per cloned page, first write only
 		p.frames[fn] = f
 		p.markPriv(fn)
+	}
+	return f
+}
+
+// newFrame returns a new frame holding a copy of src, or zeros when
+// src is nil, in a recycled frame when the memory has one.
+//
+//mtexc:coldpath
+func (p *Physical) newFrame(src *[FrameSize]byte) *[FrameSize]byte {
+	var f *[FrameSize]byte
+	if n := len(p.free); n > 0 {
+		f = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		f = new([FrameSize]byte)
+		if src == nil {
+			return f
+		}
+	}
+	if src == nil {
+		*f = [FrameSize]byte{}
+	} else {
+		*f = *src
 	}
 	return f
 }

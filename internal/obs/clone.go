@@ -2,21 +2,31 @@ package obs
 
 import "mtexc/internal/stats"
 
-// Clone returns a deep copy of the issue-slot ledger.
-func (a *SlotAccount) Clone() *SlotAccount {
-	c := *a
-	return &c
+// CloneInto returns a deep copy of the issue-slot ledger, into dst
+// when it is non-nil.
+func (a *SlotAccount) CloneInto(dst *SlotAccount) *SlotAccount {
+	if dst == nil {
+		dst = new(SlotAccount)
+	}
+	*dst = *a
+	return dst
 }
 
 // CloneInto returns a deep copy of the recorder feeding its
 // histograms into set, which must be (a clone of) the stats registry
 // the original fed — the span histograms the original already
-// registered live there and the clone continues them.
-func (r *MissRecorder) CloneInto(set *stats.Set) *MissRecorder {
-	c := *r
-	c.set = set
-	c.ring = append([]MissSpan(nil), r.ring...)
-	return &c
+// registered live there and the clone continues them. dst, when
+// non-nil, is a recorder no one uses any more; its span ring is
+// reused.
+func (r *MissRecorder) CloneInto(set *stats.Set, dst *MissRecorder) *MissRecorder {
+	if dst == nil {
+		dst = new(MissRecorder)
+	}
+	ring := dst.ring
+	*dst = *r
+	dst.set = set
+	dst.ring = append(ring[:0], r.ring...)
+	return dst
 }
 
 // Clone returns a deep copy of the sampler: epoch position, every

@@ -13,7 +13,7 @@ func TestSlotAccountClone(t *testing.T) {
 	a.Use(SlotHandler, 1)
 	a.EndCycle(SlotIdleContext)
 
-	c := a.Clone()
+	c := a.CloneInto(nil)
 	if c.Total() != a.Total() || c.Cycles() != a.Cycles() {
 		t.Fatal("clone ledger differs")
 	}
@@ -32,8 +32,8 @@ func TestMissRecorderCloneInto(t *testing.T) {
 	r.Finish(s1)
 	open := r.Begin(2, 0x20, "tlb", "multithreaded", 200)
 
-	cset := set.Clone()
-	c := r.CloneInto(cset)
+	cset := set.CloneInto(nil)
+	c := r.CloneInto(cset, nil)
 	if c.Completed() != 1 || c.Aborted() != 0 {
 		t.Fatal("clone lost span totals")
 	}

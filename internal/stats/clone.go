@@ -1,39 +1,65 @@
 package stats
 
-// Clone returns a deep copy of the histogram. The sorted-key cache is
-// dropped; it rebuilds lazily on the next percentile query.
-func (h *Histogram) Clone() *Histogram {
-	c := *h
-	c.buckets = make(map[int64]uint64, len(h.buckets))
+// cloneInto copies the histogram into dst, reusing its bucket map and
+// dense array. The sorted-key cache is dropped; it rebuilds lazily on
+// the next percentile query.
+func (h *Histogram) cloneInto(dst *Histogram) *Histogram {
+	if dst == nil {
+		dst = new(Histogram)
+	}
+	buckets, dense := dst.buckets, dst.dense
+	if buckets == nil {
+		buckets = make(map[int64]uint64, len(h.buckets))
+	} else {
+		clear(buckets)
+	}
+	*dst = *h
 	// Each key is copied once; map visit order cannot affect the
 	// resulting buckets.
 	for k, v := range h.buckets {
-		c.buckets[k] = v
+		buckets[k] = v
 	}
+	dst.buckets = buckets
 	if h.dense != nil {
-		c.dense = append([]uint64(nil), h.dense...)
+		dst.dense = append(dense[:0], h.dense...)
 	}
-	c.sorted = nil
-	return &c
+	dst.sorted = nil
+	return dst
 }
 
-// Clone returns a deep copy of the registry: every counter and
+// CloneInto returns a deep copy of the registry: every counter and
 // histogram is duplicated and the first-use registration order — which
-// determines rendered output — is preserved exactly. Cached handles
+// determines rendered output — is preserved exactly. dst, when
+// non-nil, is a registry no one uses any more: it is overwritten, and
+// its counters and histograms are reused by name. Cached handles
 // (CachedCounter, CachedHistogram) are not part of the Set; holders
 // must take fresh handles against the clone.
-func (s *Set) Clone() *Set {
-	c := &Set{
-		counters: make(map[string]*Counter, len(s.counters)),
-		hists:    make(map[string]*Histogram, len(s.hists)),
-		order:    append([]string(nil), s.order...),
+func (s *Set) CloneInto(dst *Set) *Set {
+	if dst == nil {
+		dst = &Set{
+			counters: make(map[string]*Counter, len(s.counters)),
+			hists:    make(map[string]*Histogram, len(s.hists)),
+		}
 	}
+	for _, name := range dst.order {
+		if _, ok := s.counters[name]; !ok {
+			delete(dst.counters, name)
+		}
+		if _, ok := s.hists[name]; !ok {
+			delete(dst.hists, name)
+		}
+	}
+	dst.order = append(dst.order[:0], s.order...)
 	for name, ctr := range s.counters {
-		cc := *ctr
-		c.counters[name] = &cc
+		if cc := dst.counters[name]; cc != nil {
+			*cc = *ctr
+		} else {
+			cc := *ctr
+			dst.counters[name] = &cc
+		}
 	}
 	for name, h := range s.hists {
-		c.hists[name] = h.Clone()
+		dst.hists[name] = h.cloneInto(dst.hists[name])
 	}
-	return c
+	return dst
 }

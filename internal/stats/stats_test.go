@@ -160,7 +160,7 @@ func TestDenseHistMatchesMap(t *testing.T) {
 	}
 
 	// A clone's handle binds the cloned histogram, dense array and all.
-	c := dense.Clone()
+	c := dense.CloneInto(nil)
 	ch := c.CachedDenseHist("h", 9)
 	ch.Observe(2)
 	ph.Observe(2)

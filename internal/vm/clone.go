@@ -6,13 +6,18 @@ import (
 	"mtexc/internal/mem"
 )
 
-// Clone returns a deep copy of the TLB: entries, LRU stamps,
+// CloneInto returns a deep copy of the TLB: entries, LRU stamps,
 // speculative-fill tags and statistics. Lookups and fills on either
-// copy leave the other untouched.
-func (t *TLB) Clone() *TLB {
-	c := *t
-	c.entries = append([]tlbEntry(nil), t.entries...)
-	return &c
+// copy leave the other untouched. dst, when non-nil, is a TLB no one
+// uses any more; it is overwritten and its entries reused.
+func (t *TLB) CloneInto(dst *TLB) *TLB {
+	if dst == nil {
+		dst = new(TLB)
+	}
+	entries := dst.entries
+	*dst = *t
+	dst.entries = append(entries[:0], t.entries...)
+	return dst
 }
 
 // CloneInto returns a deep copy of the address space bound to phys,

@@ -13,8 +13,8 @@ func TestTLBCloneIndependence(t *testing.T) {
 	}
 	tlb.Lookup(1, 3)
 
-	c := tlb.Clone()
-	if c.Occupancy() != tlb.Occupancy() || c.Hits != tlb.Hits {
+	c := tlb.CloneInto(nil)
+	if c.ValidEntries() != tlb.ValidEntries() || c.Hits != tlb.Hits {
 		t.Fatal("clone does not mirror occupancy/stats")
 	}
 	for vpn := uint64(0); vpn < 8; vpn++ {
@@ -26,7 +26,7 @@ func TestTLBCloneIndependence(t *testing.T) {
 
 	// Flushing the clone must leave the original's entries intact.
 	c.Flush()
-	if c.Occupancy() != 0 {
+	if c.ValidEntries() != 0 {
 		t.Fatal("flush did not empty the clone")
 	}
 	if !tlb.Contains(1, 5) {

@@ -33,17 +33,6 @@ func (t *TLB) Flush() {
 	}
 }
 
-// Occupancy reports how many entries are valid.
-func (t *TLB) Occupancy() int {
-	n := 0
-	for i := range t.entries {
-		if t.entries[i].valid {
-			n++
-		}
-	}
-	return n
-}
-
 // IsMapped reports whether the page containing va is resident.
 func (as *AddressSpace) IsMapped(va uint64) bool {
 	_, ok := as.mirror[va>>PageShift]

@@ -269,6 +269,33 @@ func (as *AddressSpace) ContentHash() uint64 {
 	return h
 }
 
+// EqualContent reports whether as and o map the same virtual pages
+// with the same bytes: the spaces whose ContentHash is the same,
+// barring collisions, for the price of comparing the pages instead of
+// hashing them. Like ContentHash it reads pages through
+// mem.Physical.View, so it privatizes no shared frame; a space that
+// several goroutines compare against at once must be Materialized.
+func (as *AddressSpace) EqualContent(o *AddressSpace) bool {
+	if len(as.mirror) != len(o.mirror) {
+		return false
+	}
+	same := true
+	as.ForEachMapped(func(vpn uint64) {
+		opfn, ok := o.mirror[vpn]
+		same = same && ok &&
+			*as.phys.View(as.mirror[vpn] << PageShift) == *o.phys.View(opfn << PageShift)
+	})
+	return same
+}
+
+// Materialize gives every mapped page its frame, so that reading the
+// space afterwards (View, ContentHash, EqualContent) never inserts
+// into its physical memory's frame map, and any number of goroutines
+// may read it at once while nothing writes it.
+func (as *AddressSpace) Materialize() {
+	as.ForEachMapped(func(vpn uint64) { as.phys.View(as.mirror[vpn] << PageShift) })
+}
+
 // ReadU64 reads through the oracle translation; for loaders and
 // functional execution. Unmapped reads return zero (the simulator
 // only issues them on mis-speculated paths).

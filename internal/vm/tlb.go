@@ -129,6 +129,18 @@ func (t *TLB) SquashSpec(specTag uint64) {
 	}
 }
 
+// ValidEntries counts the valid entries, the candidates CorruptEntry
+// picks among.
+func (t *TLB) ValidEntries() int {
+	n := 0
+	for i := range t.entries {
+		if t.entries[i].valid {
+			n++
+		}
+	}
+	return n
+}
+
 // CorruptEntry flips one bit of a currently valid entry, modelling a
 // transient fault in the TLB array. pick selects among the valid
 // entries in index order, field selects what to corrupt (valid bit,
@@ -139,12 +151,7 @@ func (t *TLB) SquashSpec(specTag uint64) {
 // miss. Returns a description of the flip and whether a valid entry
 // existed to corrupt.
 func (t *TLB) CorruptEntry(pick, field, bit uint64) (string, bool) {
-	n := 0
-	for i := range t.entries {
-		if t.entries[i].valid {
-			n++
-		}
-	}
+	n := t.ValidEntries()
 	if n == 0 {
 		return "", false
 	}

@@ -176,7 +176,7 @@ func TestTLBInvalidateASNAndFlush(t *testing.T) {
 		t.Error("ASN 2 entry removed by InvalidateASN(1)")
 	}
 	tlb.Flush()
-	if tlb.Occupancy() != 0 {
+	if tlb.ValidEntries() != 0 {
 		t.Error("entries survive Flush")
 	}
 }
