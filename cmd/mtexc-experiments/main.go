@@ -23,7 +23,6 @@ import (
 	"os/signal"
 	"path/filepath"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
@@ -66,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		verbose  = fs.Bool("v", false, "log every simulation run")
 		csv      = fs.Bool("csv", false, "emit CSV instead of aligned text")
 		jsonOut  = fs.Bool("json", false, "emit newline-delimited JSON rows instead of aligned text")
-		parallel = fs.Int("parallel", 0, "simulations run concurrently per experiment (0 = one per CPU, 1 = serial)")
+		parallel = fs.Int("parallel", 0, "simulations run at once (0 = one per CPU, 1 = serial)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile (post-run) to this file")
 		journalP = fs.String("journal", "out/journal.ndjson", "NDJSON journal of completed simulations (empty disables journaling)")
@@ -199,36 +198,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 		printTable1(stdout)
 		ran = true
 	}
-	// Experiments are independent simulations; run the enabled ones
-	// concurrently and print in declaration order.
+	// The enabled experiments run one after another, each on the
+	// -parallel workers of its own forEach, so at most -parallel
+	// simulations run at once and a run an earlier experiment already
+	// journaled or cached is read, never raced. Tables print in
+	// declaration order, after the sampled ones.
 	type outcome struct {
 		tab *harness.Table
 		err error
 	}
 	results := make([]*outcome, len(experiments))
-	var wg sync.WaitGroup
 	for i, e := range experiments {
 		if !*e.enabled && !(*all && !e.noAll) {
 			continue
 		}
 		ran = true
-		results[i] = &outcome{}
-		wg.Add(1)
-		go func(i int, name string, run func(harness.Options) (*harness.Table, error)) {
-			defer wg.Done()
+		res := &outcome{}
+		results[i] = res
+		func() {
 			// Cell failures are contained inside the harness; this
 			// recover is the backstop for panics outside any cell
 			// (setup, table assembly), so one broken experiment never
 			// takes down its siblings' results.
 			defer func() {
 				if v := recover(); v != nil {
-					results[i].err = fmt.Errorf("%s: internal panic: %v", name, v)
+					res.err = fmt.Errorf("%s: internal panic: %v", e.name, v)
 				}
 			}()
-			results[i].tab, results[i].err = run(opt)
-		}(i, e.name, e.run)
+			res.tab, res.err = e.run(opt)
+		}()
 	}
-	wg.Wait()
 	// The sampled-mode runs are not part of the Table-returning
 	// experiment set; they run here so the profiles still cover them.
 	// Their failed cells join the digest below.

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -27,6 +29,50 @@ func TestTable2Smoke(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "compress") {
 		t.Errorf("table missing compress row:\n%s", out.String())
+	}
+}
+
+// TestExperimentsRunOneAtATime: experiments run one after another on
+// the -parallel workers, so a serial run's trace has one lane and no
+// two simulations on it overlap, and Table 4 reads the runs it repeats
+// from Figure 5's journal entries instead of racing them.
+func TestExperimentsRunOneAtATime(t *testing.T) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "trace.json")
+	var out, errb bytes.Buffer
+	rc := run([]string{"-fig5", "-table4", "-bench", "cmp", "-insts", "20000", "-parallel", "1",
+		"-journal", filepath.Join(dir, "journal.ndjson"), "-runtrace", trace}, &out, &errb)
+	if rc != 0 {
+		t.Fatalf("rc = %d; stderr: %s", rc, errb.String())
+	}
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Cat, Ph string
+			TS, Dur uint64
+			TID     uint64
+		}
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	ends := map[uint64]uint64{} // lane -> end of its last simulation
+	sims := 0
+	for _, e := range doc.TraceEvents {
+		if e.Ph != "X" || (e.Cat != "sim" && e.Cat != "baseline") {
+			continue
+		}
+		sims++
+		if e.TS < ends[e.TID] {
+			t.Errorf("lane %d: a simulation starts at %d µs, before the previous one ends at %d µs", e.TID, e.TS, ends[e.TID])
+		}
+		ends[e.TID] = e.TS + e.Dur
+	}
+	if sims == 0 || len(ends) != 1 {
+		t.Errorf("%d simulation span(s) on %d lane(s), want some on one", sims, len(ends))
 	}
 }
 

@@ -165,19 +165,34 @@ func (c Comparison) RelativeTLBTime() float64 {
 // PerfectOf derives the perfect-TLB baseline of a subject
 // configuration whose machines each run threads application threads:
 // the same machine with a TLB that never misses, one hardware context
-// per application thread, and the exception-architecture knobs that
-// only matter on a miss (quick-start, limit studies) normalized away.
-// A perfect TLB never spawns a handler, so the idle contexts that
-// exist only to host one cannot move its cycles; every subject that
-// differs only in its idle contexts or those knobs shares one
-// baseline. Every other field — machine width, predictor, budgets,
+// per application thread, and every field a perfect machine never
+// reads reset to its DefaultConfig value. A perfect TLB never misses
+// and never spawns a handler, so neither the idle contexts that exist
+// only to host one nor the reset fields can move its cycles, and every
+// subject that differs only in those shares one baseline; resetting to
+// the defaults keeps a default-shaped subject's baseline what it was.
+// Every other field — machine width, predictor, retire width, budgets,
 // workload-facing switches — must match the subject's, or penalties
-// would conflate mechanism cost with configuration differences.
+// would conflate mechanism cost with configuration differences. The
+// harness's TestPerfectBaselineFilesEveryField files every field.
 func PerfectOf(cfg Config, threads int) Config {
+	def := DefaultConfig()
 	cfg.Mech = MechPerfect
-	cfg.QuickStart = false
-	cfg.Limit = LimitNone
 	cfg.Contexts = threads
+	cfg.QuickStart = def.QuickStart
+	cfg.Limit = def.Limit
+	cfg.DTLBEntries = def.DTLBEntries
+	cfg.DTLBWays = def.DTLBWays
+	cfg.Handler = def.Handler
+	cfg.MaxWalkers = def.MaxWalkers
+	cfg.NoHandlerFetchPriority = def.NoHandlerFetchPriority
+	cfg.NoWindowReservation = def.NoWindowReservation
+	cfg.NoRelink = def.NoRelink
+	cfg.EmulatePopc = def.EmulatePopc
+	cfg.OSFaultCycles = def.OSFaultCycles
+	if threads == 1 {
+		cfg.FetchRoundRobin = def.FetchRoundRobin
+	}
 	return cfg
 }
 

@@ -194,8 +194,8 @@ func (r *runner) exec(c *cell, j job) (core.Result, error) {
 		panic(fmt.Sprintf("injected failure (%s=%q)", FailCellEnv, r.failSpec))
 	}
 	if r.journal != nil {
-		if res, ok := r.journal.lookup(key); ok {
-			r.noteJournalHit(c, key)
+		if res, loaded, ok := r.journal.lookup(key); ok {
+			r.noteJournalHit(c, key, loaded)
 			return res, nil
 		}
 	}
@@ -296,12 +296,12 @@ func (r *runner) simPhase(c *cell, key string) string {
 	return "sim"
 }
 
-// noteJournalHit classifies a journal answer for telemetry: a hit on
-// the cell's own subject fingerprint is a resume (the cell's
-// simulation survives from a previous run or experiment), anything
-// else is baseline dedupe.
-func (r *runner) noteJournalHit(c *cell, key string) {
-	if c.subjectKey() == key {
+// noteJournalHit classifies a journal answer for telemetry: an entry
+// an earlier run's journal held (loaded) that answers the cell's own
+// subject is a resume; anything else, a baseline or a run an earlier
+// experiment of this process recorded, is dedupe.
+func (r *runner) noteJournalHit(c *cell, key string, loaded bool) {
+	if loaded && c.subjectKey() == key {
 		c.tel.ResumeHit(key)
 		r.opt.Meter.CellResumed()
 	} else {

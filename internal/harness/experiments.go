@@ -106,9 +106,9 @@ func newRunner(opt Options, exp string) *runner {
 	return &runner{opt: opt, exp: exp, base: bc, journal: opt.Journal, failSpec: failCellSpec()}
 }
 
-// progressMu serializes Progress writers across all runners: the
-// command-line driver runs several experiments concurrently against
-// one stderr, and a torn line helps nobody.
+// progressMu serializes Progress writes across all runners: a
+// forEach's workers, and any experiments a caller runs at once, share
+// one writer, and a torn line helps nobody.
 var progressMu sync.Mutex
 
 func (r *runner) log(format string, args ...any) {

@@ -89,6 +89,14 @@ func TestGoldenRunKeys(t *testing.T) {
 	add("fig5.multi3", r.baseConfig(core.MechMultithreaded, 1, 3), cmp)
 	add("fig5.hardware", r.baseConfig(core.MechHardware, 1, 0), cmp)
 	add("fig5.perfect", r.baseConfig(core.MechPerfect, 1, 0), cmp)
+	// Baselines a perfect TLB cannot tell apart share fig5.perfect's
+	// key: an ablation's and a TLB size's.
+	rr := r.baseConfig(core.MechMultithreaded, 1, 1)
+	rr.FetchRoundRobin = true
+	add("ablate.roundrobin.perfect", core.PerfectOf(rr, 1), cmp)
+	small := r.baseConfig(core.MechMultithreaded, 1, 1)
+	small.DTLBEntries = 32
+	add("tlbsweep.32.perfect", core.PerfectOf(small, 1), cmp)
 
 	// Figure 2 pipeline depths, Figure 3 machine widths.
 	for _, d := range []int{3, 7, 11} {

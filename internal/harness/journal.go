@@ -30,6 +30,9 @@ type JournalEntry struct {
 	Experiment string            `json:"experiment"`
 	Meta       obs.Meta          `json:"meta"`
 	Counters   map[string]uint64 `json:"counters"`
+	// loaded marks an entry read from an earlier run's journal
+	// (OpenJournal with resume), not recorded by this process.
+	loaded bool
 }
 
 // Journal is a crash-safe append-only record of completed
@@ -85,6 +88,7 @@ func OpenJournal(path string, resume bool) (*Journal, error) {
 			if e.Schema != obs.SchemaVersion || e.Key == "" {
 				continue
 			}
+			e.loaded = true
 			j.entries[e.Key] = &e
 		}
 		if err := sc.Err(); err != nil {
@@ -139,16 +143,19 @@ func (j *Journal) Appends() int64 { return j.appends.Load() }
 // mtexc_journal_write_retries_total).
 func (j *Journal) WriteRetries() uint64 { return j.retries.Load() }
 
-// lookup reconstructs the journaled Result for key, if present. The
-// Result carries everything experiments consume: the Meta scalars and
-// a stats set holding the recorded counters. Histograms and raw
-// observations are not journaled; no table cell reads them.
-func (j *Journal) lookup(key string) (core.Result, bool) {
+// lookup reconstructs the journaled Result for key, if present, and
+// reports whether an earlier run's journal held it (loaded) rather
+// than this process recording it. The Result carries everything the
+// experiment tables consume: the Meta scalars and a stats set holding
+// the recorded counters. Histograms and raw observations are not
+// journaled, so Report, whose miss-latency table merges the span
+// histograms, must run without a journal.
+func (j *Journal) lookup(key string) (res core.Result, loaded, ok bool) {
 	j.mu.Lock()
 	e := j.entries[key]
 	j.mu.Unlock()
 	if e == nil {
-		return core.Result{}, false
+		return core.Result{}, false, false
 	}
 	j.hits.Add(1)
 	// Registration order is observable (Set.String, Set.Each, snapshot
@@ -163,7 +170,7 @@ func (j *Journal) lookup(key string) (core.Result, bool) {
 		DTLBMisses: e.Meta.DTLBMisses,
 		IPC:        e.Meta.IPC,
 		Stats:      set,
-	}, true
+	}, e.loaded, true
 }
 
 // record journals one completed simulation: one marshalled line, one

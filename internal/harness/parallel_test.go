@@ -93,6 +93,25 @@ func TestBaselineCacheSingleflight(t *testing.T) {
 	if got := cache.Runs(); got != before {
 		t.Errorf("re-running sampled Figure 5 added %d baseline simulations, want 0", got-before)
 	}
+
+	// core.PerfectOf resets what a perfect machine never reads: of the
+	// ablations' ten rows only the default, retire width 8, gshare and
+	// bimodal differ in a baseline, and the TLB sweep's three sizes
+	// share one.
+	for _, exp := range []struct {
+		name string
+		run  func(Options) (*Table, error)
+		want int64
+	}{{"Ablations", Ablations, 4}, {"TLBSweep", TLBSweep, 1}} {
+		own := opt
+		own.Baselines = NewBaselineCache()
+		if _, err := exp.run(own); err != nil {
+			t.Fatal(err)
+		}
+		if got := own.Baselines.Runs(); got != exp.want {
+			t.Errorf("%s: baseline simulations = %d, want %d", exp.name, got, exp.want)
+		}
+	}
 }
 
 // The first cell to ask for a baseline runs it before its subject; a

@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"mtexc/internal/telemetry"
 )
 
 // TestReportEndToEnd runs the full reproduction report at a reduced
@@ -13,10 +15,12 @@ func TestReportEndToEnd(t *testing.T) {
 		t.Skip("report runs the whole evaluation")
 	}
 	var sb strings.Builder
+	plane := telemetry.NewPlane()
 	opt := Options{
 		Insts:      120_000,
 		Benchmarks: []string{"cmp", "vor", "mph"},
 		Mixes:      [][3]string{{"cmp", "vor", "mph"}},
+		Telemetry:  plane,
 	}
 	if err := Report(opt, &sb); err != nil {
 		t.Fatalf("report failed: %v\n%s", err, sb.String())
@@ -29,5 +33,15 @@ func TestReportEndToEnd(t *testing.T) {
 	}
 	if strings.Contains(out, "NOT REPRODUCED") {
 		t.Error("report contains failed claims")
+	}
+	// The report's experiments share one baseline cache: Figures 2 and
+	// 3 add two machine shapes each per benchmark to the default one,
+	// Figure 7 its mix, and the Section 6 studies three densities each.
+	var b strings.Builder
+	if err := plane.Reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := scrapeValue(b.String(), "mtexc_baseline_runs_total"); err != nil || v != 22 {
+		t.Errorf("mtexc_baseline_runs_total = %v (%v), want 22", v, err)
 	}
 }

@@ -324,7 +324,7 @@ func TestResumeOldSampledJournal(t *testing.T) {
 		if err := json.Unmarshal(line, &e); err != nil {
 			t.Fatal(err)
 		}
-		res, _ := j.lookup(e.Key)
+		res, _, _ := j.lookup(e.Key)
 		if _, err := windowsFromResult(res, spec); err == nil {
 			t.Errorf("old estimate %s decoded as a window record", e.Key)
 		}

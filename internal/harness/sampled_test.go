@@ -117,7 +117,7 @@ func TestSampledRowRunsOnePass(t *testing.T) {
 	}
 	j.mu.Unlock()
 	for _, k := range keys {
-		res, _ := j.lookup(k)
+		res, _, _ := j.lookup(k)
 		run, err := windowsFromResult(res, spec)
 		if err != nil {
 			t.Fatal(err)

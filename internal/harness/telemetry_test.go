@@ -253,3 +253,55 @@ func TestTelemetryRecordsFailuresAndResume(t *testing.T) {
 		t.Errorf("meter summary lacks resume/fail tallies: %q", sum)
 	}
 }
+
+// TestFreshRunReportsNoResume: a subject that an earlier experiment of
+// the same run journaled is answered from the journal, but it is not
+// a resume. Table 4 repeats four of Figure 5's columns; on a fresh
+// journal the meter, the registry and the event log count no resume.
+func TestFreshRunReportsNoResume(t *testing.T) {
+	dir := t.TempDir()
+	j, err := OpenJournal(filepath.Join(dir, "journal.ndjson"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	plane := telemetry.NewPlane()
+	eventsPath := filepath.Join(dir, "events.ndjson")
+	events, err := telemetry.OpenLog(eventsPath, telemetry.LevelDebug)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plane.Events = events
+	opt := Options{Insts: 20_000, Benchmarks: []string{"cmp"}, Journal: j,
+		Telemetry: plane, Meter: telemetry.NewMeter()}
+	for _, run := range []func(Options) (*Table, error){Figure5, Table4} {
+		if _, err := run(opt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if j.Hits() == 0 {
+		t.Fatal("Table 4 read none of Figure 5's runs from the journal")
+	}
+	if sum := opt.Meter.Summary(); !strings.Contains(sum, ", 0 resumed") {
+		t.Errorf("meter summary counts resumes: %q", sum)
+	}
+	var b strings.Builder
+	if err := plane.Reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := scrapeValue(b.String(), "mtexc_cells_resumed_total"); err != nil || v != 0 {
+		t.Errorf("mtexc_cells_resumed_total = %v (%v), want 0", v, err)
+	}
+	if err := events.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logged, err := telemetry.ReadEvents(eventsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range logged {
+		if e.Type == "cell.resume" {
+			t.Errorf("cell.resume event on a fresh run: %+v", e)
+		}
+	}
+}
