@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	mtexc-experiments -all                # every table and figure
-//	mtexc-experiments -fig5 -insts 2e6    # one experiment, longer runs
+//	mtexc-experiments -all                 # every table and figure
+//	mtexc-experiments -fig5 -insts 2000000 # one experiment, longer runs
 //	mtexc-experiments -fig2 -bench cmp,vor
 //
 // Runs are length-scaled from the paper's 100M-instruction windows;
@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		parallel = fs.Int("parallel", 0, "simulations run at once (0 = one per CPU, 1 = serial)")
 		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the experiment runs to this file")
 		memProf  = fs.String("memprofile", "", "write a heap profile (post-run) to this file")
-		journalP = fs.String("journal", "out/journal.ndjson", "NDJSON journal of completed simulations (empty disables journaling)")
+		journalP = fs.String("journal", "out/journal.ndjson", "NDJSON file recording every completed simulation, for -resume (empty: no file; repeated runs still simulate once)")
 		resume   = fs.Bool("resume", false, "reuse results journaled by a previous (possibly killed) invocation instead of re-simulating them")
 		cellTime = fs.Duration("cell-timeout", 0, "wall-clock deadline per simulation (0 = none); an overrunning cell reports FAIL")
 		telAddr  = fs.String("telemetry", "", "serve the live telemetry plane on this address (/metrics, /debug/cells, /debug/pprof); empty disables")
@@ -89,12 +89,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	// One journal across every enabled experiment, with or without a
+	// file: each distinct run simulates once per invocation.
+	journal, err := harness.OpenJournal(*journalP, *resume)
+	if err != nil {
+		fmt.Fprintln(stderr, "mtexc-experiments:", err)
+		return 1
+	}
+	if *resume && *verbose && *journalP != "" {
+		fmt.Fprintf(stderr, "resuming: %d journaled simulation(s) in %s\n", journal.Len(), *journalP)
+	}
 	opt := harness.Options{
 		Insts:       *insts,
 		Parallelism: *parallel,
-		// One baseline cache across every enabled experiment: each
-		// perfect-TLB machine shape simulates once per invocation.
-		Baselines:   harness.NewBaselineCache(),
+		Journal:     journal,
 		CellTimeout: *cellTime,
 		Context:     ctx,
 	}
@@ -103,19 +111,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *verbose {
 		opt.Progress = stderr
-	}
-	var journal *harness.Journal
-	if *journalP != "" {
-		var err error
-		journal, err = harness.OpenJournal(*journalP, *resume)
-		if err != nil {
-			fmt.Fprintln(stderr, "mtexc-experiments:", err)
-			return 1
-		}
-		opt.Journal = journal
-		if *resume && *verbose {
-			fmt.Fprintf(stderr, "resuming: %d journaled simulation(s) in %s\n", journal.Len(), *journalP)
-		}
 	}
 
 	// The telemetry plane is assembled from whichever surfaces were
@@ -137,7 +132,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				"Transient event-log append Write errors recovered by the bounded retry.",
 				func() float64 { return float64(events.WriteRetries()) })
 		}
-		if journal != nil {
+		if *journalP != "" {
 			plane.Reg.CounterFunc("mtexc_journal_write_retries_total",
 				"Transient journal append Write errors recovered by the bounded retry.",
 				func() float64 { return float64(journal.WriteRetries()) })
@@ -289,15 +284,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if len(failures) > 0 {
 		fmt.Fprintf(stderr, "mtexc-experiments: %d cell(s) failed; rerun with -v for stacks\n", len(failures))
 	}
-	if journal != nil {
-		if *verbose {
-			fmt.Fprintf(stderr, "journal: %d hit(s), %d new entr%s\n",
-				journal.Hits(), journal.Appends(), plural(journal.Appends(), "y", "ies"))
-		}
-		if err := journal.Close(); err != nil {
-			fmt.Fprintln(stderr, "mtexc-experiments:", err)
-			exitCode = 1
-		}
+	if *verbose && *journalP != "" {
+		fmt.Fprintf(stderr, "journal: %d hit(s), %d new entr%s\n",
+			journal.Hits(), journal.Appends(), plural(journal.Appends(), "y", "ies"))
+	}
+	if err := journal.Close(); err != nil {
+		fmt.Fprintln(stderr, "mtexc-experiments:", err)
+		exitCode = 1
 	}
 	if !ran {
 		fs.Usage()

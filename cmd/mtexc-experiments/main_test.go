@@ -35,7 +35,7 @@ func TestTable2Smoke(t *testing.T) {
 // TestExperimentsRunOneAtATime: experiments run one after another on
 // the -parallel workers, so a serial run's trace has one lane and no
 // two simulations on it overlap, and Table 4 reads the runs it repeats
-// from Figure 5's journal entries instead of racing them.
+// from the journal Figure 5 left them in instead of racing them.
 func TestExperimentsRunOneAtATime(t *testing.T) {
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "trace.json")

@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		specs    = fs.String("specs", "", "comma-separated gen program specs (empty = the built-in suite)")
 		frac     = fs.Float64("frac", 0.85, "inject within the first fraction of the unfaulted run's cycles")
 		parallel = fs.Int("parallel", 0, "cells run concurrently (0 = one per CPU, 1 = serial)")
-		journalP = fs.String("journal", "", "NDJSON journal of completed cells (empty disables journaling)")
+		journalP = fs.String("journal", "", "NDJSON file recording every completed cell, for -resume (empty: no file and no resume)")
 		resume   = fs.Bool("resume", false, "reuse cells journaled by a previous invocation instead of re-running them")
 		verbose  = fs.Bool("v", false, "log every completed cell")
 		telAddr  = fs.String("telemetry", "", "serve the live telemetry plane on this address (/metrics, /debug/cells); empty disables")
@@ -90,25 +90,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	journal, err := harness.OpenJournal(*journalP, *resume)
+	if err != nil {
+		fmt.Fprintln(stderr, "mtexc-faultinject:", err)
+		return 1
+	}
+	defer journal.Close()
+	if *resume && *verbose && *journalP != "" {
+		fmt.Fprintf(stderr, "resuming: %d journaled cell(s) in %s\n", journal.Len(), *journalP)
+	}
 	opt := harness.Options{
 		Parallelism: *parallel,
+		Journal:     journal,
 		Context:     ctx,
 	}
 	if *verbose {
 		opt.Progress = stderr
-	}
-	var journal *harness.Journal
-	if *journalP != "" {
-		journal, err = harness.OpenJournal(*journalP, *resume)
-		if err != nil {
-			fmt.Fprintln(stderr, "mtexc-faultinject:", err)
-			return 1
-		}
-		defer journal.Close()
-		opt.Journal = journal
-		if *resume && *verbose {
-			fmt.Fprintf(stderr, "resuming: %d journaled cell(s) in %s\n", journal.Len(), *journalP)
-		}
 	}
 
 	var telSrv *telemetry.Server
@@ -126,7 +123,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				"Transient event-log append Write errors recovered by the bounded retry.",
 				func() float64 { return float64(events.WriteRetries()) })
 		}
-		if journal != nil {
+		if *journalP != "" {
 			plane.Reg.CounterFunc("mtexc_journal_write_retries_total",
 				"Transient journal append Write errors recovered by the bounded retry.",
 				func() float64 { return float64(journal.WriteRetries()) })

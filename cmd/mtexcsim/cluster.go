@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -8,12 +9,12 @@ import (
 	"mtexc/internal/topology"
 )
 
-// runCluster drives the shared-L2 topology path of -cores: one core
-// per workload over a single shared L2 domain, core 0 being the
-// measured benchmark. Prints one summary line per core plus the
+// runCluster drives the shared-L2 topology path of -cores under ctx:
+// one core per workload over a single shared L2 domain, core 0 being
+// the measured benchmark. Prints one summary line per core plus the
 // shared-L2 aggregates; -stats dumps the merged statistics set
 // (per-core counters under coreN. prefixes).
-func runCluster(cfg core.Config, loads []core.Workload, showStats bool, stopProf func() error, stdout, stderr io.Writer) int {
+func runCluster(ctx context.Context, cfg core.Config, loads []core.Workload, showStats bool, stopProf func() error, stdout, stderr io.Writer) int {
 	cl, err := topology.New(topology.Config{Cores: len(loads), Core: cfg})
 	if err != nil {
 		fmt.Fprintln(stderr, "mtexcsim:", err)
@@ -25,6 +26,7 @@ func runCluster(cfg core.Config, loads []core.Workload, showStats bool, stopProf
 			return 1
 		}
 	}
+	cl.SetCancel(ctx)
 	results, err := cl.Run()
 	if err != nil {
 		fmt.Fprintln(stderr, "mtexcsim:", err)

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	mtexcsim -bench compress -mech multithreaded -idle 1 -insts 1e6
+//	mtexcsim -bench compress -mech multithreaded -idle 1 -insts 1000000
 //	mtexcsim -bench adm,gcc,vor -mech traditional
 //	mtexcsim -bench vor -mech multithreaded -quickstart -stats
 //
@@ -141,6 +141,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
+	// The per-run deadline mirrors harness.Options.CellTimeout in every
+	// mode: an overrunning simulation aborts with a *cpu.CancelledError
+	// wrapping context.DeadlineExceeded, exactly as a harness cell
+	// reports it.
+	ctx := context.Background()
+	if *cellTime > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *cellTime)
+		defer cancel()
+	}
+
 	// The shared-L2 cluster path: N cores with private L1s and TLBs
 	// over one shared L2 domain, driven by the deterministic
 	// round-robin driver. Reproduces harness SharedL2 cells.
@@ -166,7 +177,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			loads = append(loads, w)
 		}
-		return runCluster(cfg, loads, *showStats, stopProf, stdout, stderr)
+		return runCluster(ctx, cfg, loads, *showStats, stopProf, stdout, stderr)
 	}
 
 	// The two-tier paths: pure functional execution and sampled
@@ -188,17 +199,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "mtexcsim:", err)
 			return 2
 		}
-		return runSampled(loads[0], cfg, spec, stopProf, stdout, stderr)
-	}
-
-	// The per-run deadline mirrors harness.Options.CellTimeout: an
-	// overrunning simulation aborts with a *cpu.CancelledError wrapping
-	// context.DeadlineExceeded, exactly as a harness cell reports it.
-	ctx := context.Background()
-	if *cellTime > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *cellTime)
-		defer cancel()
+		return runSampled(ctx, loads[0], cfg, spec, stopProf, stdout, stderr)
 	}
 
 	var collector *trace.Collector
@@ -345,11 +346,11 @@ func runFunctional(w core.Workload, cfg core.Config, stopProf func() error, stdo
 
 // runSampled estimates the penalty per TLB miss from periodic
 // cycle-accurate windows over a functional fast-forward of the run
-// (core.SampleCompare), and reports the estimate with its confidence
-// interval and the detail fraction behind the speedup.
-func runSampled(w core.Workload, cfg core.Config, spec core.SampleSpec, stopProf func() error, stdout, stderr io.Writer) int {
+// (core.SampleCompareCtx, under ctx), and reports the estimate with
+// its confidence interval and the detail fraction behind the speedup.
+func runSampled(ctx context.Context, w core.Workload, cfg core.Config, spec core.SampleSpec, stopProf func() error, stdout, stderr io.Writer) int {
 	start := time.Now()
-	s, err := core.SampleCompare(cfg, spec, w)
+	s, err := core.SampleCompareCtx(ctx, cfg, spec, w)
 	elapsed := time.Since(start)
 	if perr := stopProf(); perr != nil {
 		fmt.Fprintln(stderr, "mtexcsim:", perr)

@@ -113,3 +113,22 @@ func TestSampledModeFlagErrors(t *testing.T) {
 		t.Errorf("-sample with perfect subject: rc = %d, want 1", rc)
 	}
 }
+
+// TestCellTimeoutEveryMode: -cell-timeout bounds a sampled and a
+// shared-L2 run as it bounds an exact one, so the repro line of a
+// harness cell that hit its deadline in either mode reproduces the
+// timeout (exit 1, context deadline exceeded) instead of printing
+// results.
+func TestCellTimeoutEveryMode(t *testing.T) {
+	for _, args := range [][]string{
+		{"-bench", "cmp", "-mech", "traditional", "-insts", "2000000", "-sample", "100000:10000:10000"},
+		{"-bench", "mph", "-cores", "2", "-corunner", "cmp", "-insts", "150000"},
+		{"-bench", "cmp", "-insts", "2000000"},
+	} {
+		var out, errb bytes.Buffer
+		rc := run(append(args, "-cell-timeout", "1ms"), &out, &errb)
+		if rc != 1 || !strings.Contains(errb.String(), "context deadline exceeded") {
+			t.Errorf("%v: rc = %d, stderr %q; want 1 and the deadline error", args, rc, errb.String())
+		}
+	}
+}

@@ -177,28 +177,59 @@ func imageHash(w core.Workload) (string, error) {
 // exec is the single simulation entry point of the harness, the same
 // sequence for every run mode: fingerprint the job, let the owning
 // cell describe itself for failure reports, fire any injected
-// failure, answer from the journal when the identical simulation
-// already completed, and otherwise simulate under the configured
-// context and per-cell deadline with a live probe attached, journaling
-// the result.
+// failure, and answer from the journal — from its file when it was
+// resumed with the run, from its store when a job of this process
+// already ran it (or is running it: exec waits), and otherwise by
+// simulating it once (simulate).
 func (r *runner) exec(c *cell, j job) (core.Result, error) {
 	key := j.key()
 	c.describe(j, key)
+	subject := key == c.subjectKey()
 	// The injection hook fires on the cell's subject only, after
 	// describe (so the failure report carries the configuration and a
-	// repro command) and before the journal lookup (so it fires on
-	// resumed runs too). A baseline never fires it: the cache hands one
-	// baseline to every cell that shares it, so a panic there would fail
-	// them all.
-	if r.failSpec != "" && key == c.subjectKey() && injectedFailure(r.exp, r.failSpec, c.index) {
+	// repro command) and before the journal answers (so it fires on
+	// resumed and repeated runs too). A baseline never fires it: the
+	// store hands one baseline to every cell that shares it, so a panic
+	// there would fail them all.
+	if r.failSpec != "" && subject && injectedFailure(r.exp, r.failSpec, c.index) {
 		panic(fmt.Sprintf("injected failure (%s=%q)", FailCellEnv, r.failSpec))
 	}
-	if r.journal != nil {
-		if res, loaded, ok := r.journal.lookup(key); ok {
-			r.noteJournalHit(c, key, loaded)
-			return res, nil
+	journal := r.opt.Journal
+	if res, ok := journal.lookup(key); ok {
+		if subject {
+			c.tel.ResumeHit(key)
+			r.opt.Meter.CellResumed()
+		} else {
+			c.tel.JournalHit()
 		}
+		return res, nil
 	}
+	var endWait func()
+	if !subject {
+		endWait = c.tel.BaselineWaitBegin()
+	}
+	ran := false
+	res, err := journal.runs.get(key, func() (core.Result, error) {
+		ran = true
+		return r.simulate(c, j, key, subject)
+	})
+	// A subject another job ran is a journal hit; a baseline another
+	// cell ran charges this cell's wait on it.
+	switch {
+	case ran:
+	case subject:
+		journal.hits.Add(1)
+		c.tel.JournalHit()
+	default:
+		endWait()
+	}
+	return res, err
+}
+
+// simulate runs j, fingerprinted key, under the configured context
+// and per-cell deadline with a live probe attached, and journals the
+// result. A run that is not the cell's subject is a baseline.
+func (r *runner) simulate(c *cell, j job, key string, subject bool) (core.Result, error) {
 	ctx := r.opt.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -208,33 +239,30 @@ func (r *runner) exec(c *cell, j job) (core.Result, error) {
 		ctx, cancel = context.WithTimeout(ctx, r.opt.CellTimeout)
 		defer cancel()
 	}
-	probe := c.tel.SimStarted(r.simPhase(c, key))
+	phase := "sim"
+	if !subject {
+		phase = "baseline"
+		c.tel.BaselineRan()
+	}
+	probe := c.tel.SimStarted(phase)
 	res, insts, err := j.sim(ctx, j, probe)
 	c.tel.SimFinished(insts, res.Cycles, res.Stats, err != nil)
 	r.opt.Meter.AddSimInsts(insts)
 	if err != nil {
 		return res, err
 	}
-	if r.journal != nil {
-		appendDone := c.tel.JournalAppendBegin()
-		jerr := r.journal.record(r.exp, key, j.cfg, loadNames(j.loads), res)
-		appendDone()
-		if jerr != nil {
-			return res, jerr
-		}
-	}
-	return res, nil
+	return res, r.opt.Journal.record(c.tel, r.exp, key, j.cfg, loadNames(j.loads), res)
 }
 
 // compare runs the subject job and its perfect-TLB baseline — the same
-// job under core.PerfectOf — over the same instruction stream. The
-// baseline is single-flighted through the cache by its fingerprint,
-// so every cell sharing a workload set and machine shape (across
-// experiments, when Options.Baselines is shared) waits on one run.
-// The first cell to ask for a baseline claims it and runs it before
-// its subject; a cell whose baseline is already claimed runs its
-// subject first and collects the baseline afterwards, so it overlaps
-// its subject with the claimant's baseline instead of waiting on it.
+// job under core.PerfectOf — over the same instruction stream. Both go
+// through the journal's store, so every cell sharing a workload set
+// and machine shape, in any experiment on the journal, shares one
+// baseline run. The first cell to ask for a baseline claims it and
+// runs it before its subject; a cell whose baseline is already claimed
+// runs its subject first and collects the baseline afterwards, so it
+// overlaps its subject with the claimant's baseline instead of
+// waiting on it.
 func (r *runner) compare(c *cell, subj job) (core.Comparison, error) {
 	// The subject is described before anything runs, so failure
 	// reports, the live view and fault injection name it, never the
@@ -242,15 +270,14 @@ func (r *runner) compare(c *cell, subj job) (core.Comparison, error) {
 	c.describe(subj, subj.key())
 	perf := subj
 	perf.cfg = core.PerfectOf(subj.cfg, subj.threads())
-	perfKey := perf.key()
 	var res, pres core.Result
 	var err error
-	if r.base.claim(perfKey) {
-		if pres, err = r.baseline(c, perf, perfKey); err == nil {
+	if r.opt.Journal.runs.claim(perf.key()) {
+		if pres, err = r.exec(c, perf); err == nil {
 			res, err = r.exec(c, subj)
 		}
 	} else if res, err = r.exec(c, subj); err == nil {
-		pres, err = r.baseline(c, perf, perfKey)
+		pres, err = r.exec(c, perf)
 	}
 	if err != nil {
 		return core.Comparison{}, err
@@ -266,45 +293,4 @@ func (r *runner) compare(c *cell, subj job) (core.Comparison, error) {
 			loads, label(subj.cfg), res.Cycles, res.DTLBMisses, res.IPC, r.opt.Meter.Suffix())
 	}
 	return core.Comparison{Subject: res, Perfect: pres}, nil
-}
-
-// baseline returns the perfect-TLB run perf, fingerprinted key,
-// through the shared cache. The cell that runs it counts a baseline
-// run; only a cell that blocked on another worker's run charges the
-// wait.
-func (r *runner) baseline(c *cell, perf job, key string) (core.Result, error) {
-	ran := false
-	endWait := c.tel.BaselineWaitBegin()
-	res, err := r.base.get(key, func() (core.Result, error) {
-		ran = true
-		c.tel.BaselineRan()
-		return r.exec(c, perf)
-	})
-	if !ran {
-		endWait()
-	}
-	return res, err
-}
-
-// simPhase labels what a launching simulation is for the live cell
-// view: the run matching the cell's subject fingerprint is the
-// subject, anything else the cell executes is a baseline.
-func (r *runner) simPhase(c *cell, key string) string {
-	if c.subjectKey() != key {
-		return "baseline"
-	}
-	return "sim"
-}
-
-// noteJournalHit classifies a journal answer for telemetry: an entry
-// an earlier run's journal held (loaded) that answers the cell's own
-// subject is a resume; anything else, a baseline or a run an earlier
-// experiment of this process recorded, is dedupe.
-func (r *runner) noteJournalHit(c *cell, key string, loaded bool) {
-	if loaded && c.subjectKey() == key {
-		c.tel.ResumeHit(key)
-		r.opt.Meter.CellResumed()
-	} else {
-		c.tel.JournalHit()
-	}
 }

@@ -33,14 +33,13 @@ type Options struct {
 	// are assembled by cell index, so the result is identical at any
 	// setting.
 	Parallelism int
-	// Baselines, when non-nil, shares perfect-TLB baseline results
-	// across experiments: each distinct machine shape × workload mix
-	// simulates its baseline once per cache.
-	Baselines *BaselineCache
-	// Journal, when non-nil, records every completed simulation to a
-	// crash-safe NDJSON file and answers repeat requests from it —
-	// within a run (cross-experiment dedupe) and across runs (resume
-	// after a crash or kill). See OpenJournal.
+	// Journal is the store of completed runs the experiments given it
+	// share: each distinct run, subject or perfect-TLB baseline,
+	// simulates once per journal. One opened with a file also records
+	// every completed run to a crash-safe NDJSON file and, resumed,
+	// answers the runs an earlier invocation recorded (see
+	// OpenJournal). Nil gives each experiment a journal of its own
+	// with no file.
 	Journal *Journal
 	// CellTimeout bounds the wall-clock time of each simulation; an
 	// overrunning run aborts with a *cpu.CancelledError wrapping
@@ -83,15 +82,14 @@ func (o Options) suite() ([]*workload.Bench, error) {
 	return benches, nil
 }
 
-// runner executes simulations, caching perfect-TLB baselines so each
-// machine shape runs its baseline once per workload set. Its methods
-// are safe for the concurrent cell execution driven by forEach. exp
-// names the experiment for failure reports and journal entries.
+// runner executes an experiment's simulations through the journal
+// (opt.Journal, never nil), so each distinct run simulates once. Its
+// methods are safe for the concurrent cell execution driven by
+// forEach. exp names the experiment for failure reports and journal
+// entries.
 type runner struct {
 	opt      Options
 	exp      string
-	base     *BaselineCache
-	journal  *Journal
 	failSpec string // MTEXC_FAIL_CELL, read once per runner
 	// rowBuilds counts the values its grid rows built: lent images
 	// and functional passes (forRows).
@@ -99,11 +97,10 @@ type runner struct {
 }
 
 func newRunner(opt Options, exp string) *runner {
-	bc := opt.Baselines
-	if bc == nil {
-		bc = NewBaselineCache()
+	if opt.Journal == nil {
+		opt.Journal = &Journal{}
 	}
-	return &runner{opt: opt, exp: exp, base: bc, journal: opt.Journal, failSpec: failCellSpec()}
+	return &runner{opt: opt, exp: exp, failSpec: failCellSpec()}
 }
 
 // progressMu serializes Progress writes across all runners: a

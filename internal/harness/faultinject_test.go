@@ -184,7 +184,7 @@ func TestJournalWriteRetryRecovers(t *testing.T) {
 	fw := &flakyWriter{fails: 1}
 	j.w = fw
 
-	if err := j.record("Test", "key1", core.DefaultConfig(), nil, testResult()); err != nil {
+	if err := j.record(nil, "Test", "key1", core.DefaultConfig(), nil, testResult()); err != nil {
 		t.Fatalf("record after one transient failure: %v", err)
 	}
 	if n := j.WriteRetries(); n != 1 {
@@ -208,7 +208,7 @@ func TestJournalWriteRetryFailsLoudly(t *testing.T) {
 	defer j.Close()
 	j.w = &flakyWriter{fails: 2}
 
-	err = j.record("Test", "key1", core.DefaultConfig(), nil, testResult())
+	err = j.record(nil, "Test", "key1", core.DefaultConfig(), nil, testResult())
 	if err == nil || !strings.Contains(err.Error(), "retried once") {
 		t.Errorf("persistent failure returned %v, want loud retried-once error", err)
 	}

@@ -16,6 +16,7 @@ import (
 	"mtexc/internal/core"
 	"mtexc/internal/obs"
 	"mtexc/internal/stats"
+	"mtexc/internal/telemetry"
 )
 
 // JournalEntry is one completed simulation in the on-disk journal:
@@ -30,23 +31,34 @@ type JournalEntry struct {
 	Experiment string            `json:"experiment"`
 	Meta       obs.Meta          `json:"meta"`
 	Counters   map[string]uint64 `json:"counters"`
-	// loaded marks an entry read from an earlier run's journal
-	// (OpenJournal with resume), not recorded by this process.
-	loaded bool
 }
 
-// Journal is a crash-safe append-only record of completed
-// simulations, NDJSON on disk, keyed by runKey fingerprints. Each
-// completed run is appended as one Write of one full line, so a kill
-// at any instant loses at most the line being written; Open tolerates
-// (and discards) a torn trailing line. In memory the journal doubles
-// as a cross-experiment result cache: two experiments needing the
-// same simulation run it once.
+// Journal is the harness's one store of completed runs, keyed by
+// runKey fingerprints. In memory it single-flights every run: the
+// first job to ask for a run simulates it, a job asking meanwhile
+// waits on that simulation, and every later job shares its full
+// Result, so each distinct run simulates once per journal, whichever
+// experiments ask for it.
+//
+// A journal opened with a file is also a crash-safe append-only
+// record of those runs, NDJSON on disk. Each completed run is
+// appended as one Write of one full line, so a kill at any instant
+// loses at most the line being written; Open tolerates (and discards)
+// a torn trailing line. A resumed journal answers the runs an earlier
+// invocation recorded without simulating them. The zero Journal has
+// no file: it encodes nothing and answers only this process's runs.
 type Journal struct {
+	// runs holds the Result of every run this process simulated
+	// through the journal.
+	runs flight[core.Result]
+	// mu serializes appends.
 	mu sync.Mutex
 	f  *os.File
-	// w is the append target (f, except under write-failure tests).
-	w       io.Writer
+	// w is the append target (f, except under write-failure tests);
+	// nil when the journal has no file.
+	w io.Writer
+	// entries holds what the file held when it was resumed; it is
+	// not written after OpenJournal returns.
 	entries map[string]*JournalEntry
 	hits    atomic.Int64
 	appends atomic.Int64
@@ -61,8 +73,12 @@ const journalScanCap = 1 << 20
 // With resume set, existing entries are loaded and later lookups hit
 // them; without it the file is truncated, so a fresh suite never
 // replays stale results. Lines that fail to decode — the torn final
-// line of a killed run, foreign junk — are skipped, not fatal.
+// line of a killed run, foreign junk — are skipped, not fatal. An
+// empty path opens a journal with no file.
 func OpenJournal(path string, resume bool) (*Journal, error) {
+	if path == "" {
+		return &Journal{}, nil
+	}
 	if dir := filepath.Dir(path); dir != "." && dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, fmt.Errorf("harness: creating journal directory: %w", err)
@@ -88,7 +104,6 @@ func OpenJournal(path string, resume bool) (*Journal, error) {
 			if e.Schema != obs.SchemaVersion || e.Key == "" {
 				continue
 			}
-			e.loaded = true
 			j.entries[e.Key] = &e
 		}
 		if err := sc.Err(); err != nil {
@@ -116,22 +131,22 @@ func OpenJournal(path string, resume bool) (*Journal, error) {
 	return j, nil
 }
 
-// Close releases the journal file.
+// Close releases the journal file, if it has one.
 func (j *Journal) Close() error {
-	if j == nil || j.f == nil {
+	if j.f == nil {
 		return nil
 	}
 	return j.f.Close()
 }
 
-// Len reports how many entries are resident (loaded plus appended).
-func (j *Journal) Len() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return len(j.entries)
-}
+// Len reports how many entries the journal read from its file on
+// resume.
+func (j *Journal) Len() int { return len(j.entries) }
 
-// Hits reports how many simulations were answered from the journal.
+// Hits reports how many runs the journal answered without simulating:
+// every answer from the file, and every cell subject that another job
+// of this process ran. A baseline shared through the store is not a
+// hit: the telemetry plane counts it as a baseline run and waits.
 func (j *Journal) Hits() int64 { return j.hits.Load() }
 
 // Appends reports how many completed simulations this process
@@ -143,19 +158,16 @@ func (j *Journal) Appends() int64 { return j.appends.Load() }
 // mtexc_journal_write_retries_total).
 func (j *Journal) WriteRetries() uint64 { return j.retries.Load() }
 
-// lookup reconstructs the journaled Result for key, if present, and
-// reports whether an earlier run's journal held it (loaded) rather
-// than this process recording it. The Result carries everything the
-// experiment tables consume: the Meta scalars and a stats set holding
-// the recorded counters. Histograms and raw observations are not
-// journaled, so Report, whose miss-latency table merges the span
-// histograms, must run without a journal.
-func (j *Journal) lookup(key string) (res core.Result, loaded, ok bool) {
-	j.mu.Lock()
+// lookup reconstructs the Result a resumed journal's file holds for
+// key, if any: an answer from the file is always a resume. The Result
+// carries everything the experiment tables consume: the Meta scalars
+// and a stats set holding the recorded counters. Histograms and raw
+// observations are not journaled, so Report, whose miss-latency table
+// merges the span histograms, runs on a journal with no file.
+func (j *Journal) lookup(key string) (core.Result, bool) {
 	e := j.entries[key]
-	j.mu.Unlock()
 	if e == nil {
-		return core.Result{}, false, false
+		return core.Result{}, false
 	}
 	j.hits.Add(1)
 	// Registration order is observable (Set.String, Set.Each, snapshot
@@ -170,13 +182,18 @@ func (j *Journal) lookup(key string) (res core.Result, loaded, ok bool) {
 		DTLBMisses: e.Meta.DTLBMisses,
 		IPC:        e.Meta.IPC,
 		Stats:      set,
-	}, e.loaded, true
+	}, true
 }
 
-// record journals one completed simulation: one marshalled line, one
-// Write. Duplicate keys (the same simulation needed by two
-// experiments racing) are recorded once.
-func (j *Journal) record(exp, key string, cfg core.Config, benches []string, res core.Result) error {
+// record appends one completed simulation to the journal's file, one
+// marshalled line in one Write, timed on tel. The store runs each key
+// once, so no key is recorded twice. A journal with no file records,
+// and encodes, nothing.
+func (j *Journal) record(tel *telemetry.Cell, exp, key string, cfg core.Config, benches []string, res core.Result) error {
+	if j.w == nil {
+		return nil
+	}
+	defer tel.JournalAppendBegin()()
 	e := &JournalEntry{
 		Schema:     obs.SchemaVersion,
 		Key:        key,
@@ -204,9 +221,6 @@ func (j *Journal) record(exp, key string, cfg core.Config, benches []string, res
 
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, dup := j.entries[key]; dup {
-		return nil
-	}
 	if _, err := j.w.Write(line); err != nil {
 		// One bounded retry after a jittered backoff: transient
 		// filesystem hiccups (NFS, overlay commits) recover, anything
@@ -220,7 +234,6 @@ func (j *Journal) record(exp, key string, cfg core.Config, benches []string, res
 			return fmt.Errorf("harness: appending journal entry (retried once): %w", err2)
 		}
 	}
-	j.entries[key] = e
 	j.appends.Add(1)
 	return nil
 }

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"mtexc/internal/core"
 	"mtexc/internal/cpu"
 )
 
@@ -79,18 +78,6 @@ func (f *flight[V]) get(key string, run func() (V, error)) (V, error) {
 	})
 	return e.val, e.err
 }
-
-// BaselineCache is a concurrency-safe store of perfect-TLB baseline
-// results keyed by the baseline job's fingerprint (see
-// runner.compare). Each baseline runs exactly once per cache no matter
-// how many experiment cells need it — including across experiments
-// when one cache is shared through Options.Baselines.
-type BaselineCache struct {
-	flight[core.Result]
-}
-
-// NewBaselineCache returns an empty cache ready for concurrent use.
-func NewBaselineCache() *BaselineCache { return &BaselineCache{} }
 
 // workers resolves the effective parallelism: Options.Parallelism if
 // set, else one worker per available CPU.

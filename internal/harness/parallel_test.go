@@ -3,8 +3,11 @@ package harness
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -49,16 +52,22 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// A shared BaselineCache must run each perfect-TLB machine shape
-// exactly once per invocation, no matter how many cells (or repeat
-// experiments) ask for it concurrently.
-func TestBaselineCacheSingleflight(t *testing.T) {
-	cache := NewBaselineCache()
+// One journal runs each perfect-TLB machine shape once, no matter how
+// many cells (or repeat experiments) ask for it concurrently, and
+// every other run once too: an experiment reads the runs an earlier
+// one on the journal simulated, with or without a file.
+func TestBaselineStoreSingleflight(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "journal.ndjson")
+	j, err := OpenJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
 	opt := Options{
 		Insts:       30_000,
 		Benchmarks:  []string{"cmp"},
 		Parallelism: 8,
-		Baselines:   cache,
+		Journal:     j,
 	}
 	if _, err := Figure5(opt); err != nil {
 		t.Fatal(err)
@@ -66,32 +75,31 @@ func TestBaselineCacheSingleflight(t *testing.T) {
 	// Figure 5's four mechanisms differ only in the mechanism and the
 	// idle contexts, which the perfect baseline drops: every column
 	// shares one baseline.
-	if got := cache.Runs(); got != 1 {
+	if got := perfectRuns(t, path); got != 1 {
 		t.Errorf("baseline simulations = %d, want 1 (one per workload)", got)
 	}
-	before := cache.Runs()
+	before := j.runs.Runs()
 	if _, err := Figure5(opt); err != nil {
 		t.Fatal(err)
 	}
-	if got := cache.Runs(); got != before {
-		t.Errorf("re-running Figure 5 added %d baseline simulations, want 0", got-before)
+	if got := j.runs.Runs(); got != before {
+		t.Errorf("re-running Figure 5 added %d simulations, want 0", got-before)
 	}
 
 	// Sampled Figure 5 pairs its cells the same way: one set of
 	// perfect-TLB windows for cmp's four cells.
-	before = cache.Runs()
 	if _, err := Figure5Sampled(opt, testSpec); err != nil {
 		t.Fatal(err)
 	}
-	if got := cache.Runs() - before; got != 1 {
+	if got := perfectRuns(t, path) - 1; got != 1 {
 		t.Errorf("sampled baseline simulations = %d, want 1 (one per workload)", got)
 	}
-	before = cache.Runs()
+	before = j.runs.Runs()
 	if _, err := Figure5Sampled(opt, testSpec); err != nil {
 		t.Fatal(err)
 	}
-	if got := cache.Runs(); got != before {
-		t.Errorf("re-running sampled Figure 5 added %d baseline simulations, want 0", got-before)
+	if got := j.runs.Runs(); got != before {
+		t.Errorf("re-running sampled Figure 5 added %d simulations, want 0", got-before)
 	}
 
 	// core.PerfectOf resets what a perfect machine never reads: of the
@@ -101,17 +109,58 @@ func TestBaselineCacheSingleflight(t *testing.T) {
 	for _, exp := range []struct {
 		name string
 		run  func(Options) (*Table, error)
-		want int64
+		want int
 	}{{"Ablations", Ablations, 4}, {"TLBSweep", TLBSweep, 1}} {
 		own := opt
-		own.Baselines = NewBaselineCache()
+		ownPath := filepath.Join(t.TempDir(), exp.name+".ndjson")
+		if own.Journal, err = OpenJournal(ownPath, false); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := exp.run(own); err != nil {
 			t.Fatal(err)
 		}
-		if got := own.Baselines.Runs(); got != exp.want {
+		own.Journal.Close()
+		if got := perfectRuns(t, ownPath); got != exp.want {
 			t.Errorf("%s: baseline simulations = %d, want %d", exp.name, got, exp.want)
 		}
 	}
+
+	// Table 3's traditional, multithreaded and hardware rows repeat
+	// Figure 5's columns, subjects and baseline alike, so over one
+	// journal with no file it simulates only its four limit studies
+	// per benchmark.
+	two := Options{Insts: 30_000, Benchmarks: []string{"cmp", "vor"}, Parallelism: 8, Journal: &Journal{}}
+	if _, err := Figure5(two); err != nil {
+		t.Fatal(err)
+	}
+	before = two.Journal.runs.Runs()
+	if _, err := Table3(two); err != nil {
+		t.Fatal(err)
+	}
+	if got := two.Journal.runs.Runs() - before; got != 8 {
+		t.Errorf("Table 3 after Figure 5 simulated %d runs, want 8 (four limit studies per benchmark)", got)
+	}
+}
+
+// perfectRuns counts the perfect-TLB runs the journal at path
+// recorded.
+func perfectRuns(t *testing.T, path string) int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var e JournalEntry
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatal(err)
+		}
+		if e.Meta.Mechanism == core.MechPerfect.String() {
+			n++
+		}
+	}
+	return n
 }
 
 // The first cell to ask for a baseline runs it before its subject; a
@@ -192,8 +241,8 @@ func TestBaselineClaimOrder(t *testing.T) {
 	if m := <-subjects; m != core.MechTraditional {
 		t.Errorf("cell A's subject ran as %s", m)
 	}
-	if got := r.base.Runs(); got != 1 {
-		t.Errorf("baseline simulations = %d, want 1", got)
+	if got := r.opt.Journal.runs.Runs(); got != 3 {
+		t.Errorf("simulations = %d, want 3 (two subjects and the baseline they share)", got)
 	}
 }
 

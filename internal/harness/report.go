@@ -20,10 +20,11 @@ type Claim struct {
 // checks every reproducible claim of the paper against the measured
 // results — the automated companion to EXPERIMENTS.md.
 func Report(opt Options, w io.Writer) error {
-	if opt.Baselines == nil {
-		// One cache across the report's experiments, so each
-		// perfect-TLB machine shape simulates once.
-		opt.Baselines = NewBaselineCache()
+	if opt.Journal == nil {
+		// One journal with no file across the report's experiments, so
+		// each distinct run simulates once and every Result keeps the
+		// span histograms the miss-latency table merges.
+		opt.Journal = &Journal{}
 	}
 	fmt.Fprintf(w, "# mtexc reproduction report\n\n")
 	fmt.Fprintf(w, "Instruction budget per run: %d\n\n", opt.insts())

@@ -16,6 +16,7 @@ import (
 	"mtexc/internal/cpu"
 	"mtexc/internal/diffsim"
 	"mtexc/internal/faultinject"
+	"mtexc/internal/workload"
 )
 
 // A failure injected into one cell must cost exactly that cell: the
@@ -324,7 +325,7 @@ func TestResumeOldSampledJournal(t *testing.T) {
 		if err := json.Unmarshal(line, &e); err != nil {
 			t.Fatal(err)
 		}
-		res, _, _ := j.lookup(e.Key)
+		res, _ := j.lookup(e.Key)
 		if _, err := windowsFromResult(res, spec); err == nil {
 			t.Errorf("old estimate %s decoded as a window record", e.Key)
 		}
@@ -357,14 +358,40 @@ func TestResumeOldSampledJournal(t *testing.T) {
 // that baseline — with the panic preserved as the cause — rather than
 // silently handing waiters a zero value (sync.Once marks itself done
 // even when f panics, so without the recover the second caller would
-// see a zero value and a nil error). The perfect-TLB baseline cache
-// and the fault campaign's reference-run and baseline caches are all
-// one singleflight type; each value type is checked.
+// see a zero value and a nil error). The journal's run store and the
+// fault campaign's reference-run and baseline caches are all one
+// singleflight type; each value type is checked.
 func TestBaselinePanicPropagates(t *testing.T) {
-	cache := NewBaselineCache()
-	checkFlightPanic(t, &cache.flight)
+	checkFlightPanic(t, &(&Journal{}).runs)
 	checkFlightPanic(t, &flight[*diffsim.RefRun]{})
 	checkFlightPanic(t, &flight[*faultinject.Baseline]{})
+
+	// Through compare: both cells sharing the panicking baseline fail
+	// with its panic, and the store runs it once.
+	r := newRunner(Options{}, "TestBaselinePanicPropagates")
+	cmp, err := workload.ByName("cmp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseRuns := 0
+	sim := func(_ context.Context, j job, _ *core.Probe) (core.Result, uint64, error) {
+		if j.cfg.Mech == core.MechPerfect {
+			baseRuns++
+			panic("baseline blew up")
+		}
+		return core.Result{Cycles: 150, DTLBMisses: 10}, 0, nil
+	}
+	for i, mech := range []core.Mechanism{core.MechTraditional, core.MechHardware} {
+		j := job{cfg: r.baseConfig(mech, 1, 0), loads: []core.Workload{cmp}, sim: sim}
+		_, err := r.compare(&cell{index: i, exp: r.exp}, j)
+		var pe *panicError
+		if !errors.As(err, &pe) || !strings.Contains(err.Error(), "baseline blew up") {
+			t.Errorf("cell %d: err = %v, want the baseline's panic", i, err)
+		}
+	}
+	if baseRuns != 1 {
+		t.Errorf("panicking baseline ran %d times, want 1", baseRuns)
+	}
 }
 
 func checkFlightPanic[V any](t *testing.T, f *flight[V]) {

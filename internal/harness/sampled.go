@@ -37,9 +37,9 @@ type SampledFigure5 struct {
 // cycle-accurately (core.SampleWindows), and runner.compare pairs it
 // with the perfect-TLB windows its benchmark's cells share
 // (core.SampleEstimate). Cells run through the same executor as the
-// exact experiments — fingerprint, journal resume, deadline, baseline
-// cache — and assemble by index, so the tables are identical at any
-// parallelism.
+// exact experiments — fingerprint, the journal's store and resume,
+// deadline — and assemble by index, so the tables are identical at
+// any parallelism.
 func Figure5Sampled(opt Options, spec core.SampleSpec) (*SampledFigure5, error) {
 	r := newRunner(opt, "Figure5Sampled")
 	benches, err := opt.suite()

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"math"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -96,29 +95,18 @@ func TestFigure5SampledMatchesSampleCompare(t *testing.T) {
 // the budget.
 func TestSampledRowRunsOnePass(t *testing.T) {
 	spec := core.SampleSpec{Period: 20_000, Warmup: 2_000, Window: 3_000}
-	j, err := OpenJournal(filepath.Join(t.TempDir(), "journal.ndjson"), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
+	j := &Journal{}
 	plane := telemetry.NewPlane()
 	opt := Options{Insts: 60_000, Benchmarks: []string{"cmp"}, Parallelism: 2, Journal: j, Telemetry: plane}
 	if _, err := Figure5Sampled(opt, spec); err != nil {
 		t.Fatal(err)
 	}
-	if n := j.Len(); n != 5 {
-		t.Fatalf("journal holds %d simulations, want four subjects and a baseline", n)
+	if n := j.runs.Runs(); n != 5 {
+		t.Fatalf("journal ran %d simulations, want four subjects and a baseline", n)
 	}
 	var detailed uint64
-	j.mu.Lock()
-	keys := make([]string, 0, len(j.entries))
-	for k := range j.entries {
-		keys = append(keys, k)
-	}
-	j.mu.Unlock()
-	for _, k := range keys {
-		res, _, _ := j.lookup(k)
-		run, err := windowsFromResult(res, spec)
+	for _, e := range j.runs.m {
+		run, err := windowsFromResult(e.val, spec)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,7 +91,7 @@ func (r *runner) sharedL2() (*Table, error) {
 		// The perfect baseline depends on the cluster shape, not the
 		// mechanism or its idle contexts: every column of a row shares
 		// one baseline cluster, one context per core, through the
-		// baseline cache.
+		// journal's store.
 		cmp, err := r.compare(c, clusterJob(mechs[mi].cfg, loads).inRow(c.row))
 		if err != nil {
 			return err

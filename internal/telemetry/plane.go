@@ -77,7 +77,7 @@ func NewPlane() *Plane {
 	m.journalIO = reg.Histogram("mtexc_journal_append_seconds",
 		"Journal append latency.", 1e6)
 	m.baselineRuns = reg.Counter("mtexc_baseline_runs_total",
-		"Perfect-TLB baseline simulations executed (singleflight winners).")
+		"Perfect-TLB baseline simulations executed (journal answers excluded).")
 	m.baselineWait = reg.Histogram("mtexc_baseline_wait_seconds",
 		"Wall-clock time cells spent waiting on the baseline singleflight.", 1e6)
 	m.livelocks = reg.Counter("mtexc_watchdog_livelocks_total",
@@ -217,7 +217,9 @@ func (c *Cell) ResumeHit(fingerprint string) {
 		Fingerprint: fingerprint})
 }
 
-// JournalHit counts a non-subject journal answer (baseline dedupe).
+// JournalHit counts a journal answer that is not a resumed subject: a
+// baseline read from the journal's file, or a subject an earlier job
+// of the run already simulated.
 func (c *Cell) JournalHit() {
 	if c == nil {
 		return
@@ -322,7 +324,7 @@ func (c *Cell) BaselineWaitBegin() func() {
 }
 
 // BaselineRan counts a baseline simulation this cell actually
-// executed (it won the singleflight).
+// executed: it won the singleflight and the journal held no answer.
 func (c *Cell) BaselineRan() {
 	if c == nil {
 		return
