@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -108,6 +110,78 @@ func TestSampleCheckSmoke(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("stdout missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestSampleCheckTimesItsOwnRuns: -sample-check's exact Figure 5
+// simulates on a journal of its own, so the wall clock it divides is
+// that of runs it made, even after -fig5 ran the same cells on the
+// invocation's journal. The run trace holds cmp's four exact subjects
+// and their baseline twice, -fig5's and then the check's. Resumed
+// from a journal that answers its sampled runs, the check says it did
+// not time them instead of printing a speedup.
+func TestSampleCheckTimesItsOwnRuns(t *testing.T) {
+	dir := t.TempDir()
+	trace := filepath.Join(dir, "trace.json")
+	journal := filepath.Join(dir, "journal.ndjson")
+	args := []string{"-fig5", "-sample-check", "-bench", "cmp", "-insts", "200000",
+		"-sample", "40000:10000:10000", "-parallel", "1", "-journal", journal}
+	var out, errb bytes.Buffer
+	if rc := run(append(args, "-runtrace", trace), &out, &errb); rc != 0 {
+		t.Fatalf("rc = %d; stderr: %s", rc, errb.String())
+	}
+	data, err := os.ReadFile(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Cat, Ph string
+			TS, Dur uint64
+			Args    struct{ Exp string }
+		}
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	type span struct {
+		cat      string
+		from, to uint64
+	}
+	var exact []span
+	for _, e := range doc.TraceEvents {
+		if e.Ph == "X" && (e.Cat == "sim" || e.Cat == "baseline") && e.Args.Exp == "Figure5" {
+			exact = append(exact, span{e.Cat, e.TS, e.TS + e.Dur})
+		}
+	}
+	if len(exact) != 10 {
+		t.Fatalf("the trace holds %d exact Figure 5 simulations, want 10: -fig5's four subjects and baseline, then the check's", len(exact))
+	}
+	slices.SortFunc(exact, func(a, b span) int { return cmp.Compare(a.from, b.from) })
+	for i, half := range [][]span{exact[:5], exact[5:]} {
+		baselines := 0
+		for _, s := range half {
+			if s.cat == "baseline" {
+				baselines++
+			}
+		}
+		if baselines != 1 {
+			t.Errorf("exact run %d holds %d baselines, want 1 and four subjects", i+1, baselines)
+		}
+	}
+	if exact[5].from < exact[4].to {
+		t.Errorf("the check's first exact simulation starts at %d µs, before -fig5's last ends at %d µs", exact[5].from, exact[4].to)
+	}
+	if !strings.Contains(out.String(), "x wall clock)") {
+		t.Errorf("stdout has no speedup:\n%s", out.String())
+	}
+
+	out.Reset()
+	if rc := run(append(args, "-resume"), &out, &errb); rc != 0 {
+		t.Fatalf("resumed: rc = %d; stderr: %s", rc, errb.String())
+	}
+	if want := "the sampled side was not timed"; !strings.Contains(out.String(), want) || strings.Contains(out.String(), "x wall clock)") {
+		t.Errorf("resumed stdout says no %q, or prints a speedup:\n%s", want, out.String())
 	}
 }
 

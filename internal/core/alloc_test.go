@@ -56,6 +56,48 @@ func TestHotPathAllocationsBounded(t *testing.T) {
 	}
 }
 
+// TestSampleWindowsAllocationBounded bounds what a sampled window
+// allocates once its run's second window has run: each window machine
+// is a clone of the run's pristine machine made in the machine of the
+// window before (WindowMachine), over the image its checkpoint
+// rebuilt. It measures SampleWindows over the first two and over all
+// checkpoints of a functional pass of gcc, each on a pass of its own,
+// so every window also builds its checkpoint's image, and bounds the
+// marginal bytes per window.
+func TestSampleWindowsAllocationBounded(t *testing.T) {
+	w, err := workload.ByName("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := SampleSpec{Period: 50_000, Warmup: 10_000, Window: 10_000}
+	cfg := DefaultConfig()
+	cfg.Mech = MechTraditional
+	cfg.MaxInsts = 500_000
+	ctx := context.Background()
+	measure := func(n int) (bytes uint64, windows int) {
+		pass, err := FunctionalPass(ctx, spec, w, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pass.Checkpoints = pass.Checkpoints[:min(n, len(pass.Checkpoints))]
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := SampleWindows(ctx, pass, cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc, len(pass.Checkpoints)
+	}
+	two, _ := measure(2)
+	all, n := measure(1 << 30)
+	per := (float64(all) - float64(two)) / float64(n-2)
+	t.Logf("2 windows %d B, %d windows %d B: %.0f B per later window", two, n, all, per)
+	if per > 256<<10 {
+		t.Errorf("%.0f B allocated per window after a run's second exceeds 256 KB — window machines are no longer recycled", per)
+	}
+}
+
 // TestTelemetryProbeAllocationFree extends the hot-path guard to the
 // live-telemetry plumbing: a run with telemetry disabled (nil probe)
 // and a run with a probe attached must both stay within the same

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"mtexc/internal/cpu"
 	"mtexc/internal/fastpath"
@@ -120,6 +121,36 @@ type Checkpoint struct {
 	// (walkPass). Its pages are shared copy-on-write and must not be
 	// written.
 	Image *vm.Image
+
+	// windows holds the images window machines take over from Image,
+	// by start frame (windowImage); mu single-flights their builds.
+	mu      sync.Mutex
+	windows map[uint64]*vm.Image
+}
+
+// windowImage returns Image rebuilt for window machines whose
+// allocator stands at frame start (transferImage), to lend to each of
+// them (vm.Image.LendTo). The first window to ask builds it, and a
+// window asking meanwhile waits for that build: a sampled row's runs
+// start from one checkpoint at once, and Figure 5's configurations
+// all at one frame, so a checkpoint builds one.
+func (cp *Checkpoint) windowImage(start uint64) (*vm.Image, error) {
+	cp.mu.Lock()
+	defer cp.mu.Unlock()
+	if img := cp.windows[start]; img != nil {
+		return img, nil
+	}
+	img, err := transferImage(cp.Image, mem.NewPhysicalAt(start))
+	if err != nil {
+		return nil, err
+	}
+	// Window machines on several goroutines read it at once.
+	img.Space.Materialize()
+	if cp.windows == nil {
+		cp.windows = make(map[uint64]*vm.Image)
+	}
+	cp.windows[start] = img
+	return img, nil
 }
 
 // Pass is one functional pass of a workload under a sampling spec:
@@ -155,17 +186,14 @@ func SampleCompareCtx(ctx context.Context, cfg Config, spec SampleSpec, w Worklo
 	if cfg.Mech == MechPerfect {
 		return SampledComparison{}, fmt.Errorf("core: SampleCompare subject cannot be the perfect baseline")
 	}
-	cfgs := []Config{cfg, PerfectOf(cfg, 1)}
-	runs := make([]SampledRun, len(cfgs))
+	wr := newWindowRuns(spec, []Config{cfg, PerfectOf(cfg, 1)})
 	total, err := walkPass(ctx, spec, w, cfg, false, func(cp *Checkpoint) error {
-		return runWindows(ctx, cp, spec, cfgs, runs)
+		return runWindows(ctx, cp, spec, wr)
 	})
 	if err != nil {
 		return SampledComparison{}, err
 	}
-	for i := range runs {
-		runs[i].Spec, runs[i].TotalInsts = spec, total
-	}
+	runs := sampledRuns(wr, spec, total)
 	return SampleEstimate(runs[0], runs[1])
 }
 
@@ -175,8 +203,10 @@ func SampleCompareCtx(ctx context.Context, cfg Config, spec SampleSpec, w Worklo
 // stretch fits in the budget. Only those two fields of cfg matter:
 // the pass serves every configuration that agrees on them. Each
 // checkpoint keeps its own copy of every page the pass stores to
-// before the next one, so the pass's memory grows with the number of
-// positions; SampleCompare, which keeps no checkpoint, does not grow.
+// before the next one, and the image its windows borrow once they
+// have run (windowImage), so the pass's memory grows with the number
+// of positions; SampleCompare, which keeps no checkpoint, does not
+// grow.
 //
 // The pass checks ctx between sampling periods, so a done ctx aborts
 // it with a *cpu.CancelledError carrying ctx.Err() as its cause.
@@ -245,10 +275,13 @@ func walkPass(ctx context.Context, spec SampleSpec, w Workload, cfg Config, free
 }
 
 // SampleWindows runs the detailed windows of one or more
-// configurations over a functional pass. At each checkpoint one fresh
+// configurations over a functional pass. At each checkpoint a
 // cycle-accurate machine per configuration takes over the
 // architectural state (WindowMachine) and runs the warm-up prefix and
-// the measured window over the identical instruction stream. The
+// the measured window over the identical instruction stream. Each
+// configuration's window machines are clones of one pristine machine,
+// each made in the machine of the window before, and every window
+// machine at a checkpoint borrows one image the checkpoint built. The
 // configurations must agree with the pass on MaxInsts and
 // TrapUnaligned. A window's counts depend only on its configuration
 // and checkpoint, so a pass may serve SampleWindows calls on several
@@ -263,30 +296,64 @@ func SampleWindows(ctx context.Context, p *Pass, cfgs ...Config) ([]SampledRun, 
 				c.MaxInsts, p.MaxInsts, c.TrapUnaligned, p.TrapUnaligned)
 		}
 	}
-	runs := make([]SampledRun, len(cfgs))
+	wr := newWindowRuns(p.Spec, cfgs)
 	for _, cp := range p.Checkpoints {
-		if err := runWindows(ctx, cp, p.Spec, cfgs, runs); err != nil {
+		if err := runWindows(ctx, cp, p.Spec, wr); err != nil {
 			return nil, err
 		}
 	}
-	for i := range runs {
-		runs[i].Spec, runs[i].TotalInsts = p.Spec, p.TotalInsts
-	}
-	return runs, nil
+	return sampledRuns(wr, p.Spec, p.TotalInsts), nil
 }
 
-// runWindows runs every configuration's window at cp
-// (runDetailedWindow) and appends its counts to the configuration's
-// run.
-func runWindows(ctx context.Context, cp *Checkpoint, spec SampleSpec, cfgs []Config, runs []SampledRun) error {
+// windowRun is one configuration's side of a sampled run while its
+// windows run: the pristine machine each of its window machines
+// clones, the machine its last window ran on, in which the next one
+// is made (WindowMachine), and the counts of its windows so far.
+type windowRun struct {
+	mech            Mechanism
+	pristine, spare *Machine
+	windows         []WindowCounts
+}
+
+// newWindowRuns starts a sampled run under spec for each
+// configuration, with a pristine machine bounded to its windows
+// (WindowConfig).
+func newWindowRuns(spec SampleSpec, cfgs []Config) []windowRun {
+	runs := make([]windowRun, len(cfgs))
 	for i, cfg := range cfgs {
-		wc, err := runDetailedWindow(ctx, cfg, cp, spec)
-		if err != nil {
-			return fmt.Errorf("core: window %d (%s): %w", len(runs[i].Windows), cfg.Mech, err)
+		runs[i] = windowRun{mech: cfg.Mech, pristine: cpu.New(WindowConfig(cfg, spec.Warmup+spec.Window))}
+	}
+	return runs
+}
+
+// runWindows runs every configuration's window at cp on its next
+// window machine (runDetailedWindow) and appends its counts to the
+// configuration's run.
+func runWindows(ctx context.Context, cp *Checkpoint, spec SampleSpec, runs []windowRun) error {
+	for i := range runs {
+		r := &runs[i]
+		m, err := WindowMachine(r.pristine, cp, r.spare)
+		var wc WindowCounts
+		if err == nil {
+			r.spare = m
+			wc, err = runDetailedWindow(ctx, m, cp, spec)
 		}
-		runs[i].Windows = append(runs[i].Windows, wc)
+		if err != nil {
+			return fmt.Errorf("core: window %d (%s): %w", len(r.windows), r.mech, err)
+		}
+		r.windows = append(r.windows, wc)
 	}
 	return nil
+}
+
+// sampledRuns returns the runs' windows as SampledRuns over a pass
+// under spec that committed total instructions.
+func sampledRuns(runs []windowRun, spec SampleSpec, total uint64) []SampledRun {
+	out := make([]SampledRun, len(runs))
+	for i, r := range runs {
+		out[i] = SampledRun{Spec: spec, TotalInsts: total, Windows: r.windows}
+	}
+	return out
 }
 
 // SampleEstimate pairs a subject's windows with its perfect-TLB
@@ -343,17 +410,33 @@ func SampleEstimate(subj, perf SampledRun) (SampledComparison, error) {
 	return out, nil
 }
 
-// WindowMachine builds the cycle-accurate machine of one sampled
-// window: a fresh machine under cfg, bounded to insts retired
-// application instructions, that takes over the checkpoint's
-// architectural state — registers and PC copied, mapped pages
-// borrowed copy-on-write (transferImage) — with its page-table
-// entries cache-warm.
-func WindowMachine(cfg Config, cp *Checkpoint, insts uint64) (*Machine, error) {
+// WindowConfig is cfg bounded for the machine of a window of insts
+// retired application instructions: that budget, and a cycle cap far
+// above what the window takes.
+func WindowConfig(cfg Config, insts uint64) Config {
 	cfg.MaxInsts = insts
 	cfg.MaxCycles = 400*insts + 500_000
-	m := cpu.New(cfg)
-	img, err := transferImage(cp.Image, m.Phys())
+	return cfg
+}
+
+// WindowMachine builds the cycle-accurate machine of one sampled
+// window. pristine is a machine New built under the window's
+// WindowConfig that has run nothing, and the window machine is its
+// clone (cpu.Machine.CloneInto), made in spare when spare is not nil:
+// a window machine no one uses any more, such as the one the window
+// before ran on, whether it finished, failed or was cancelled. The
+// clone takes over the checkpoint's architectural state — registers
+// and PC copied, and the image the checkpoint rebuilt for its start
+// frame lent copy-on-write (windowImage, vm.Image.LendTo) — with its
+// page-table entries cache-warm. It is the machine New and a build of
+// that image in place would give.
+func WindowMachine(pristine *Machine, cp *Checkpoint, spare *Machine) (*Machine, error) {
+	m := pristine.CloneInto(spare)
+	src, err := cp.windowImage(m.Phys().NextFree())
+	if err != nil {
+		return nil, err
+	}
+	img, err := src.LendTo(m.Phys())
 	if err != nil {
 		return nil, err
 	}
@@ -366,21 +449,20 @@ func WindowMachine(cfg Config, cp *Checkpoint, insts uint64) (*Machine, error) {
 	return m, nil
 }
 
-// runDetailedWindow runs one window machine (WindowMachine) through
-// the warm-up prefix, snapshots the counters, continues through the
-// measured window, and returns the deltas. A window counts only
-// retired application instructions, and an instruction a handler
-// completes (EmulatePopc, TrapUnaligned) never retires, so a window
-// can cover more of the stream than Warmup+Window; one that covers
-// more than the period, into the next window's stretch, fails.
-func runDetailedWindow(ctx context.Context, cfg Config, cp *Checkpoint, spec SampleSpec) (WindowCounts, error) {
+// runDetailedWindow runs m, the window machine of cp (WindowMachine),
+// through the warm-up prefix, snapshots the counters, continues
+// through the measured window, and returns the deltas. A window
+// counts only retired application instructions, and an instruction a
+// handler completes (EmulatePopc, TrapUnaligned) never retires, so a
+// window can cover more of the stream than Warmup+Window; one that
+// covers more than the period, into the next window's stretch, fails.
+func runDetailedWindow(ctx context.Context, m *Machine, cp *Checkpoint, spec SampleSpec) (WindowCounts, error) {
 	detail := spec.Warmup + spec.Window
-	m, err := WindowMachine(cfg, cp, detail)
-	if err != nil {
-		return WindowCounts{}, err
-	}
 	m.SetCancel(ctx)
-	var warm cpu.Result
+	var (
+		warm cpu.Result
+		err  error
+	)
 	if spec.Warmup > 0 {
 		if warm, err = m.RunUntil(spec.Warmup); err != nil {
 			return WindowCounts{}, err
@@ -404,14 +486,16 @@ func runDetailedWindow(ctx context.Context, cfg Config, cp *Checkpoint, spec Sam
 	}, nil
 }
 
-// transferImage rebuilds a frozen program image over a fresh physical
-// memory: same code, same address-space geometry, and every mapped
-// page borrowed copy-on-write from the frozen frame
-// (mem.Physical.Borrow), so the window's stores never reach the
-// checkpoint. Frame numbers differ (each machine owns its allocator)
-// but follow from the mapped VPNs alone, taken in ascending order;
-// virtual contents are identical, which is what the architectural
-// contract — and ContentHash — care about.
+// transferImage rebuilds a frozen program image over phys, a memory
+// of its own that starts at a window machine's next free frame
+// (windowImage): same code, same address-space geometry, and every
+// mapped page borrowed copy-on-write from the frozen frame
+// (mem.Physical.Borrow), so no store of a window machine the image is
+// lent to reaches the checkpoint. Frame numbers differ from the
+// frozen image's (they start at phys's allocator) but follow from the
+// mapped VPNs alone, taken in ascending order; virtual contents are
+// identical, which is what the architectural contract — and
+// ContentHash — care about.
 func transferImage(src *vm.Image, phys *mem.Physical) (*vm.Image, error) {
 	srcAS := src.Space
 	var as *vm.AddressSpace

@@ -228,7 +228,11 @@ func (r *runner) exec(c *cell, j job) (core.Result, error) {
 
 // simulate runs j, fingerprinted key, under the configured context
 // and per-cell deadline with a live probe attached, and journals the
-// result. A run that is not the cell's subject is a baseline.
+// result. A run that is not the cell's subject is a baseline. The
+// result goes into the journal's store without its Obs: the tables
+// and Report read only its counters and the span histograms in its
+// Stats, and the miss ring would stay in memory as long as the
+// journal does.
 func (r *runner) simulate(c *cell, j job, key string, subject bool) (core.Result, error) {
 	ctx := r.opt.Context
 	if ctx == nil {
@@ -248,6 +252,7 @@ func (r *runner) simulate(c *cell, j job, key string, subject bool) (core.Result
 	res, insts, err := j.sim(ctx, j, probe)
 	c.tel.SimFinished(insts, res.Cycles, res.Stats, err != nil)
 	r.opt.Meter.AddSimInsts(insts)
+	res.Obs = nil
 	if err != nil {
 		return res, err
 	}

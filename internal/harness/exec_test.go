@@ -280,3 +280,59 @@ func clusterLivelock(t *testing.T) (*runner, *cell, error) {
 	}
 	return r, c, err
 }
+
+// TestStoreKeepsNoObs: the journal's store keeps each run's Result
+// without its Obs — the slot ledger and the miss ring no table reads —
+// but with its Stats, whose span histograms Report's miss-latency
+// table merges. Figure 5 answered from the store, and the latency
+// table over it, three of whose four rows are Figure 5's runs, match
+// what simulating the runs gives.
+func TestStoreKeepsNoObs(t *testing.T) {
+	j := &Journal{}
+	opt := Options{Insts: 20_000, Benchmarks: []string{"cmp"}, Parallelism: 2, Journal: j}
+	want, err := Figure5(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(j.runs.m) == 0 {
+		t.Fatal("Figure 5 stored no run")
+	}
+	for key, e := range j.runs.m {
+		if e.val.Obs != nil {
+			t.Errorf("the store keeps %s with its Obs", key)
+		}
+		if e.val.Stats == nil {
+			t.Errorf("the store keeps %s without its Stats", key)
+		}
+	}
+	before := j.runs.Runs()
+	got, err := Figure5(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := j.runs.Runs() - before; n != 0 {
+		t.Errorf("Figure 5 again simulated %d runs, want 0", n)
+	}
+	if got.String() != want.String() {
+		t.Errorf("Figure 5 from the store:\n%s\nsimulated:\n%s", got, want)
+	}
+	var stored, simulated bytes.Buffer
+	before = j.runs.Runs()
+	if err := writeMissLatency(opt, &stored); err != nil {
+		t.Fatal(err)
+	}
+	if n := j.runs.Runs() - before; n != 1 {
+		t.Errorf("the miss-latency table over the store simulated %d runs, want 1 (quick start)", n)
+	}
+	fresh := opt
+	fresh.Journal = &Journal{}
+	if err := writeMissLatency(fresh, &simulated); err != nil {
+		t.Fatal(err)
+	}
+	if stored.String() != simulated.String() {
+		t.Errorf("miss latencies over the store:\n%s\nsimulated:\n%s", stored.String(), simulated.String())
+	}
+	if !strings.Contains(simulated.String(), "| traditional |") {
+		t.Errorf("miss-latency table has no traditional row:\n%s", simulated.String())
+	}
+}

@@ -34,6 +34,7 @@ func (as *AddressSpace) CloneInto(phys *mem.Physical) *AddressSpace {
 		ptBase:      as.ptBase,
 		maxVPN:      as.maxVPN,
 		mirror:      make(map[uint64]uint64, len(as.mirror)),
+		sorted:      as.sorted,
 		PagesMapped: as.PagesMapped,
 	}
 	// Each key is copied once; map visit order cannot affect the

@@ -76,6 +76,10 @@ type AddressSpace struct {
 	maxVPN uint64            // exclusive upper bound on mappable VPNs
 	mirror map[uint64]uint64 // vpn -> pfn for valid pages
 	leaves map[uint64]uint64 // two-level: root index -> leaf frame base
+	// sorted lists the mirror's VPNs in ascending order once
+	// ForEachMapped has sorted them, until a page is mapped or
+	// unmapped; clones share it, and nothing writes it in place.
+	sorted []uint64
 
 	// PagesMapped counts MapPage calls, for OS accounting.
 	PagesMapped uint64
@@ -183,6 +187,7 @@ func (as *AddressSpace) MapPage(vpn uint64) (uint64, error) {
 	as.phys.WriteU64(as.PTEAddr(vpn), MakePTE(pfn, true))
 	//lint:allow hotpathlint mirror insert happens once per page mapping (OS fault service), not per access
 	as.mirror[vpn] = pfn
+	as.sorted = nil
 	as.PagesMapped++
 	return pfn, nil
 }
@@ -196,6 +201,7 @@ func (as *AddressSpace) UnmapPage(vpn uint64) {
 	if pfn, ok := as.mirror[vpn]; ok {
 		as.phys.WriteU64(as.PTEAddr(vpn), MakePTE(pfn, false))
 		delete(as.mirror, vpn)
+		as.sorted = nil
 	}
 }
 
@@ -219,15 +225,21 @@ func (as *AddressSpace) EnsureMapped(va uint64) (uint64, error) {
 	return pfn<<PageShift | va&(PageSize-1), nil
 }
 
-// ForEachMapped visits every resident VPN in ascending order.
+// ForEachMapped visits every resident VPN in ascending order. It sorts
+// the VPNs the first time after a page was mapped or unmapped and
+// keeps the order, so a space that several goroutines read at once
+// must have been visited (Materialize) before they start.
 func (as *AddressSpace) ForEachMapped(visit func(vpn uint64)) {
-	vpns := make([]uint64, 0, len(as.mirror))
-	//lint:allow detlint keys are sorted below before any visit runs
-	for vpn := range as.mirror {
-		vpns = append(vpns, vpn)
+	if as.sorted == nil {
+		vpns := make([]uint64, 0, len(as.mirror))
+		//lint:allow detlint keys are sorted below before any visit runs
+		for vpn := range as.mirror {
+			vpns = append(vpns, vpn)
+		}
+		slices.Sort(vpns)
+		as.sorted = vpns
 	}
-	slices.Sort(vpns)
-	for _, vpn := range vpns {
+	for _, vpn := range as.sorted {
 		visit(vpn)
 	}
 }
@@ -288,9 +300,10 @@ func (as *AddressSpace) EqualContent(o *AddressSpace) bool {
 	return same
 }
 
-// Materialize gives every mapped page its frame, so that reading the
-// space afterwards (View, ContentHash, EqualContent) never inserts
-// into its physical memory's frame map, and any number of goroutines
+// Materialize gives every mapped page its frame and sorts the mapped
+// VPNs (ForEachMapped), so that reading the space afterwards (View,
+// ContentHash, EqualContent, ForEachMapped) writes neither the space
+// nor its physical memory's frame map, and any number of goroutines
 // may read it at once while nothing writes it.
 func (as *AddressSpace) Materialize() {
 	as.ForEachMapped(func(vpn uint64) { as.phys.View(as.mirror[vpn] << PageShift) })
