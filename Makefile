@@ -124,9 +124,10 @@ fuzz-long:
 	$(GO) run ./cmd/mtexc-fuzz -seed 1 -n 200 -v -events out/fuzz-events.ndjson
 
 # Crash-safe resume, once per run mode (exact Figure 5, shared-L2
-# clusters, sampled Figure 5): run with a journal, throw most of the
-# journal away (simulating a kill), resume, and demand byte-identical
-# output plus zero new simulations on a second, fully-journaled resume.
+# clusters, sampled Figure 5, the fault campaign): run with a journal,
+# throw most of the journal away (simulating a kill), resume, and
+# demand byte-identical output plus zero new simulations on a second,
+# fully-journaled resume (for the campaign: no new journal line).
 comma := ,
 define resume-loop
 	out/mtexc-experiments $(2) -journal out/resume-$(1).ndjson > out/resume-$(1)-full.txt
@@ -144,11 +145,21 @@ resume-check:
 	$(call resume-loop,fig5,-fig5 -insts 100000)
 	$(call resume-loop,sharedl2,-sharedl2 -insts 20000)
 	$(call resume-loop,fig5sampled,-fig5sampled -bench mph$(comma)cmp -insts 200000 -sample 50000:10000:10000)
+	$(GO) build -o out/mtexc-faultinject ./cmd/mtexc-faultinject
+	out/mtexc-faultinject -trials 5 -journal out/resume-fi.ndjson > out/resume-fi-full.txt
+	head -3 out/resume-fi.ndjson > out/resume-fi-cut.ndjson && mv out/resume-fi-cut.ndjson out/resume-fi.ndjson
+	out/mtexc-faultinject -trials 5 -journal out/resume-fi.ndjson -resume > out/resume-fi-resumed.txt
+	cmp out/resume-fi-full.txt out/resume-fi-resumed.txt
+	wc -l < out/resume-fi.ndjson > out/resume-fi-lines.txt
+	out/mtexc-faultinject -trials 5 -journal out/resume-fi.ndjson -resume > out/resume-fi-again.txt
+	cmp out/resume-fi-full.txt out/resume-fi-again.txt
+	wc -l < out/resume-fi.ndjson | cmp - out/resume-fi-lines.txt
 	@echo "resume-check: byte-identical"
 
 # Transient-fault injection smoke: the default campaign grid
 # (4 state classes x 4 mechanisms x 3 workloads, 5 trials/cell = 240
-# flips) must produce both masked and detected outcomes, and a
+# flips, run as 12 (mechanism, workload) harness cells) must produce
+# both masked and detected outcomes, and a
 # recorded SDC trial must replay bit-for-bit (two replays compare
 # equal and verify the recorded outcome class). See the fault-
 # injection section of docs/robustness.md.

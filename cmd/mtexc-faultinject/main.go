@@ -13,7 +13,8 @@
 //
 // The campaign is deterministic: equal seeds over equal grids emit
 // byte-identical reports at any -parallel setting, and -journal
-// -resume answers completed cells without re-simulating them.
+// -resume answers completed (mechanism, workload) pairs, each one
+// harness cell serving every state class, without re-simulating them.
 //
 // Exit status: 0 on success (replay: outcome matched), 1 on cell
 // failures or a replay mismatch, 2 on usage errors.
@@ -46,15 +47,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		seed     = fs.Uint64("seed", 1, "campaign seed: drives every per-trial flip derivation")
-		trials   = fs.Int("trials", 5, "injection trials per state-class x mechanism x workload cell")
+		trials   = fs.Int("trials", 5, "injection trials per state-class x mechanism x workload cell (at least 1)")
 		classes  = fs.String("classes", "", "comma-separated state classes (reg|handler|tlb|window; empty = all)")
 		mechs    = fs.String("mechs", "", "comma-separated mechanisms (trad|multi1|multi3|hw; empty = all)")
 		specs    = fs.String("specs", "", "comma-separated gen program specs (empty = the built-in suite)")
-		frac     = fs.Float64("frac", 0.85, "inject within the first fraction of the unfaulted run's cycles")
-		parallel = fs.Int("parallel", 0, "cells run concurrently (0 = one per CPU, 1 = serial)")
-		journalP = fs.String("journal", "", "NDJSON file recording every completed cell, for -resume (empty: no file and no resume)")
-		resume   = fs.Bool("resume", false, "reuse cells journaled by a previous invocation instead of re-running them")
-		verbose  = fs.Bool("v", false, "log every completed cell")
+		frac     = fs.Float64("frac", 0.85, "inject within the first fraction of the unfaulted run's cycles, in (0, 1]")
+		parallel = fs.Int("parallel", 0, "(mechanism, workload) pairs run concurrently, each serving all its classes' trials (0 = one per CPU, 1 = serial)")
+		journalP = fs.String("journal", "", "NDJSON file recording every completed (mechanism, workload) pair, for -resume (empty: no file and no resume)")
+		resume   = fs.Bool("resume", false, "reuse pairs journaled by a previous invocation of the same campaign instead of re-running them")
+		verbose  = fs.Bool("v", false, "log every completed pair, one line per state class")
 		telAddr  = fs.String("telemetry", "", "serve the live telemetry plane on this address (/metrics, /debug/cells); empty disables")
 		eventsP  = fs.String("events", "", "write a structured NDJSON event log to this file (empty disables)")
 		replay   = fs.String("replay", "", "re-run one recorded trial token (fi1;spec=...;...) instead of a campaign")
@@ -65,6 +66,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *replay != "" {
 		return replayTrial(*replay, stdout, stderr)
+	}
+	if *trials < 1 || !(*frac > 0 && *frac <= 1) {
+		fmt.Fprintf(stderr, "mtexc-faultinject: -trials %d -frac %g: want -trials at least 1 and -frac in (0, 1]\n", *trials, *frac)
+		return 2
 	}
 
 	fc := harness.FaultCampaign{

@@ -108,6 +108,25 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeFlagsExitTwo: a -frac outside (0, 1] or a -trials
+// below 1 is a usage error naming the accepted ranges, not a campaign
+// silently run with a default in its place.
+func TestOutOfRangeFlagsExitTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-frac", "1.5"}, {"-frac", "0"}, {"-frac", "-0.2"}, {"-trials", "0"}, {"-trials", "-3"},
+	} {
+		var out, errb bytes.Buffer
+		if rc := run(smallArgs(args...), &out, &errb); rc != 2 || out.Len() != 0 ||
+			!strings.Contains(errb.String(), "-trials at least 1 and -frac in (0, 1]") {
+			t.Errorf("run(%v) = %d, stdout %d bytes, stderr %q; want 2, no report and the accepted ranges", args, rc, out.Len(), errb.String())
+		}
+	}
+	var out, errb bytes.Buffer
+	if rc := run(smallArgs("-frac", "1", "-trials", "1"), &out, &errb); rc != 0 {
+		t.Errorf("-frac 1 -trials 1: rc = %d, want 0; stderr: %s", rc, errb.String())
+	}
+}
+
 // TestJournalResumeCLI: -journal -resume answers the whole campaign
 // from disk with identical output.
 func TestJournalResumeCLI(t *testing.T) {

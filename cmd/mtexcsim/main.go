@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"mtexc/internal/core"
+	"mtexc/internal/cpu"
 	"mtexc/internal/fastpath"
 	"mtexc/internal/mem"
 	"mtexc/internal/obs"
@@ -192,7 +193,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		if *functional {
-			return runFunctional(loads[0], cfg, stopProf, stdout, stderr)
+			return runFunctional(ctx, loads[0], cfg, stopProf, stdout, stderr)
 		}
 		spec, err := core.ParseSampleSpec(*sampleSpec)
 		if err != nil {
@@ -310,8 +311,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // runFunctional executes the benchmark purely on the threaded-code
-// functional tier — no cycle accounting — and reports throughput.
-func runFunctional(w core.Workload, cfg core.Config, stopProf func() error, stdout, stderr io.Writer) int {
+// functional tier — no cycle accounting — and reports throughput. It
+// fast-forwards in slices of about 1M instructions and checks ctx
+// between them.
+func runFunctional(ctx context.Context, w core.Workload, cfg core.Config, stopProf func() error, stdout, stderr io.Writer) int {
 	img, err := w.Build(mem.NewPhysical(), 1)
 	if err != nil {
 		fmt.Fprintln(stderr, "mtexcsim:", err)
@@ -323,7 +326,16 @@ func runFunctional(w core.Workload, cfg core.Config, stopProf func() error, stdo
 		return 1
 	}
 	start := time.Now()
-	ran, ffErr := eng.FastForward(cfg.MaxInsts)
+	var ran uint64
+	var ffErr error
+	for ran < cfg.MaxInsts && !eng.Halted() && ffErr == nil {
+		if err := ctx.Err(); err != nil {
+			ffErr = &cpu.CancelledError{Cause: err}
+			break
+		}
+		n, err := eng.FastForward(min(1<<20, cfg.MaxInsts-ran))
+		ran, ffErr = ran+n, err
+	}
 	elapsed := time.Since(start)
 	if err := stopProf(); err != nil {
 		fmt.Fprintln(stderr, "mtexcsim:", err)

@@ -114,16 +114,17 @@ func TestSampledModeFlagErrors(t *testing.T) {
 	}
 }
 
-// TestCellTimeoutEveryMode: -cell-timeout bounds a sampled and a
-// shared-L2 run as it bounds an exact one, so the repro line of a
-// harness cell that hit its deadline in either mode reproduces the
-// timeout (exit 1, context deadline exceeded) instead of printing
-// results.
+// TestCellTimeoutEveryMode: -cell-timeout bounds a sampled, a
+// shared-L2 and a functional run as it bounds an exact one, so the
+// repro line of a harness cell that hit its deadline in any mode
+// reproduces the timeout (exit 1, context deadline exceeded) instead
+// of printing results.
 func TestCellTimeoutEveryMode(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bench", "cmp", "-mech", "traditional", "-insts", "2000000", "-sample", "100000:10000:10000"},
 		{"-bench", "mph", "-cores", "2", "-corunner", "cmp", "-insts", "150000"},
 		{"-bench", "cmp", "-insts", "2000000"},
+		{"-bench", "cmp", "-functional", "-insts", "300000000"},
 	} {
 		var out, errb bytes.Buffer
 		rc := run(append(args, "-cell-timeout", "1ms"), &out, &errb)

@@ -118,7 +118,13 @@ func RunObserved(ctx context.Context, cfg Config, probe *Probe, workloads ...Wor
 // slot-accounting ledger, the per-miss latency breakdown and any
 // interval series (see internal/obs for the schema).
 func Snapshot(cfg Config, benchmarks []string, res Result) *obs.Snapshot {
-	meta := obs.Meta{
+	return obs.BuildSnapshot(Meta(cfg, benchmarks, res), res.Stats, res.Obs)
+}
+
+// Meta is a run's identity and totals, as a snapshot and a journal
+// entry record them.
+func Meta(cfg Config, benchmarks []string, res Result) obs.Meta {
+	return obs.Meta{
 		Benchmarks: benchmarks,
 		Mechanism:  cfg.Mech.String(),
 		QuickStart: cfg.QuickStart,
@@ -131,7 +137,6 @@ func Snapshot(cfg Config, benchmarks []string, res Result) *obs.Snapshot {
 		DTLBMisses: res.DTLBMisses,
 		IPC:        res.IPC,
 	}
-	return obs.BuildSnapshot(meta, res.Stats, res.Obs)
 }
 
 // Comparison holds a subject run and its perfect-TLB baseline over

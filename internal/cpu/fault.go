@@ -163,8 +163,8 @@ func (m *Machine) faultTargets(c FaultClass) uint64 {
 // current cycle, that is, whether a plan of that class that is
 // eligible now fires in the next StepCycle. It changes no state:
 // forked fault trials step an unarmed machine until it holds and fork
-// there (diffsim.Fork.RunFault), and tryInjectFault fires on the same
-// count.
+// there (faultinject.RunTrials, diffsim.Fork.Trial), and
+// tryInjectFault fires on the same count.
 func (m *Machine) HasFaultTarget(c FaultClass) bool { return m.faultTargets(c) > 0 }
 
 // tryInjectFault attempts the armed flip. Called from the cycle loop

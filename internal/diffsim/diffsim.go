@@ -333,7 +333,7 @@ func skippable(op isa.Op, cfg cpu.Config) bool {
 // core's partial result, which fault-injection trials read for cycle
 // counts and exception-activity counters even when the run diverged.
 // A Fork recycles its trial machine, so the Stats and Obs of a
-// RunFault result are valid only until the fork's next run.
+// Trial's result are valid only until the fork's next Trial.
 type RunResult struct {
 	Div *Divergence
 	Res cpu.Result
@@ -436,9 +436,9 @@ func errKind(err error) string {
 // FaultPlan.
 func RunCaseConfigured(p *gen.Program, c Case, cfg cpu.Config, ref *RefRun, pre func(*cpu.Machine)) (out RunResult) {
 	defer recoverDiv(&out.Div, c)
-	f := NewFork(p, c, cfg, ref)
-	if err := f.load(); err != nil {
-		return RunResult{Div: &Divergence{Case: c, Kind: "error", Detail: err.Error()}}
+	f, div := NewFork(p, c, cfg, ref)
+	if div != nil {
+		return RunResult{Div: div}
 	}
 	if pre != nil {
 		pre(f.m)
@@ -447,99 +447,64 @@ func RunCaseConfigured(p *gen.Program, c Case, cfg cpu.Config, ref *RefRun, pre 
 }
 
 // Fork runs RunCaseConfigured's check of fault trials on clones of
-// one unarmed machine, so trials that differ only from their firing
-// cycle on simulate their common prefix once, and each trial after
-// the first recycles the machine of the one before.
+// one unarmed machine that only steps forward (Step), so trials that
+// differ only from their firing cycle on simulate their common prefix
+// once, and each trial after the first recycles the machine of the
+// one before.
 type Fork struct {
-	p   *gen.Program
-	c   Case
-	cfg cpu.Config
-	ref *RefRun
-	m   *cpu.Machine // the unarmed machine; nil until loaded
-	o   oracle       // m's comparison so far
-	// m has had no target of class since cycle since (HasFaultTarget
-	// was false at every cycle of [since, m.Now())).
-	class cpu.FaultClass
-	since uint64
+	c     Case
+	m     *cpu.Machine // the unarmed machine
+	o     oracle       // m's comparison so far
 	trial *cpu.Machine // the last trial's machine, recycled by the next
 }
 
-// NewFork prepares forked runs of p under cfg, checked against ref.
-func NewFork(p *gen.Program, c Case, cfg cpu.Config, ref *RefRun) *Fork {
-	return &Fork{p: p, c: c, cfg: cfg, ref: ref}
-}
-
-// load builds the unarmed machine with p on its first context, under
-// the oracle that checks that context.
-func (f *Fork) load() error {
-	f.m = cpu.New(f.cfg)
-	img, err := f.p.BuildImage(f.m.Phys(), 1, f.cfg.PageTable)
+// NewFork loads p under cfg on an unarmed machine checked against
+// ref. A load that fails (an error or a panic) returns the divergence
+// every run of p under cfg has.
+func NewFork(p *gen.Program, c Case, cfg cpu.Config, ref *RefRun) (f *Fork, div *Divergence) {
+	defer recoverDiv(&div, c)
+	f = &Fork{c: c, m: cpu.New(cfg), o: oracle{ref: ref, cfg: cfg}}
+	img, err := p.BuildImage(f.m.Phys(), 1, cfg.PageTable)
+	if err == nil {
+		f.o.tid, err = f.m.AddProgram(img)
+		f.m.RetireHook = f.o.retire
+	}
 	if err != nil {
-		return err
+		return nil, &Divergence{Case: c, Kind: "error", Detail: err.Error()}
 	}
-	tid, err := f.m.AddProgram(img)
-	f.o = oracle{ref: f.ref, cfg: f.cfg, tid: tid}
-	f.m.RetireHook = f.o.retire
-	return err
+	return f, nil
 }
 
-// RunFault is RunCaseConfigured with plan armed before cycle 0, plus
-// the plan's fault record. It steps the unarmed machine to the cycle
-// the plan fires at, the first from plan.At on where its class has a
-// target (cpu.Machine.HasFaultTarget), and arms the plan on a clone
-// taken there, which fires at once and finishes under a copy of the
-// oracle. The clone is made in the previous trial's machine
-// (cpu.Machine.CloneInto). A plan whose class finds no target before
-// the unarmed machine is Done never fires: its run is the unarmed
-// one, checked without a clone.
-//
-// A firing cycle behind the unarmed machine reloads it, unless the
-// machine got there looking for a target of the same class from no
-// later than plan.At. So plans of one class taken in increasing At
-// simulate each prefix cycle once.
-func (f *Fork) RunFault(plan cpu.FaultPlan) (out RunResult, rec cpu.FaultRecord) {
+// Machine is the unarmed machine, which only Step advances.
+func (f *Fork) Machine() *cpu.Machine { return f.m }
+
+// Step advances the unarmed machine one cycle. A step that fails (an
+// error or a panic) returns the divergence of every armed run whose
+// plan has not fired yet: it fails the same way. The fork is spent
+// then.
+func (f *Fork) Step() (div *Divergence) {
+	defer recoverDiv(&div, f.c)
+	if err := f.m.StepCycle(); err != nil {
+		return &Divergence{Case: f.c, Kind: errKind(err), Detail: err.Error()}
+	}
+	return nil
+}
+
+// Trial is RunCaseConfigured with plan armed before cycle 0, plus the
+// plan's fault record, for a plan that fires at the unarmed machine's
+// cycle: its At has passed and its class has a target there
+// (cpu.Machine.HasFaultTarget). The plan is armed on a clone taken
+// there, made in the previous trial's machine (cpu.Machine.CloneInto),
+// which fires at once and finishes under a copy of the oracle.
+func (f *Fork) Trial(plan cpu.FaultPlan) (out RunResult, rec cpu.FaultRecord) {
 	defer recoverDiv(&out.Div, f.c)
-	if f.m == nil || f.m.Now() > plan.At && (plan.Class != f.class || f.since > plan.At) {
-		if err := f.load(); err != nil {
-			f.m = nil
-			return RunResult{Div: &Divergence{Case: f.c, Kind: "error", Detail: err.Error()}}, rec
-		}
-	}
-	// A panic or error while stepping leaves no half-stepped machine
-	// behind: the next call reloads.
-	m := f.m
-	f.m = nil
-	if m.Now() <= plan.At {
-		for m.Now() < plan.At && !m.Done() {
-			if err := m.StepCycle(); err != nil {
-				return f.failed(m, err), rec
-			}
-		}
-		f.class, f.since = plan.Class, m.Now()
-	}
-	for !m.Done() && !m.HasFaultTarget(plan.Class) {
-		if err := m.StepCycle(); err != nil {
-			return f.failed(m, err), rec
-		}
-	}
-	f.m = m
-	o := f.o
-	if m.Done() {
-		return o.run(m, f.c), rec
-	}
-	trial := m.CloneInto(f.trial)
+	trial := f.m.CloneInto(f.trial)
 	f.trial = trial
 	trial.SetFaultPlan(plan)
 	// Read the record after the run, even one that panics.
 	defer func() { rec = trial.FaultRecord() }()
+	o := f.o
 	return o.run(trial, f.c), rec
-}
-
-// failed is the armed run's result when a step of the unarmed machine
-// m fails with err before the plan fires: the armed run failed the
-// same way.
-func (f *Fork) failed(m *cpu.Machine, err error) RunResult {
-	return RunResult{Div: &Divergence{Case: f.c, Kind: errKind(err), Detail: err.Error()}, Res: m.Finish()}
 }
 
 // regsDiff names the first few differing registers.

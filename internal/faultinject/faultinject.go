@@ -236,28 +236,69 @@ type Trial struct {
 }
 
 // RunTrials classifies one trial per plan against the baseline and
-// returns them in plan order. It simulates the unfaulted prefix once:
-// one unfaulted machine steps through the plans in increasing At
-// order, and each trial runs on a clone taken at the cycle its flip
-// fires (diffsim.Fork.RunFault), in the machine of the trial before,
-// yielding the Trial a run armed before cycle 0 would. A plan that
-// never fires is the baseline's trial, masked, and needs no clone.
-// ctx is checked between trials.
+// returns them in plan order. It serves plans of every class from one
+// unarmed machine that only steps forward (diffsim.Fork): at each
+// cycle, the plans whose At has passed fire if their class has a
+// target there, each on a clone taken at that cycle (Fork.Trial),
+// yielding the Trial a run armed before cycle 0 would. A plan still
+// waiting when the unarmed run is done is the baseline's trial,
+// masked. A step that fails before a plan fires fails its armed run
+// the same way. ctx is checked between trials.
 func RunTrials(ctx context.Context, p *gen.Program, mc MechCase, b *Baseline, plans []cpu.FaultPlan) ([]Trial, error) {
 	c := mc.DiffCase(p)
-	fork := diffsim.NewFork(p, c, TrialConfig(c, b.Ref.Res.Steps), b.Ref)
-	order := make([]int, len(plans))
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortStableFunc(order, func(i, j int) int { return cmp.Compare(plans[i].At, plans[j].At) })
+	return walk(ctx, p, c, TrialConfig(c, b.Ref.Res.Steps), b, plans)
+}
+
+// walk is RunTrials under cfg. An unarmed run under cfg that ends
+// without failing is taken to be the baseline's run.
+func walk(ctx context.Context, p *gen.Program, c diffsim.Case, cfg cpu.Config, b *Baseline, plans []cpu.FaultPlan) ([]Trial, error) {
+	// queues holds each class's plans in At order: a class is tested
+	// for a target at most once a cycle, and only while a plan is due.
+	var queues [][]int
 	trials := make([]Trial, len(plans))
-	for _, i := range order {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	for i, plan := range plans {
+		trials[i] = Trial{Plan: plan}
+		k := slices.IndexFunc(queues, func(q []int) bool { return plans[q[0]].Class == plan.Class })
+		if k < 0 {
+			k, queues = len(queues), append(queues, nil)
 		}
-		rr, rec := fork.RunFault(plans[i])
-		trials[i] = classify(b, plans[i], rec, rr)
+		queues[k] = append(queues[k], i)
+	}
+	for _, q := range queues {
+		slices.SortStableFunc(q, func(i, j int) int { return cmp.Compare(plans[i].At, plans[j].At) })
+	}
+
+	fork, div := diffsim.NewFork(p, c, cfg, b.Ref)
+	for div == nil && !fork.Machine().Done() {
+		m := fork.Machine()
+		for k, q := range queues {
+			n := 0 // q[:n] are due
+			for n < len(q) && plans[q[n]].At <= m.Now() {
+				n++
+			}
+			if n > 0 && m.HasFaultTarget(plans[q[0]].Class) {
+				for _, i := range q[:n] {
+					if err := ctx.Err(); err != nil {
+						return nil, err
+					}
+					rr, rec := fork.Trial(plans[i])
+					trials[i] = classify(b, plans[i], rec, rr)
+				}
+				queues[k] = q[n:]
+			}
+		}
+		if queues = slices.DeleteFunc(queues, func(q []int) bool { return len(q) == 0 }); len(queues) == 0 {
+			return trials, nil
+		}
+		div = fork.Step()
+	}
+	if div == nil {
+		return trials, nil // the plans still queued are the baseline's
+	}
+	for _, q := range queues {
+		for _, i := range q {
+			trials[i] = classify(b, plans[i], cpu.FaultRecord{}, diffsim.RunResult{Div: div})
+		}
 	}
 	return trials, nil
 }
@@ -319,20 +360,26 @@ func fnv64a(s string) uint64 {
 	return h
 }
 
+// WindowFrac is the fraction of the baseline's cycles PlanFor draws
+// injection cycles from: frac itself in (0, 1], and 0.85 otherwise.
+func WindowFrac(frac float64) float64 {
+	if frac <= 0 || frac > 1 {
+		return 0.85
+	}
+	return frac
+}
+
 // PlanFor derives trial i's fault plan for one campaign cell: the
 // flip seed and the injection cycle, drawn uniformly over the first
-// frac of the baseline's cycle count (the tail is excluded so most
-// flips land while the program is still running — a flip after the
-// last commit is trivially masked). The derivation mixes the campaign
-// seed, the cell key and the trial index, so every cell of a campaign
-// explores distinct flips yet any single trial is reconstructible
-// from (seed, cell, i) alone.
+// WindowFrac(frac) of the baseline's cycle count (the tail is
+// excluded so most flips land while the program is still running — a
+// flip after the last commit is trivially masked). The derivation
+// mixes the campaign seed, the cell key and the trial index, so every
+// cell of a campaign explores distinct flips yet any single trial is
+// reconstructible from (seed, cell, i) alone.
 func PlanFor(campaignSeed uint64, cellKey string, i int, class cpu.FaultClass, baseCycles uint64, frac float64) cpu.FaultPlan {
-	if frac <= 0 || frac > 1 {
-		frac = 0.85
-	}
 	s := campaignSeed ^ fnv64a(cellKey) ^ (uint64(i)+1)*0x9e3779b97f4a7c15
-	window := uint64(frac * float64(baseCycles))
+	window := uint64(WindowFrac(frac) * float64(baseCycles))
 	if window == 0 {
 		window = 1
 	}

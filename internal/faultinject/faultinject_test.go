@@ -317,24 +317,21 @@ func TestCloneAtInjectionMatchesReplay(t *testing.T) {
 	}
 }
 
-// TestForkedCloneMatchesReplayAtEdges: diffsim.Fork.RunFault, fed plans out of
-// order, with a repeated injection cycle, at cycle 1, at the
-// unfaulted run's last cycle and far past it, returns exactly what
-// RunCaseConfigured returns with the plan armed before cycle 0: the
-// same divergence, cycle count, statistics and observations, and
-// fault record. The last two plans fork a prefix that has already
-// halted.
+// TestForkedCloneMatchesReplayAtEdges: RunTrials, fed one list of
+// mixed classes out of At order — with a repeated injection cycle,
+// plans at cycle 1, at the unfaulted run's last cycle and far past it
+// — plus ten PlanFor plans of each class, classifies every plan under
+// every mechanism exactly as a run armed before cycle 0 does. The
+// last-cycle and far plans are still waiting when the unarmed run is
+// done.
 func TestForkedCloneMatchesReplayAtEdges(t *testing.T) {
 	p := testProgram(t)
-	for _, name := range []string{"trad", "multi3"} {
-		mc, _ := MechByName(name)
+	for _, mc := range DefaultMechs() {
 		b, err := NewBaseline(p, mc)
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := mc.DiffCase(p)
-		cfg := TrialConfig(c, b.Ref.Res.Steps)
-		key := "edges|" + name
+		key := "edges|" + mc.Name
 		mid := PlanFor(1, key, 0, cpu.FaultArchReg, b.Cycles, 0.85)
 		plans := []cpu.FaultPlan{
 			mid,
@@ -346,31 +343,22 @@ func TestForkedCloneMatchesReplayAtEdges(t *testing.T) {
 			{Class: cpu.FaultArchReg, At: 1 << 40, Seed: 5},
 			{Class: cpu.FaultWindow, At: b.Cycles / 3, Seed: 6},
 		}
-		fork := diffsim.NewFork(p, c, cfg, b.Ref)
-		for i, plan := range plans {
-			var rm *cpu.Machine
-			got, rec := fork.RunFault(plan)
-			want := diffsim.RunCaseConfigured(p, c, cfg, b.Ref, func(m *cpu.Machine) { rm = m; m.SetFaultPlan(plan) })
-			where := fmt.Sprintf("%s plan %d (at %d, baseline %d cycles)", name, i, plan.At, b.Cycles)
-			switch {
-			case (got.Div == nil) != (want.Div == nil) || got.Div != nil && *got.Div != *want.Div:
-				t.Errorf("%s: divergence %v, replay %v", where, got.Div, want.Div)
-			case got.Res.Cycles != want.Res.Cycles:
-				t.Errorf("%s: %d cycles, replay %d", where, got.Res.Cycles, want.Res.Cycles)
-			case !bytes.Equal(runFingerprint(t, got.Res), runFingerprint(t, want.Res)):
-				t.Errorf("%s: statistics or observations differ", where)
-			case rec != rm.FaultRecord():
-				t.Errorf("%s: fault record %+v, replay %+v", where, rec, rm.FaultRecord())
+		for _, class := range DefaultClasses() {
+			for i := 0; i < 10; i++ {
+				plans = append(plans, PlanFor(1, fmt.Sprintf("%s|%s", class, key), i, class, b.Cycles, 0))
 			}
+		}
+		got := checkTrials(t, key, p, mc, b, plans)
+		if got[6].Fired || got[6].Outcome != Masked {
+			t.Errorf("%s: plan far past the run fired %v, %s; want the baseline's masked trial", key, got[6].Fired, got[6].Outcome)
 		}
 	}
 }
 
-// TestForkedPrefixLivelockMatchesReplay: when the unarmed prefix
-// itself trips the no-progress watchdog before a plan's injection
-// cycle, Fork.RunFault reports the livelock RunCaseConfigured reports
-// for the armed run, at the same cycle, and keeps doing so for later
-// plans.
+// TestForkedPrefixLivelockMatchesReplay: when the unarmed run itself
+// trips the no-progress watchdog before any plan fires, every plan,
+// due or not, of any class, gets the livelock its run armed before
+// cycle 0 reports.
 func TestForkedPrefixLivelockMatchesReplay(t *testing.T) {
 	p := testProgram(t)
 	mc, _ := MechByName("trad")
@@ -381,29 +369,32 @@ func TestForkedPrefixLivelockMatchesReplay(t *testing.T) {
 	c := mc.DiffCase(p)
 	cfg := TrialConfig(c, b.Ref.Res.Steps)
 	cfg.NoProgressLimit = 40
-	fork := diffsim.NewFork(p, c, cfg, b.Ref)
-	for _, at := range []uint64{b.Cycles / 2, b.Cycles / 2, b.Cycles} {
-		plan := cpu.FaultPlan{Class: cpu.FaultArchReg, At: at, Seed: 9}
-		got, _ := fork.RunFault(plan)
-		want := diffsim.RunCaseConfigured(p, c, cfg, b.Ref, func(m *cpu.Machine) { m.SetFaultPlan(plan) })
-		if want.Div == nil || want.Div.Kind != "livelock" || want.Res.Cycles >= at {
-			t.Fatalf("at %d: replay %v after %d cycles, want a livelock before the injection cycle", at, want.Div, want.Res.Cycles)
+	plans := []cpu.FaultPlan{
+		{Class: cpu.FaultArchReg, At: b.Cycles / 2, Seed: 9},
+		{Class: cpu.FaultArchReg, At: b.Cycles / 2, Seed: 9},
+		{Class: cpu.FaultTLB, At: b.Cycles, Seed: 10},
+		{Class: cpu.FaultWindow, At: b.Cycles / 2, Seed: 11},
+	}
+	got, err := walk(context.Background(), p, c, cfg, b, plans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, plan := range plans {
+		want := replayTrial(p, c, cfg, b, plan)
+		if want.Kind != "livelock" || want.Fired {
+			t.Fatalf("plan %d at %d: replay %+v, want a livelock before the flip fires", i, plan.At, want)
 		}
-		switch {
-		case got.Div == nil || *got.Div != *want.Div:
-			t.Errorf("at %d: divergence %v, replay %v", at, got.Div, want.Div)
-		case !bytes.Equal(runFingerprint(t, got.Res), runFingerprint(t, want.Res)):
-			t.Errorf("at %d: statistics or observations differ (%d vs %d cycles)", at, got.Res.Cycles, want.Res.Cycles)
+		if got[i] != want {
+			t.Errorf("plan %d at %d: forked %+v, replay %+v", i, plan.At, got[i], want)
 		}
 	}
 }
 
 // replayTrial classifies plan armed before cycle 0 of a machine of
-// its own, the run RunTrials' forks stand in for.
-func replayTrial(p *gen.Program, mc MechCase, b *Baseline, plan cpu.FaultPlan) Trial {
-	c := mc.DiffCase(p)
+// its own under cfg, the run RunTrials' forks stand in for.
+func replayTrial(p *gen.Program, c diffsim.Case, cfg cpu.Config, b *Baseline, plan cpu.FaultPlan) Trial {
 	var m *cpu.Machine
-	rr := diffsim.RunCaseConfigured(p, c, TrialConfig(c, b.Ref.Res.Steps), b.Ref, func(mm *cpu.Machine) {
+	rr := diffsim.RunCaseConfigured(p, c, cfg, b.Ref, func(mm *cpu.Machine) {
 		m = mm
 		mm.SetFaultPlan(plan)
 	})
@@ -418,8 +409,10 @@ func checkTrials(t *testing.T, label string, p *gen.Program, mc MechCase, b *Bas
 	if err != nil {
 		t.Fatal(err)
 	}
+	c := mc.DiffCase(p)
+	cfg := TrialConfig(c, b.Ref.Res.Steps)
 	for i, plan := range plans {
-		if want := replayTrial(p, mc, b, plan); got[i] != want {
+		if want := replayTrial(p, c, cfg, b, plan); got[i] != want {
 			t.Errorf("%s plan %d (%s at %d): forked %+v, replay %+v", label, i, plan.Class, plan.At, got[i], want)
 		}
 	}
@@ -430,11 +423,11 @@ func checkTrials(t *testing.T, label string, p *gen.Program, mc MechCase, b *Bas
 // where its flip fires and recycles the machine of the trial before,
 // classifies every plan exactly as a run armed before cycle 0 does:
 // equal Trials, field for field, over the campaign's whole default
-// grid. It also covers plans of mixed classes out of At order (which
-// reload the unarmed machine), s202's TLB plans, which all wait for
-// the one late cycle its DTLB first holds an entry, and handler plans
-// under the hardware mechanism that start after its last walk and
-// never fire.
+// grid, every class of a (mechanism, program) pair in one call, as a
+// campaign cell makes it. It also covers plans of mixed classes out of
+// At order, s202's TLB plans, which all wait for the one late cycle
+// its DTLB first holds an entry, and handler plans under the hardware
+// mechanism that start after its last walk and never fire.
 func TestForkedCloneTrialsMatchReplay(t *testing.T) {
 	trials := 8
 	if testing.Short() {
@@ -451,14 +444,14 @@ func TestForkedCloneTrialsMatchReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var plans []cpu.FaultPlan
 			for _, class := range DefaultClasses() {
 				key := fmt.Sprintf("%s|%s|%s", class, mc.Name, spec)
-				plans := make([]cpu.FaultPlan, trials)
-				for i := range plans {
-					plans[i] = PlanFor(1, key, i, class, b.Cycles, 0)
+				for i := 0; i < trials; i++ {
+					plans = append(plans, PlanFor(1, key, i, class, b.Cycles, 0))
 				}
-				checkTrials(t, key, p, mc, b, plans)
 			}
+			checkTrials(t, mc.Name+"|"+spec, p, mc, b, plans)
 		}
 	}
 

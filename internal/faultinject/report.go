@@ -57,6 +57,21 @@ func counts(trials []TrialResult) (c [len(outcomeNames)]int) {
 	return c
 }
 
+// Summary renders the cell's outcomes as a compact progress token,
+// e.g. "3 masked, 1 detected, 1 sdc".
+func (c CellResult) Summary() string {
+	var parts []string
+	for o, n := range counts(c.Trials) {
+		if n > 0 {
+			parts = append(parts, fmt.Sprintf("%d %s", n, Outcome(o)))
+		}
+	}
+	if parts == nil {
+		return "no trials"
+	}
+	return strings.Join(parts, ", ")
+}
+
 // ReplayToken renders the self-contained one-line descriptor of one
 // trial; mtexc-faultinject -replay inverts it and re-runs the flip.
 func ReplayToken(spec, mech string, class cpu.FaultClass, at, seed uint64, outcome Outcome) string {

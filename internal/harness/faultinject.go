@@ -3,11 +3,11 @@ package harness
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"mtexc/internal/core"
 	"mtexc/internal/cpu"
 	"mtexc/internal/diffsim"
-	"mtexc/internal/diffsim/gen"
 	"mtexc/internal/faultinject"
 	"mtexc/internal/stats"
 	"mtexc/internal/telemetry"
@@ -49,23 +49,22 @@ func (fc FaultCampaign) withDefaults() FaultCampaign {
 	if len(fc.Specs) == 0 {
 		fc.Specs = workload.FaultInjectionSuite()
 	}
+	fc.WindowFrac = faultinject.WindowFrac(fc.WindowFrac)
 	return fc
 }
 
 // fiWorkload is the journal identity of one campaign cell: the
-// generated program plus the injection parameters that make two cells
-// with the same program distinct simulations.
+// generated program plus the campaign's injection parameters (its
+// classes, trials, seed and window fraction) that make two cells with
+// the same program distinct simulations.
 type fiWorkload struct {
 	*workload.FuzzProg
-	class  cpu.FaultClass
-	trials int
-	seed   uint64
-	frac   float64
+	fc FaultCampaign
 }
 
 func (w fiWorkload) Key() string {
-	return fmt.Sprintf("%s/fi:class=%s,trials=%d,seed=%d,frac=%g",
-		w.FuzzProg.Key(), w.class, w.trials, w.seed, w.frac)
+	return fmt.Sprintf("%s/fi:classes=%v,trials=%d,seed=%d,frac=%g",
+		w.FuzzProg.Key(), w.fc.Classes, w.fc.Trials, w.fc.Seed, w.fc.WindowFrac)
 }
 
 // fiTrialCounterHelp documents the campaign's telemetry series.
@@ -86,7 +85,10 @@ func RegisterFaultMetrics(p *telemetry.Plane) {
 
 // RunFaultCampaign sweeps the state-class × mechanism × workload grid
 // on the harness worker pool, classifying Trials seeded bit flips per
-// cell against the unfaulted oracle baseline. Cells are isolated like
+// report cell against the unfaulted oracle baseline. A harness cell is
+// one (mechanism, program) pair, mechanism-major: it runs the pair's
+// baseline and serves every class's trials from one forward walk of
+// an unarmed machine (faultinject.RunTrials). Cells are isolated like
 // any experiment cell (panic containment, CellError reporting), the
 // resume journal answers completed cells bit-for-bit, and the
 // telemetry plane counts live trials by outcome. The report is
@@ -97,29 +99,24 @@ func RunFaultCampaign(opt Options, fc FaultCampaign) (*faultinject.Report, error
 	r := newRunner(opt, "FaultInject")
 	RegisterFaultMetrics(opt.Telemetry)
 
-	progs := make([]*gen.Program, len(fc.Specs))
+	progs := make([]*workload.FuzzProg, len(fc.Specs))
 	for i, spec := range fc.Specs {
-		p, err := gen.ParseSpec(spec)
+		fw, err := workload.ParseFuzz(workload.FuzzPrefix + spec)
 		if err != nil {
 			return nil, fmt.Errorf("harness: fault campaign workload %d: %w", i, err)
 		}
-		progs[i] = p
+		progs[i] = fw
 	}
 
-	// The reference-emulator runs and the unfaulted baselines are
-	// shared across cells: per (program, architecture variant) and per
-	// (mechanism, program) respectively.
+	// The reference-emulator runs are shared across cells, per
+	// (program, architecture variant).
 	var refs flight[*diffsim.RefRun]
-	var bases flight[*faultinject.Baseline]
-	nM, nS := len(fc.Mechs), len(fc.Specs)
-	n := len(fc.Classes) * nM * nS
-	results := make([]faultinject.CellResult, n)
+	nS := len(fc.Specs)
+	results := make([][]faultinject.CellResult, len(fc.Mechs)*nS)
 
-	err := r.forEach(n, func(c *cell) error {
-		ci, mi, si := c.index/(nM*nS), (c.index/nS)%nM, c.index%nS
-		class, mc, prog := fc.Classes[ci], fc.Mechs[mi], progs[si]
-		spec := fc.Specs[si]
-
+	err := r.forEach(len(results), func(c *cell) error {
+		mc, fw, spec := fc.Mechs[c.index/nS], progs[c.index%nS], fc.Specs[c.index%nS]
+		prog := fw.Program()
 		dcase := mc.DiffCase(prog)
 		ref, err := refs.get(fmt.Sprintf("%s|%t", spec, dcase.TrapUnaligned),
 			func() (*diffsim.RefRun, error) {
@@ -128,65 +125,54 @@ func RunFaultCampaign(opt Options, fc FaultCampaign) (*faultinject.Report, error
 		if err != nil {
 			return err
 		}
-		fw, err := workload.ParseFuzz(workload.FuzzPrefix + spec)
-		if err != nil {
-			return err
-		}
-		load := fiWorkload{FuzzProg: fw, class: class, trials: fc.Trials,
-			seed: fc.Seed, frac: fc.WindowFrac}
+		load := fiWorkload{FuzzProg: fw, fc: fc}
 		sim := func(ctx context.Context, _ job, _ *core.Probe) (core.Result, uint64, error) {
-			b, err := bases.get(mc.Name+"|"+spec, func() (*faultinject.Baseline, error) {
-				return faultinject.NewBaselineFrom(prog, mc, ref)
-			})
+			b, err := faultinject.NewBaselineFrom(prog, mc, ref)
 			if err != nil {
 				return core.Result{}, 0, err
 			}
-			cellKey := fmt.Sprintf("%s|%s|%s", class, mc.Name, spec)
-			plans := make([]cpu.FaultPlan, fc.Trials)
-			for i := range plans {
-				plans[i] = faultinject.PlanFor(fc.Seed, cellKey, i, class, b.Cycles, fc.WindowFrac)
+			var plans []cpu.FaultPlan
+			for _, class := range fc.Classes {
+				cellKey := fmt.Sprintf("%s|%s|%s", class, mc.Name, spec)
+				for i := 0; i < fc.Trials; i++ {
+					plans = append(plans, faultinject.PlanFor(fc.Seed, cellKey, i, class, b.Cycles, fc.WindowFrac))
+				}
 			}
 			trials, err := faultinject.RunTrials(ctx, prog, mc, b, plans)
 			if err != nil {
 				return core.Result{}, 0, &cpu.CancelledError{Cause: err}
 			}
-			var cr faultinject.CellResult
 			for _, t := range trials {
-				cr.Trials = append(cr.Trials, faultinject.TrialResult{
-					Outcome: t.Outcome, At: t.Plan.At, Seed: t.Plan.Seed, Fired: t.Fired,
-				})
-				r.noteTrial(c, spec, mc.Name, class, t)
+				r.noteTrial(c, spec, mc.Name, t)
 			}
-			return trialResult(b, cr), 0, nil
+			return trialResult(b, trials), 0, nil
 		}
 		res, err := r.exec(c, job{cfg: faultinject.TrialConfig(dcase, ref.Res.Steps),
 			loads: []core.Workload{load}, sim: sim})
 		if err != nil {
 			return err
 		}
-		cr := faultinject.CellResult{Class: class, Mech: mc.Name, Spec: spec,
-			Trials: trialsFromCounters(res.Stats, fc.Trials)}
-		results[c.index] = cr
-		r.log("  fi %-8s %-7s %s: %s%s", class, mc.Name, spec,
-			trialSummary(cr.Trials), r.opt.Meter.Suffix())
+		trials := trialsFromCounters(res.Stats, len(fc.Classes)*fc.Trials)
+		crs := make([]faultinject.CellResult, len(fc.Classes))
+		for k, class := range fc.Classes {
+			crs[k] = faultinject.CellResult{Class: class, Mech: mc.Name, Spec: spec,
+				Trials: trials[k*fc.Trials : (k+1)*fc.Trials]}
+			r.log("  fi %-8s %-7s %s: %s%s", class, mc.Name, spec, crs[k].Summary(), r.opt.Meter.Suffix())
+		}
+		results[c.index] = crs
 		return nil
 	})
 
-	rep := &faultinject.Report{}
-	for _, cr := range results {
-		if cr.Trials != nil {
-			rep.Cells = append(rep.Cells, cr)
-		}
-	}
+	rep := &faultinject.Report{Cells: slices.Concat(results...)}
 	rep.Sort()
 	return rep, err
 }
 
 // noteTrial streams one trial into the telemetry plane: the outcome
 // counter, and an event for every silent corruption carrying its
-// ready-to-run replay command. A cell's trials are noted in trial
-// order once the cell's last trial has run.
-func (r *runner) noteTrial(c *cell, spec, mech string, class cpu.FaultClass, t faultinject.Trial) {
+// ready-to-run replay command. A cell's trials are noted in plan
+// order, class by class, once the cell's last trial has run.
+func (r *runner) noteTrial(c *cell, spec, mech string, t faultinject.Trial) {
 	p := r.opt.Telemetry
 	if p == nil {
 		return
@@ -201,25 +187,23 @@ func (r *runner) noteTrial(c *cell, spec, mech string, class cpu.FaultClass, t f
 		Experiment: r.exp, Cell: c.index, Fingerprint: c.subjectKey(),
 		Workloads: []string{workload.FuzzPrefix + spec},
 		Detail: fmt.Sprintf("%s; target=%s; %s", t.Kind, t.Target,
-			faultinject.ReplayCommand(spec, mech, class, t.Plan.At, t.Plan.Seed, t.Outcome)),
+			faultinject.ReplayCommand(spec, mech, t.Plan.Class, t.Plan.At, t.Plan.Seed, t.Outcome)),
 	})
 }
 
 // trialResult encodes a completed cell as a journalable Result: the
 // baseline's cycle count plus one counter per trial field, in a fixed
 // registration order so a resumed cell reconstructs bit-for-bit.
-func trialResult(b *faultinject.Baseline, cr faultinject.CellResult) core.Result {
+func trialResult(b *faultinject.Baseline, trials []faultinject.Trial) core.Result {
 	set := stats.NewSet()
-	set.Counter("fi.trials").Value = uint64(len(cr.Trials))
+	set.Counter("fi.trials").Value = uint64(len(trials))
 	set.Counter("fi.base.cycles").Value = b.Cycles
-	for i, t := range cr.Trials {
+	for i, t := range trials {
 		set.Counter(fmt.Sprintf("fi.outcome.%d", i)).Value = uint64(t.Outcome)
-		set.Counter(fmt.Sprintf("fi.at.%d", i)).Value = t.At
-		set.Counter(fmt.Sprintf("fi.seed.%d", i)).Value = t.Seed
-		if t.Fired {
-			set.Counter(fmt.Sprintf("fi.fired.%d", i)).Value = 1
-		} else {
-			set.Counter(fmt.Sprintf("fi.fired.%d", i)).Value = 0
+		set.Counter(fmt.Sprintf("fi.at.%d", i)).Value = t.Plan.At
+		set.Counter(fmt.Sprintf("fi.seed.%d", i)).Value = t.Plan.Seed
+		if fired := set.Counter(fmt.Sprintf("fi.fired.%d", i)); t.Fired {
+			fired.Value = 1
 		}
 	}
 	return core.Result{Cycles: b.Cycles, Stats: set}
@@ -237,29 +221,4 @@ func trialsFromCounters(set *stats.Set, n int) []faultinject.TrialResult {
 		}
 	}
 	return trials
-}
-
-// trialSummary renders a cell's outcomes as a compact progress token,
-// e.g. "3 masked, 1 detected, 1 sdc".
-func trialSummary(trials []faultinject.TrialResult) string {
-	var counts [5]int
-	for _, t := range trials {
-		if int(t.Outcome) < len(counts) {
-			counts[t.Outcome]++
-		}
-	}
-	s := ""
-	for _, o := range faultinject.Outcomes {
-		if counts[o] == 0 {
-			continue
-		}
-		if s != "" {
-			s += ", "
-		}
-		s += fmt.Sprintf("%d %s", counts[o], o)
-	}
-	if s == "" {
-		return "no trials"
-	}
-	return s
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -98,6 +99,17 @@ func TestFaultCampaignJournalResume(t *testing.T) {
 	if j2.Hits() == 0 {
 		t.Error("resume answered no cells from the journal")
 	}
+
+	// WindowFrac 0 selects PlanFor's default fraction, so a campaign
+	// asking for 0.85 is the same campaign.
+	fc := smallCampaign()
+	fc.WindowFrac = 0.85
+	if third := campaignText(t, Options{Parallelism: 2, Journal: j2}, fc); third != first {
+		t.Errorf("WindowFrac 0.85 report differs from WindowFrac 0:\n--- 0 ---\n%s\n--- 0.85 ---\n%s", first, third)
+	}
+	if n := j2.Appends(); n != 0 {
+		t.Errorf("WindowFrac 0.85 re-simulated %d cell(s) of the WindowFrac 0 campaign, want 0", n)
+	}
 }
 
 // TestFaultCampaignSeedChangesPlans: a different campaign seed
@@ -128,7 +140,9 @@ func TestFaultCampaignSeedChangesPlans(t *testing.T) {
 }
 
 // TestFaultCampaignCellFailureIsolated: an injected cell panic
-// surfaces as one CellError while every other cell completes.
+// surfaces as one CellError while every other cell completes. A
+// harness cell is a (mechanism, program) pair, so the report misses
+// exactly that pair's cells, one per class.
 func TestFaultCampaignCellFailureIsolated(t *testing.T) {
 	t.Setenv(FailCellEnv, "FaultInject:0")
 	fc := smallCampaign()
@@ -137,9 +151,36 @@ func TestFaultCampaignCellFailureIsolated(t *testing.T) {
 	if !errors.As(err, &ee) || len(ee.Cells) != 1 || ee.Cells[0].Index != 0 {
 		t.Fatalf("want one failed cell at index 0, got %v", err)
 	}
-	want := len(fc.Classes)*len(fc.Mechs)*len(fc.Specs) - 1
+	want := len(fc.Classes)*len(fc.Mechs)*len(fc.Specs) - len(fc.Classes)
 	if len(rep.Cells) != want {
 		t.Errorf("%d surviving cells, want %d", len(rep.Cells), want)
+	}
+	for _, cr := range rep.Cells {
+		if cr.Mech == fc.Mechs[0].Name && cr.Spec == fc.Specs[0] {
+			t.Errorf("report holds %s|%s|%s, a cell of the failed pair", cr.Class, cr.Mech, cr.Spec)
+		}
+	}
+}
+
+// TestFaultCampaignAllocationBounded bounds what a serial default
+// campaign at 5 trials allocates once a first campaign has warmed the
+// process: each (mechanism, program) pair builds one baseline machine,
+// one unarmed machine and one recycled trial machine, and steps its
+// unfaulted prefix once for every class. A cell per class, each
+// building its own unarmed machine, allocates about 74 MB; one walk
+// per pair about 30 MB.
+func TestFaultCampaignAllocationBounded(t *testing.T) {
+	fc := FaultCampaign{Seed: 1, Trials: 5}
+	campaignText(t, Options{Parallelism: 1}, fc)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	campaignText(t, Options{Parallelism: 1}, fc)
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("serial default campaign at %d trials: %.1f MB allocated", fc.Trials, mb)
+	if mb > 48 {
+		t.Errorf("serial default campaign allocated %.1f MB, over 48 MB — a pair no longer walks its classes on one unarmed machine", mb)
 	}
 }
 
@@ -272,8 +313,8 @@ func TestReproCarriesCellTimeout(t *testing.T) {
 }
 
 // TestFaultCampaignSDCEventsInTrialOrder: a cell runs its trials in
-// injection-cycle order, yet its faultinject.sdc events come in trial
-// index order, as they did when each trial ran from cycle 0.
+// injection-cycle order, yet each class's faultinject.sdc events come
+// in trial index order, as they did when each trial ran from cycle 0.
 func TestFaultCampaignSDCEventsInTrialOrder(t *testing.T) {
 	fc := smallCampaign()
 	fc.Trials = 8
@@ -303,8 +344,14 @@ func TestFaultCampaignSDCEventsInTrialOrder(t *testing.T) {
 			index[fmt.Sprintf("%s|%s|%s|%d|%#x", cr.Class, cr.Mech, cr.Spec, tr.At, tr.Seed)] = i
 		}
 	}
+	// A cell holds every class of its (mechanism, program) pair, so
+	// trial order is per (cell, class).
 	type seen struct{ index, at uint64 }
-	perCell := map[int][]seen{}
+	type cellClass struct {
+		cell  int
+		class cpu.FaultClass
+	}
+	perCell := map[cellClass][]seen{}
 	for _, e := range logged {
 		if e.Type != "faultinject.sdc" {
 			continue
@@ -318,18 +365,19 @@ func TestFaultCampaignSDCEventsInTrialOrder(t *testing.T) {
 		if !ok {
 			t.Fatalf("sdc event for a trial the report does not hold: %q", e.Detail)
 		}
-		perCell[e.Cell] = append(perCell[e.Cell], seen{uint64(i), rt.Plan.At})
+		cc := cellClass{e.Cell, rt.Plan.Class}
+		perCell[cc] = append(perCell[cc], seen{uint64(i), rt.Plan.At})
 	}
 	inverted := false
-	for cell, s := range perCell {
+	for cc, s := range perCell {
 		for k := 1; k < len(s); k++ {
 			if s[k].index <= s[k-1].index {
-				t.Errorf("cell %d: sdc event for trial %d after trial %d", cell, s[k].index, s[k-1].index)
+				t.Errorf("cell %d %s: sdc event for trial %d after trial %d", cc.cell, cc.class, s[k].index, s[k-1].index)
 			}
 			inverted = inverted || s[k].at < s[k-1].at
 		}
 	}
 	if !inverted {
-		t.Fatalf("no cell logged sdc events out of injection-cycle order (%d cells with events); the test checks nothing", len(perCell))
+		t.Fatalf("no cell logged sdc events of one class out of injection-cycle order (%d cell classes with events); the test checks nothing", len(perCell))
 	}
 }

@@ -198,20 +198,8 @@ func (j *Journal) record(tel *telemetry.Cell, exp, key string, cfg core.Config, 
 		Schema:     obs.SchemaVersion,
 		Key:        key,
 		Experiment: exp,
-		Meta: obs.Meta{
-			Benchmarks: benches,
-			Mechanism:  cfg.Mech.String(),
-			QuickStart: cfg.QuickStart,
-			Width:      cfg.Width,
-			Window:     cfg.WindowSize,
-			Contexts:   cfg.Contexts,
-			DTLBSize:   cfg.DTLBEntries,
-			Cycles:     res.Cycles,
-			AppInsts:   res.AppInsts,
-			DTLBMisses: res.DTLBMisses,
-			IPC:        res.IPC,
-		},
-		Counters: counterMap(res.Stats),
+		Meta:       core.Meta(cfg, benches, res),
+		Counters:   counterMap(res.Stats),
 	}
 	line, err := json.Marshal(e)
 	if err != nil {

@@ -43,6 +43,9 @@ func (f *FuzzProg) WithTwoLevelPT() *FuzzProg {
 	return f
 }
 
+// Program is the generated program.
+func (f *FuzzProg) Program() *gen.Program { return f.prog }
+
 // Name returns the replayable benchmark name.
 func (f *FuzzProg) Name() string { return FuzzPrefix + f.prog.Spec() }
 
