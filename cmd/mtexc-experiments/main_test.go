@@ -218,14 +218,14 @@ func TestBadSampleSpec(t *testing.T) {
 	}
 }
 
-// TestSampledFailureDigest: a failed sampled cell still prints the
-// partial tables, marked FAIL, then the same FAILED/repro digest as the
-// exact experiments.
+// TestSampledFailureDigest: a failed sampled cell, the second
+// benchmark's row, still prints the partial tables, marked FAIL, then
+// the same FAILED/repro digest as the exact experiments.
 func TestSampledFailureDigest(t *testing.T) {
 	t.Setenv(harness.FailCellEnv, "Figure5Sampled:1")
 	var out, errb bytes.Buffer
 	rc := run([]string{
-		"-fig5sampled", "-bench", "mph", "-insts", "120000",
+		"-fig5sampled", "-bench", "cmp,mph", "-insts", "120000",
 		"-sample", "40000:4000:4000", "-journal", "",
 	}, &out, &errb)
 	if rc != 1 {

@@ -65,8 +65,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		jsonOut    = fs.String("json", "", "write the full run snapshot (stats, slot account, miss breakdown, series) as JSON to this file")
 		interval   = fs.Uint64("interval", 0, "sample interval in cycles for time series (0: 10000 when exporting, else off)")
 		seriesCSV  = fs.String("seriescsv", "", "write the sampled time series as CSV to this file")
-		sampleSpec = fs.String("sample", "", "sampled mode: period:warmup:window instruction counts (e.g. 100000:10000:10000); estimates the penalty per TLB miss from periodic cycle-accurate windows over a functional fast-forward run")
-		functional = fs.Bool("functional", false, "run purely on the threaded-code functional tier (no cycle accounting); reports throughput")
+		sampleSpec = fs.String("sample", "", "sampled mode: period:warmup:window instruction counts (e.g. 100000:10000:10000); estimates the penalty per TLB miss from periodic cycle-accurate windows over a functional fast-forward run; takes none of -json, -seriescsv, -trace, -kanata, -chrome, -stats")
+		functional = fs.Bool("functional", false, "run purely on the threaded-code functional tier (no cycle accounting); reports throughput; takes none of -json, -seriescsv, -trace, -kanata, -chrome, -stats")
 		list       = fs.Bool("list", false, "list available benchmarks and exit")
 		noprogress = fs.Uint64("noprogress", core.DefaultConfig().NoProgressLimit, "livelock watchdog: abort after this many cycles without a retirement (0 disables)")
 		cellTime   = fs.Duration("cell-timeout", 0, "wall-clock deadline for the simulation (0 = none); mirrors the harness per-cell deadline so timeout-classified cells reproduce")
@@ -182,7 +182,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// The two-tier paths: pure functional execution and sampled
-	// cycle-accurate windows. Both drive a single workload.
+	// cycle-accurate windows. Both drive a single workload, and neither
+	// keeps a machine to trace or snapshot.
 	if *functional && *sampleSpec != "" {
 		fmt.Fprintln(stderr, "mtexcsim: -functional and -sample are mutually exclusive")
 		return 2
@@ -190,6 +191,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *functional || *sampleSpec != "" {
 		if len(loads) != 1 {
 			fmt.Fprintln(stderr, "mtexcsim: -functional/-sample take exactly one benchmark")
+			return 2
+		}
+		if *jsonOut != "" || *seriesCSV != "" || *traceN > 0 || *kanata != "" || *chromeOut != "" || *showStats {
+			fmt.Fprintln(stderr, "mtexcsim: -functional and -sample are incompatible with -json, -seriescsv, -trace, -kanata, -chrome and -stats")
 			return 2
 		}
 		if *functional {

@@ -112,6 +112,28 @@ func TestSampledModeFlagErrors(t *testing.T) {
 	if rc := run([]string{"-bench", "mph", "-mech", "perfect", "-sample", "40000:5000:5000"}, &out, &errb); rc != 1 {
 		t.Errorf("-sample with perfect subject: rc = %d, want 1", rc)
 	}
+	// Neither mode keeps a machine to snapshot or trace, so an output
+	// it cannot write is refused up front rather than dropped.
+	dir := t.TempDir()
+	for _, mode := range [][]string{{"-sample", "40000:5000:5000"}, {"-functional"}} {
+		for _, extra := range [][]string{
+			{"-json", filepath.Join(dir, "x.json")},
+			{"-seriescsv", filepath.Join(dir, "s.csv")},
+			{"-trace", "10"},
+			{"-kanata", filepath.Join(dir, "k.log")},
+			{"-chrome", filepath.Join(dir, "c.json")},
+			{"-stats"},
+		} {
+			args := append([]string{"-bench", "mph", "-insts", "100000"}, mode...)
+			errb.Reset()
+			if rc := run(append(args, extra...), &out, &errb); rc != 2 || !strings.Contains(errb.String(), "incompatible with -json") {
+				t.Errorf("%s %s: rc = %d, stderr %q; want 2 and the flags named", mode[0], extra[0], rc, errb.String())
+			}
+		}
+	}
+	if names, _ := filepath.Glob(filepath.Join(dir, "*")); len(names) > 0 {
+		t.Errorf("refused runs wrote %v", names)
+	}
 }
 
 // TestCellTimeoutEveryMode: -cell-timeout bounds a sampled, a

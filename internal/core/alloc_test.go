@@ -57,44 +57,43 @@ func TestHotPathAllocationsBounded(t *testing.T) {
 }
 
 // TestSampleWindowsAllocationBounded bounds what a sampled window
-// allocates once its run's second window has run: each window machine
-// is a clone of the run's pristine machine made in the machine of the
-// window before (WindowMachine), over the image its checkpoint
-// rebuilt. It measures SampleWindows over the first two and over all
-// checkpoints of a functional pass of gcc, each on a pass of its own,
-// so every window also builds its checkpoint's image, and bounds the
-// marginal bytes per window.
+// allocates once its walk's second position has run: each window
+// machine is a clone of its configuration's pristine machine made in
+// the walk's previous window machine, whatever its configuration
+// (WindowMachine), over the image its checkpoint rebuilt. It walks gcc
+// under Figure 5's five configurations, as a sampled row does,
+// measures what each position's windows allocate, the functional
+// tier's steps between them aside, and bounds the mean bytes per
+// window after the second position.
 func TestSampleWindowsAllocationBounded(t *testing.T) {
 	w, err := workload.ByName("gcc")
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec := SampleSpec{Period: 50_000, Warmup: 10_000, Window: 10_000}
-	cfg := DefaultConfig()
-	cfg.Mech = MechTraditional
-	cfg.MaxInsts = 500_000
+	cfgs := windowConfigs(500_000)
 	ctx := context.Background()
-	measure := func(n int) (bytes uint64, windows int) {
-		pass, err := FunctionalPass(ctx, spec, w, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pass.Checkpoints = pass.Checkpoints[:min(n, len(pass.Checkpoints))]
+	wr := newWindowRuns(spec, cfgs)
+	var bytes []uint64
+	_, err = Walk(ctx, spec, w, cfgs[0], func(cp *Checkpoint) error {
 		var before, after runtime.MemStats
-		runtime.GC()
 		runtime.ReadMemStats(&before)
-		if _, err := SampleWindows(ctx, pass, cfg); err != nil {
-			t.Fatal(err)
-		}
+		err := wr.at(ctx, cp)
 		runtime.ReadMemStats(&after)
-		return after.TotalAlloc - before.TotalAlloc, len(pass.Checkpoints)
+		bytes = append(bytes, after.TotalAlloc-before.TotalAlloc)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	two, _ := measure(2)
-	all, n := measure(1 << 30)
-	per := (float64(all) - float64(two)) / float64(n-2)
-	t.Logf("2 windows %d B, %d windows %d B: %.0f B per later window", two, n, all, per)
+	var later uint64
+	for _, b := range bytes[2:] {
+		later += b
+	}
+	per := float64(later) / float64(len(cfgs)*len(bytes[2:]))
+	t.Logf("%d positions of %d windows: %d B and %d B at the first two, %.0f B per later window", len(bytes), len(cfgs), bytes[0], bytes[1], per)
 	if per > 256<<10 {
-		t.Errorf("%.0f B allocated per window after a run's second exceeds 256 KB — window machines are no longer recycled", per)
+		t.Errorf("%.0f B allocated per window after a walk's second position exceeds 256 KB — window machines are no longer recycled", per)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"mtexc/internal/cpu"
 	"mtexc/internal/fastpath"
@@ -95,8 +94,8 @@ type WindowCounts struct {
 	Misses    uint64 // committed fills in the measured window
 }
 
-// SampledRun is one configuration's detailed windows over a
-// functional pass, in position order: half of a sampled comparison,
+// SampledRun is one configuration's detailed windows over a walk, in
+// position order: half of a sampled comparison,
 // before SampleEstimate pairs it with the other half.
 type SampledRun struct {
 	Spec SampleSpec
@@ -106,37 +105,31 @@ type SampledRun struct {
 	Windows    []WindowCounts
 }
 
-// Checkpoint is the architectural state of a functional pass at one
-// sampling position. FunctionalPass's checkpoints are frozen: later
-// instructions of the pass do not change them, and any number of
-// window machines may start from one concurrently.
+// Checkpoint is the architectural state of a sampled walk at one
+// sampling position (Walk). It holds only while the walk stands
+// there: the walk runs on once its visit returns, and its image with
+// it.
 type Checkpoint struct {
-	// Pos is the number of instructions the pass had committed.
+	// Pos is the number of instructions the walk had committed.
 	Pos  uint64
 	PC   uint64
 	Regs isa.RegFile
-	// Image is the program image at Pos. FunctionalPass freezes it
-	// (fastpath.Engine.Freeze); SampleCompare's pass hands out the
-	// engine's own image, good only until its windows are done
-	// (walkPass). Its pages are shared copy-on-write and must not be
-	// written.
+	// Image is the functional tier's own image at Pos. The images
+	// window machines take over share its pages copy-on-write, so it
+	// must not be written while they run.
 	Image *vm.Image
 
 	// windows holds the images window machines take over from Image,
-	// by start frame (windowImage); mu single-flights their builds.
-	mu      sync.Mutex
+	// by start frame (windowImage).
 	windows map[uint64]*vm.Image
 }
 
 // windowImage returns Image rebuilt for window machines whose
 // allocator stands at frame start (transferImage), to lend to each of
-// them (vm.Image.LendTo). The first window to ask builds it, and a
-// window asking meanwhile waits for that build: a sampled row's runs
-// start from one checkpoint at once, and Figure 5's configurations
-// all at one frame, so a checkpoint builds one.
+// them (vm.Image.LendTo). The first window to ask builds it; Figure
+// 5's configurations all start at one frame, so a position builds
+// one.
 func (cp *Checkpoint) windowImage(start uint64) (*vm.Image, error) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
 	if img := cp.windows[start]; img != nil {
 		return img, nil
 	}
@@ -144,7 +137,8 @@ func (cp *Checkpoint) windowImage(start uint64) (*vm.Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Window machines on several goroutines read it at once.
+	// Sorting its pages once here (Materialize) hands the order to
+	// every space lent from it, so WarmPageTable sorts nothing.
 	img.Space.Materialize()
 	if cp.windows == nil {
 		cp.windows = make(map[uint64]*vm.Image)
@@ -153,84 +147,78 @@ func (cp *Checkpoint) windowImage(start uint64) (*vm.Image, error) {
 	return img, nil
 }
 
-// Pass is one functional pass of a workload under a sampling spec:
-// the architectural stream every configuration of a sampled
-// comparison executes, frozen at each position where a window fits.
-type Pass struct {
-	Spec SampleSpec
-	// MaxInsts and TrapUnaligned are the budget and the architecture
-	// the pass ran under; they fix its stream.
-	MaxInsts      uint64
-	TrapUnaligned bool
-	// TotalInsts is the instruction count the functional tier
-	// committed.
-	TotalInsts  uint64
-	Checkpoints []*Checkpoint
-}
-
 // SampleCompare estimates Compare's penalty-per-miss for one workload
 // without simulating the whole run cycle-accurately: the subject and
 // its perfect-TLB baseline (PerfectOf) run their windows over one
-// functional pass, as SampleWindows runs them over FunctionalPass's
-// checkpoints, and SampleEstimate pairs them.
+// walk (SampleWindows), and SampleEstimate pairs them.
 func SampleCompare(cfg Config, spec SampleSpec, w Workload) (SampledComparison, error) {
 	return SampleCompareCtx(context.Background(), cfg, spec, w)
 }
 
 // SampleCompareCtx is SampleCompare with cancellation (see
-// FunctionalPass and SampleWindows). It runs both configurations'
-// windows at each position as the pass reaches it, from the engine's
-// own image, and keeps nothing, so its memory does not grow with the
-// budget.
+// SampleWindows).
 func SampleCompareCtx(ctx context.Context, cfg Config, spec SampleSpec, w Workload) (SampledComparison, error) {
 	if cfg.Mech == MechPerfect {
 		return SampledComparison{}, fmt.Errorf("core: SampleCompare subject cannot be the perfect baseline")
 	}
-	wr := newWindowRuns(spec, []Config{cfg, PerfectOf(cfg, 1)})
-	total, err := walkPass(ctx, spec, w, cfg, false, func(cp *Checkpoint) error {
-		return runWindows(ctx, cp, spec, wr)
-	})
+	runs, err := SampleWindows(ctx, spec, w, cfg, PerfectOf(cfg, 1))
 	if err != nil {
 		return SampledComparison{}, err
 	}
-	runs := sampledRuns(wr, spec, total)
 	return SampleEstimate(runs[0], runs[1])
 }
 
-// FunctionalPass executes w once on the functional tier, over
-// cfg.MaxInsts instructions under cfg.TrapUnaligned, and keeps a
-// checkpoint at every sampling position of spec where a Warmup+Window
-// stretch fits in the budget. Only those two fields of cfg matter:
-// the pass serves every configuration that agrees on them. Each
-// checkpoint keeps its own copy of every page the pass stores to
-// before the next one, and the image its windows borrow once they
-// have run (windowImage), so the pass's memory grows with the number
-// of positions; SampleCompare, which keeps no checkpoint, does not
-// grow.
+// SampleWindows runs the detailed windows of one or more
+// configurations over one walk of w (Walk): at each checkpoint a
+// cycle-accurate machine per configuration takes over the
+// architectural state (WindowMachine) and runs the warm-up prefix and
+// the measured window over the identical instruction stream, before
+// the walk moves on. Each configuration's window machines are clones
+// of a pristine machine of its own, and each window machine is made
+// in the walk's previous one, whatever its configuration, so the walk
+// keeps one position, one machine per configuration and one spare at
+// any budget. The configurations must agree on MaxInsts and
+// TrapUnaligned, which fix the functional stream.
 //
-// The pass checks ctx between sampling periods, so a done ctx aborts
-// it with a *cpu.CancelledError carrying ctx.Err() as its cause.
-func FunctionalPass(ctx context.Context, spec SampleSpec, w Workload, cfg Config) (*Pass, error) {
-	p := &Pass{Spec: spec, MaxInsts: cfg.MaxInsts, TrapUnaligned: cfg.TrapUnaligned}
-	total, err := walkPass(ctx, spec, w, cfg, true, func(cp *Checkpoint) error {
-		p.Checkpoints = append(p.Checkpoints, cp)
-		return nil
+// The walk checks ctx between sampling periods and every window
+// machine polls it, so a done ctx aborts the run with a
+// *cpu.CancelledError carrying ctx.Err() as its cause.
+func SampleWindows(ctx context.Context, spec SampleSpec, w Workload, cfgs ...Config) ([]SampledRun, error) {
+	if len(cfgs) == 0 {
+		return nil, fmt.Errorf("core: SampleWindows needs a configuration")
+	}
+	for _, c := range cfgs[1:] {
+		if c.MaxInsts != cfgs[0].MaxInsts || c.TrapUnaligned != cfgs[0].TrapUnaligned {
+			return nil, fmt.Errorf("core: sampled configurations disagree on MaxInsts (%d vs %d) or TrapUnaligned (%v vs %v)",
+				cfgs[0].MaxInsts, c.MaxInsts, cfgs[0].TrapUnaligned, c.TrapUnaligned)
+		}
+	}
+	wr := newWindowRuns(spec, cfgs)
+	total, err := Walk(ctx, spec, w, cfgs[0], func(cp *Checkpoint) error {
+		return wr.at(ctx, cp)
 	})
 	if err != nil {
 		return nil, err
 	}
-	p.TotalInsts = total
-	return p, nil
+	for i := range wr.runs {
+		wr.runs[i].TotalInsts = total
+	}
+	return wr.runs, nil
 }
 
-// walkPass runs FunctionalPass's pass and hands each checkpoint to
-// visit, in position order, before the pass runs on; an error from
-// visit ends the pass. With freeze the checkpoint's image is frozen
-// and visit may keep it. Without, it is the engine's own image, which
-// holds only until visit returns, and the engine need not copy the
-// pages it stores to afterwards. walkPass returns the instruction
-// count the functional tier committed.
-func walkPass(ctx context.Context, spec SampleSpec, w Workload, cfg Config, freeze bool, visit func(*Checkpoint) error) (uint64, error) {
+// Walk executes w once on the functional tier, over cfg.MaxInsts
+// instructions under cfg.TrapUnaligned, and hands visit the
+// checkpoint at every sampling position of spec where a
+// Warmup+Window stretch fits in the budget, in position order. Only
+// those two fields of cfg matter. The checkpoint's image is the
+// engine's own, which holds only until visit returns, so the walk
+// keeps nothing from one position to the next; an error from visit
+// ends it. Walk returns the instruction count the functional tier
+// committed.
+//
+// Walk checks ctx between sampling periods, so a done ctx aborts it
+// with a *cpu.CancelledError carrying ctx.Err() as its cause.
+func Walk(ctx context.Context, spec SampleSpec, w Workload, cfg Config, visit func(*Checkpoint) error) (uint64, error) {
 	if err := spec.validate(); err != nil {
 		return 0, err
 	}
@@ -250,11 +238,7 @@ func walkPass(ctx context.Context, spec SampleSpec, w Workload, cfg Config, free
 			return 0, &cpu.CancelledError{Cause: err}
 		}
 		if pos+detail <= budget {
-			cp := &Checkpoint{Pos: pos, PC: eng.PC(), Regs: eng.Regs(), Image: img}
-			if freeze {
-				cp.Image = eng.Freeze()
-			}
-			if err := visit(cp); err != nil {
+			if err := visit(&Checkpoint{Pos: pos, PC: eng.PC(), Regs: eng.Regs(), Image: img}); err != nil {
 				return 0, err
 			}
 		}
@@ -274,86 +258,50 @@ func walkPass(ctx context.Context, spec SampleSpec, w Workload, cfg Config, free
 	return eng.Steps(), nil
 }
 
-// SampleWindows runs the detailed windows of one or more
-// configurations over a functional pass. At each checkpoint a
-// cycle-accurate machine per configuration takes over the
-// architectural state (WindowMachine) and runs the warm-up prefix and
-// the measured window over the identical instruction stream. Each
-// configuration's window machines are clones of one pristine machine,
-// each made in the machine of the window before, and every window
-// machine at a checkpoint borrows one image the checkpoint built. The
-// configurations must agree with the pass on MaxInsts and
-// TrapUnaligned. A window's counts depend only on its configuration
-// and checkpoint, so a pass may serve SampleWindows calls on several
-// goroutines at once.
-//
-// Every window machine polls ctx, so a done ctx aborts the windows
-// with a *cpu.CancelledError carrying ctx.Err() as its cause.
-func SampleWindows(ctx context.Context, p *Pass, cfgs ...Config) ([]SampledRun, error) {
-	for _, c := range cfgs {
-		if c.MaxInsts != p.MaxInsts || c.TrapUnaligned != p.TrapUnaligned {
-			return nil, fmt.Errorf("core: sampled configuration disagrees with the functional pass on MaxInsts (%d vs %d) or TrapUnaligned (%v vs %v)",
-				c.MaxInsts, p.MaxInsts, c.TrapUnaligned, p.TrapUnaligned)
-		}
-	}
-	wr := newWindowRuns(p.Spec, cfgs)
-	for _, cp := range p.Checkpoints {
-		if err := runWindows(ctx, cp, p.Spec, wr); err != nil {
-			return nil, err
-		}
-	}
-	return sampledRuns(wr, p.Spec, p.TotalInsts), nil
-}
-
-// windowRun is one configuration's side of a sampled run while its
-// windows run: the pristine machine each of its window machines
-// clones, the machine its last window ran on, in which the next one
-// is made (WindowMachine), and the counts of its windows so far.
-type windowRun struct {
-	mech            Mechanism
-	pristine, spare *Machine
-	windows         []WindowCounts
+// windowRuns holds the configurations' sampled runs while a walk runs
+// their windows: each one's pristine machine, which its window
+// machines clone, and its windows so far, plus the machine the walk's
+// last window ran on, in which the next window machine is made
+// (WindowMachine).
+type windowRuns struct {
+	spec     SampleSpec
+	mechs    []Mechanism
+	pristine []*Machine
+	spare    *Machine
+	runs     []SampledRun
 }
 
 // newWindowRuns starts a sampled run under spec for each
 // configuration, with a pristine machine bounded to its windows
 // (WindowConfig).
-func newWindowRuns(spec SampleSpec, cfgs []Config) []windowRun {
-	runs := make([]windowRun, len(cfgs))
+func newWindowRuns(spec SampleSpec, cfgs []Config) *windowRuns {
+	wr := &windowRuns{spec: spec, runs: make([]SampledRun, len(cfgs))}
 	for i, cfg := range cfgs {
-		runs[i] = windowRun{mech: cfg.Mech, pristine: cpu.New(WindowConfig(cfg, spec.Warmup+spec.Window))}
+		wr.mechs = append(wr.mechs, cfg.Mech)
+		wr.pristine = append(wr.pristine, cpu.New(WindowConfig(cfg, spec.Warmup+spec.Window)))
+		wr.runs[i].Spec = spec
 	}
-	return runs
+	return wr
 }
 
-// runWindows runs every configuration's window at cp on its next
-// window machine (runDetailedWindow) and appends its counts to the
-// configuration's run.
-func runWindows(ctx context.Context, cp *Checkpoint, spec SampleSpec, runs []windowRun) error {
-	for i := range runs {
-		r := &runs[i]
-		m, err := WindowMachine(r.pristine, cp, r.spare)
+// at runs every configuration's window at cp, each on a window
+// machine made in the one before (runDetailedWindow), and appends its
+// counts to the configuration's run.
+func (wr *windowRuns) at(ctx context.Context, cp *Checkpoint) error {
+	for i := range wr.runs {
+		r := &wr.runs[i]
+		m, err := WindowMachine(wr.pristine[i], cp, wr.spare)
 		var wc WindowCounts
 		if err == nil {
-			r.spare = m
-			wc, err = runDetailedWindow(ctx, m, cp, spec)
+			wr.spare = m
+			wc, err = runDetailedWindow(ctx, m, cp, wr.spec)
 		}
 		if err != nil {
-			return fmt.Errorf("core: window %d (%s): %w", len(r.windows), r.mech, err)
+			return fmt.Errorf("core: window %d (%s): %w", len(r.Windows), wr.mechs[i], err)
 		}
-		r.windows = append(r.windows, wc)
+		r.Windows = append(r.Windows, wc)
 	}
 	return nil
-}
-
-// sampledRuns returns the runs' windows as SampledRuns over a pass
-// under spec that committed total instructions.
-func sampledRuns(runs []windowRun, spec SampleSpec, total uint64) []SampledRun {
-	out := make([]SampledRun, len(runs))
-	for i, r := range runs {
-		out[i] = SampledRun{Spec: spec, TotalInsts: total, Windows: r.windows}
-	}
-	return out
 }
 
 // SampleEstimate pairs a subject's windows with its perfect-TLB
@@ -361,7 +309,7 @@ func sampledRuns(runs []windowRun, spec SampleSpec, total uint64) []SampledRun {
 // (subject minus perfect window cycles) and committed fills m_i feed
 // the ratio estimator p = Σd/Σm, whose standard error comes from the
 // delta method over the window residuals e_i = d_i − p·m_i. Both runs
-// must come from the same spec, positions and functional pass.
+// must come from the same spec, positions and functional stream.
 func SampleEstimate(subj, perf SampledRun) (SampledComparison, error) {
 	if subj.Spec != perf.Spec || subj.TotalInsts != perf.TotalInsts || len(subj.Windows) != len(perf.Windows) {
 		return SampledComparison{}, fmt.Errorf("core: sampled runs disagree: spec %s vs %s, %d vs %d insts, %d vs %d windows",
@@ -486,13 +434,13 @@ func runDetailedWindow(ctx context.Context, m *Machine, cp *Checkpoint, spec Sam
 	}, nil
 }
 
-// transferImage rebuilds a frozen program image over phys, a memory
-// of its own that starts at a window machine's next free frame
+// transferImage rebuilds a checkpoint's program image over phys, a
+// memory of its own that starts at a window machine's next free frame
 // (windowImage): same code, same address-space geometry, and every
-// mapped page borrowed copy-on-write from the frozen frame
+// mapped page borrowed copy-on-write from the checkpoint's frame
 // (mem.Physical.Borrow), so no store of a window machine the image is
 // lent to reaches the checkpoint. Frame numbers differ from the
-// frozen image's (they start at phys's allocator) but follow from the
+// checkpoint image's (they start at phys's allocator) but follow from the
 // mapped VPNs alone, taken in ascending order; virtual contents are
 // identical, which is what the architectural contract — and
 // ContentHash — care about.

@@ -134,10 +134,10 @@ func TestSampleCompareRejectsPerfect(t *testing.T) {
 
 // TestPerfectWindowsIndependentOfPass: over the suite and Figure 5's
 // four mechanisms, the windows of each configuration are bit-identical
-// whether it runs over its own functional pass or over one pass that
-// a benchmark's five configurations share, as the harness runs a
-// sampled row: four subjects and their perfect-TLB baseline
-// PerfectOf(cfg, 1).
+// whether it runs alone over a walk of its own or in one walk that a
+// benchmark's five configurations share, as the harness runs a sampled
+// row: four subjects and their perfect-TLB baseline PerfectOf(cfg, 1),
+// each window machine made in the one the configuration before used.
 func TestPerfectWindowsIndependentOfPass(t *testing.T) {
 	insts := uint64(100_000)
 	if testing.Short() {
@@ -164,29 +164,21 @@ func TestPerfectWindowsIndependentOfPass(t *testing.T) {
 			cfgs = append(cfgs, cfg)
 		}
 		cfgs = append(cfgs, core.PerfectOf(cfgs[0], 1))
-		shared, err := core.FunctionalPass(ctx, spec, w, cfgs[0])
+		shared, err := core.SampleWindows(ctx, spec, w, cfgs...)
 		if err != nil {
-			t.Fatalf("%s: shared pass: %v", w.Name(), err)
+			t.Fatalf("%s: shared walk: %v", w.Name(), err)
 		}
-		if len(shared.Checkpoints) < 2 {
-			t.Fatalf("%s: only %d checkpoints", w.Name(), len(shared.Checkpoints))
+		if len(shared[0].Windows) < 2 {
+			t.Fatalf("%s: only %d windows", w.Name(), len(shared[0].Windows))
 		}
-		for _, cfg := range cfgs {
-			own, err := core.FunctionalPass(ctx, spec, w, cfg)
-			if err != nil {
-				t.Fatalf("%s %s: own pass: %v", w.Name(), cfg.Mech, err)
-			}
-			alone, err := core.SampleWindows(ctx, own, cfg)
+		for i, cfg := range cfgs {
+			alone, err := core.SampleWindows(ctx, spec, w, cfg)
 			if err != nil {
 				t.Fatalf("%s %s: %v", w.Name(), cfg.Mech, err)
 			}
-			runs, err := core.SampleWindows(ctx, shared, cfg)
-			if err != nil {
-				t.Fatalf("%s %s: %v", w.Name(), cfg.Mech, err)
-			}
-			if !reflect.DeepEqual(runs[0], alone[0]) {
-				t.Errorf("%s: %s(%d) windows over the shared pass differ from their own pass:\n%+v\n%+v",
-					w.Name(), cfg.Mech, cfg.Contexts, runs[0], alone[0])
+			if !reflect.DeepEqual(shared[i], alone[0]) {
+				t.Errorf("%s: %s(%d) windows over the shared walk differ from their own walk's:\n%+v\n%+v",
+					w.Name(), cfg.Mech, cfg.Contexts, shared[i], alone[0])
 			}
 		}
 	}
@@ -221,9 +213,8 @@ func TestSampleEstimateRejectsMismatchedRuns(t *testing.T) {
 	}
 }
 
-// TestSampleWindowsRejectsDisagreeingPass: the configurations run
-// over a pass must agree with it on what fixes the functional tier's
-// stream.
+// TestSampleWindowsRejectsDisagreeingPass: the configurations of one
+// walk must agree on what fixes the functional tier's stream.
 func TestSampleWindowsRejectsDisagreeingPass(t *testing.T) {
 	w, err := workload.ByName("mph")
 	if err != nil {
@@ -232,19 +223,18 @@ func TestSampleWindowsRejectsDisagreeingPass(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.MaxInsts = 20_000
 	spec := core.SampleSpec{Period: 10_000, Window: 1_000}
-	pass, err := core.FunctionalPass(context.Background(), spec, w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	longer, unaligned := cfg, cfg
 	longer.MaxInsts++
 	unaligned.Mech = core.MechTraditional
 	unaligned.TrapUnaligned = true
 	for _, other := range []core.Config{longer, unaligned} {
-		if _, err := core.SampleWindows(context.Background(), pass, cfg, other); err == nil {
-			t.Errorf("pass with MaxInsts %d/%d, TrapUnaligned %v/%v accepted",
+		if _, err := core.SampleWindows(context.Background(), spec, w, cfg, other); err == nil {
+			t.Errorf("walk with MaxInsts %d/%d, TrapUnaligned %v/%v accepted",
 				cfg.MaxInsts, other.MaxInsts, cfg.TrapUnaligned, other.TrapUnaligned)
 		}
+	}
+	if _, err := core.SampleWindows(context.Background(), spec, w); err == nil {
+		t.Error("walk with no configuration accepted")
 	}
 }
 
@@ -283,11 +273,7 @@ func TestWindowPastPeriodFails(t *testing.T) {
 	cfg.MaxInsts = 4 * window
 	for _, period := range []uint64{window, 2 * window} {
 		spec := core.SampleSpec{Period: period, Warmup: window / 2, Window: window - window/2}
-		pass, err := core.FunctionalPass(context.Background(), spec, w, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, err = core.SampleWindows(context.Background(), pass, cfg)
+		_, err := core.SampleWindows(context.Background(), spec, w, cfg)
 		switch {
 		case period == window && (err == nil || !strings.Contains(err.Error(), "window at 0 insts covered")):
 			t.Errorf("period %d: windows returned %v, want the first window to overrun its period", period, err)

@@ -4,8 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"mtexc/internal/cpu"
@@ -18,30 +18,29 @@ import (
 	"mtexc/internal/workload"
 )
 
-// checkpointOf runs w's functional pass under cfg and spec and returns
-// its checkpoint at pos.
-func checkpointOf(t *testing.T, name string, cfg Config, spec SampleSpec, pos uint64) *Checkpoint {
+// checkpointOf runs w on an engine of its own under cfg's
+// architecture to pos and returns the checkpoint a walk would hand
+// its windows there. Nothing runs the engine on, so the checkpoint
+// holds for as long as the test keeps it.
+func checkpointOf(t *testing.T, w Workload, cfg Config, pos uint64) *Checkpoint {
 	t.Helper()
-	w, err := workload.ByName(name)
+	img, err := w.Build(mem.NewPhysical(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := FunctionalPass(context.Background(), spec, w, cfg)
+	eng, err := fastpath.New(img, fastpath.Options{Unaligned: cfg.TrapUnaligned})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cp := range p.Checkpoints {
-		if cp.Pos == pos {
-			return cp
-		}
+	if n, err := eng.FastForward(pos); n != pos || err != nil {
+		t.Fatalf("%s: functional tier stopped at %d of %d insts: %v", w.Name(), n, pos, err)
 	}
-	t.Fatalf("%s: no checkpoint at %d insts", name, pos)
-	return nil
+	return &Checkpoint{Pos: pos, PC: eng.PC(), Regs: eng.Regs(), Image: img}
 }
 
 // windowConfigs are Figure 5's four mechanisms and their shared
 // perfect-TLB baseline, the five configurations a sampled row runs
-// over one pass.
+// over one walk.
 func windowConfigs(insts uint64) []Config {
 	var cfgs []Config
 	for _, mc := range []struct {
@@ -62,16 +61,6 @@ func windowConfigs(insts uint64) []Config {
 	return append(cfgs, PerfectOf(cfgs[0], 1))
 }
 
-// windowAt runs cfg's window at cp as a sampled run's first window
-// there does.
-func windowAt(ctx context.Context, cfg Config, cp *Checkpoint, spec SampleSpec) (WindowCounts, error) {
-	runs := newWindowRuns(spec, []Config{cfg})
-	if err := runWindows(ctx, cp, spec, runs); err != nil {
-		return WindowCounts{}, err
-	}
-	return runs[0].windows[0], nil
-}
-
 // framesOf copies every frame phys holds or will hand out from first,
 // its first frame, to its next free one. It reads them through a
 // memory that borrows them (mem.Physical.BorrowAll), so reading
@@ -89,50 +78,75 @@ func framesOf(t *testing.T, phys *mem.Physical, first uint64) [][mem.FrameSize]b
 	return out
 }
 
-// TestWindowsLeaveCheckpointUntouched: every window machine of a
-// sampling position borrows the image the checkpoint rebuilt for it,
-// which borrows the checkpoint's frames, both copy-on-write, so no
-// window's stores may reach either: not the checkpoint's pages, and
-// not the image's page-table and code frames. compress stores into
-// its data pages inside every window; a workload that only loads
-// would pass even if the frames were aliased outright, and so would
-// the window statistics, which do not read memory back. Figure 5's
-// five configurations start at one frame, so the checkpoint builds
-// one image for them.
+// TestWindowsLeaveCheckpointUntouched: at a position of a walk,
+// every window machine borrows the image the checkpoint rebuilt for
+// it, which borrows the engine's own frames, both copy-on-write, so
+// no window's stores may reach either: not the engine's pages, which
+// it goes on running over, and not the image's page-table and code
+// frames. compress stores into its data pages inside every window; a
+// workload that only loads would pass even if the frames were aliased
+// outright, and so would the window statistics, which do not read
+// memory back. Figure 5's five configurations run there as a walk
+// runs them, each window machine made in the one before, and start at
+// one frame, so the checkpoint builds one image for them.
 func TestWindowsLeaveCheckpointUntouched(t *testing.T) {
 	spec := SampleSpec{Period: 20_000, Warmup: 2_000, Window: 3_000}
 	cfgs := windowConfigs(120_000)
-	cp := checkpointOf(t, "cmp", cfgs[0], spec, 100_000)
-	want := cp.Image.Space.ContentHash()
-	start := NewMachine(cfgs[0]).Phys().NextFree()
-	img, err := cp.windowImage(start)
+	w, err := workload.ByName("cmp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := framesOf(t, img.Space.Phys(), start)
-	for _, c := range cfgs {
-		ws, err := windowAt(context.Background(), c, cp, spec)
+	start := NewMachine(cfgs[0]).Phys().NextFree()
+	ctx := context.Background()
+	visited := false
+	_, err = Walk(ctx, spec, w, cfgs[0], func(cp *Checkpoint) error {
+		if cp.Pos != 100_000 {
+			return nil
+		}
+		visited = true
+		want := cp.Image.Space.ContentHash()
+		img, err := cp.windowImage(start)
 		if err != nil {
-			t.Fatalf("%s window: %v", c.Mech, err)
+			return err
 		}
-		if ws.Insts == 0 {
-			t.Fatalf("%s window retired nothing", c.Mech)
-		}
-		if got := cp.Image.Space.ContentHash(); got != want {
-			t.Fatalf("%s window changed the checkpoint's memory: hash %#x, want %#x", c.Mech, got, want)
-		}
-		got := framesOf(t, img.Space.Phys(), start)
-		if len(got) != len(frames) {
-			t.Fatalf("%s window changed the window image's frame count: %d, want %d", c.Mech, len(got), len(frames))
-		}
-		for i := range got {
-			if got[i] != frames[i] {
-				t.Fatalf("%s window changed frame %d of the window image", c.Mech, start+uint64(i))
+		frames := framesOf(t, img.Space.Phys(), start)
+		var spare *Machine
+		for _, c := range cfgs {
+			m, err := WindowMachine(NewMachine(WindowConfig(c, spec.Warmup+spec.Window)), cp, spare)
+			if err != nil {
+				return err
+			}
+			spare = m
+			ws, err := runDetailedWindow(ctx, m, cp, spec)
+			if err != nil {
+				t.Fatalf("%s window: %v", c.Mech, err)
+			}
+			if ws.Insts == 0 {
+				t.Fatalf("%s window retired nothing", c.Mech)
+			}
+			if got := cp.Image.Space.ContentHash(); got != want {
+				t.Fatalf("%s window changed the engine's memory: hash %#x, want %#x", c.Mech, got, want)
+			}
+			got := framesOf(t, img.Space.Phys(), start)
+			if len(got) != len(frames) {
+				t.Fatalf("%s window changed the window image's frame count: %d, want %d", c.Mech, len(got), len(frames))
+			}
+			for i := range got {
+				if got[i] != frames[i] {
+					t.Fatalf("%s window changed frame %d of the window image", c.Mech, start+uint64(i))
+				}
 			}
 		}
+		if len(cp.windows) != 1 || cp.windows[start] != img {
+			t.Errorf("the checkpoint built %d window images for Figure 5's configurations, want the one at frame %d", len(cp.windows), start)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(cp.windows) != 1 || cp.windows[start] != img {
-		t.Errorf("the checkpoint built %d window images for Figure 5's configurations, want the one at frame %d", len(cp.windows), start)
+	if !visited {
+		t.Fatal("the walk handed out no checkpoint at 100000 insts")
 	}
 }
 
@@ -203,17 +217,14 @@ func overrunSpare(t *testing.T) func() *Machine {
 	cfg.TrapUnaligned = true
 	cfg.MaxInsts = 4 * window
 	spec := SampleSpec{Period: window, Warmup: window / 2, Window: window - window/2}
-	pass, err := FunctionalPass(context.Background(), spec, w, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cp := checkpointOf(t, w, cfg, 0)
 	pristine := NewMachine(WindowConfig(cfg, spec.Period))
 	return func() *Machine {
-		m, err := WindowMachine(pristine, pass.Checkpoints[0], nil)
+		m, err := WindowMachine(pristine, cp, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := runDetailedWindow(context.Background(), m, pass.Checkpoints[0], spec); err == nil || !strings.Contains(err.Error(), "covered") {
+		if _, err := runDetailedWindow(context.Background(), m, cp, spec); err == nil || !strings.Contains(err.Error(), "covered") {
 			t.Fatalf("generated program 7's window returned %v, want it to overrun its period", err)
 		}
 		return m
@@ -225,15 +236,16 @@ func overrunSpare(t *testing.T) func() *Machine {
 // checkpoint lends (WindowMachine), runs its window exactly as a
 // machine New builds, with the checkpoint's image rebuilt in its own
 // memory (transferImage), runs it. Every suite workload runs under
-// each of windowConfigs' five configurations at two checkpoints, on
-// three kinds of spare: one that finished the window at the other
-// checkpoint, one a done context cancelled mid-window there, and one
-// of another configuration that failed runDetailedWindow's period
-// check, and with no spare, as a run's first window. Each window must
-// match the fresh machine's counts, final
-// stats and obs snapshot, registers and memory contents. A spare whose
-// caches or predictor tables the clone did not overwrite would show
-// in the cycles.
+// each of windowConfigs' five configurations at two positions, on
+// three kinds of spare of another configuration, as a walk makes each
+// window machine in the one before: the machine of the configuration
+// before that finished its window at the other position, one a done
+// context cancelled mid-window there, and one that failed
+// runDetailedWindow's period check on another program; and with no
+// spare, as a walk's first window. Each window must match the fresh
+// machine's counts, final stats and obs snapshot, registers and
+// memory contents. A spare whose caches, predictor tables or
+// statistics the clone did not overwrite would show.
 func TestRecycledWindowMatchesFresh(t *testing.T) {
 	spec := SampleSpec{Period: 20_000, Warmup: 2_000, Window: 3_000}
 	detail := spec.Warmup + spec.Window
@@ -243,15 +255,15 @@ func TestRecycledWindowMatchesFresh(t *testing.T) {
 	}
 	overran := overrunSpare(t)
 	ctx := context.Background()
+	cfgs := windowConfigs(60_000)
+	pristine := make([]*Machine, len(cfgs))
+	for k, cfg := range cfgs {
+		pristine[k] = NewMachine(WindowConfig(cfg, detail))
+	}
 	for _, w := range benches {
-		cfgs := windowConfigs(60_000)
-		pass, err := FunctionalPass(ctx, spec, w, cfgs[0])
-		if err != nil {
-			t.Fatal(err)
-		}
-		cps := pass.Checkpoints[1:3]
-		for _, cfg := range cfgs {
-			pristine := NewMachine(WindowConfig(cfg, detail))
+		cps := []*Checkpoint{checkpointOf(t, w, cfgs[0], 20_000), checkpointOf(t, w, cfgs[0], 40_000)}
+		for k, cfg := range cfgs {
+			prev := (k + len(cfgs) - 1) % len(cfgs)
 			for i, cp := range cps {
 				other := cps[1-i]
 				fresh := NewMachine(WindowConfig(cfg, detail))
@@ -270,21 +282,21 @@ func TestRecycledWindowMatchesFresh(t *testing.T) {
 					make func() *Machine
 				}{
 					{"finished", func() *Machine {
-						m, err := WindowMachine(pristine, other, nil)
+						m, err := WindowMachine(pristine[prev], other, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
-						runWindowOn(t, m, cfg, other, spec)
+						runWindowOn(t, m, cfgs[prev], other, spec)
 						return m
 					}},
 					{"cancelled", func() *Machine {
-						m, err := WindowMachine(pristine, other, nil)
+						m, err := WindowMachine(pristine[prev], other, nil)
 						if err != nil {
 							t.Fatal(err)
 						}
 						var ce *cpu.CancelledError
 						if _, err := runDetailedWindow(&cancelAfter{Context: ctx, n: 2}, m, other, spec); !errors.As(err, &ce) {
-							t.Fatalf("%s %s at %d: window returned %v, want it cancelled mid-window", w.Name(), cfg.Mech, other.Pos, err)
+							t.Fatalf("%s %s at %d: window returned %v, want it cancelled mid-window", w.Name(), cfgs[prev].Mech, other.Pos, err)
 						}
 						return m
 					}},
@@ -293,7 +305,7 @@ func TestRecycledWindowMatchesFresh(t *testing.T) {
 				}
 				for _, sp := range spares {
 					spare := sp.make()
-					m, err := WindowMachine(pristine, cp, spare)
+					m, err := WindowMachine(pristine[k], cp, spare)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -301,7 +313,7 @@ func TestRecycledWindowMatchesFresh(t *testing.T) {
 						t.Fatalf("%s %s at %d: the window machine was not made in the %s spare", w.Name(), cfg.Mech, cp.Pos, sp.kind)
 					}
 					got := runWindowOn(t, m, cfg, cp, spec)
-					name := w.Name() + " " + cfg.Mech.String() + " (" + sp.kind + " spare)"
+					name := fmt.Sprintf("%s %s(%d) (%s spare)", w.Name(), cfg.Mech, cfg.Contexts, sp.kind)
 					switch {
 					case got.counts != want.counts:
 						t.Errorf("%s at %d: window %+v, fresh %+v", name, cp.Pos, got.counts, want.counts)
@@ -315,46 +327,5 @@ func TestRecycledWindowMatchesFresh(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestCheckpointConcurrentWindows: the five window machines of a
-// sampled row's position start from one checkpoint on five goroutines
-// at once, as the cells of a row do, and each counts exactly what it
-// counts alone. Under -race this is the check that starting from a
-// checkpoint only reads it.
-func TestCheckpointConcurrentWindows(t *testing.T) {
-	spec := SampleSpec{Period: 20_000, Warmup: 2_000, Window: 3_000}
-	cfgs := windowConfigs(120_000)
-	cp := checkpointOf(t, "cmp", cfgs[0], spec, 100_000)
-	want := cp.Image.Space.ContentHash()
-	alone := make([]WindowCounts, len(cfgs))
-	for i, c := range cfgs {
-		var err error
-		if alone[i], err = windowAt(context.Background(), c, cp, spec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := make([]WindowCounts, len(cfgs))
-	errs := make([]error, len(cfgs))
-	var wg sync.WaitGroup
-	for i, c := range cfgs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[i], errs[i] = windowAt(context.Background(), c, cp, spec)
-		}()
-	}
-	wg.Wait()
-	for i, c := range cfgs {
-		if errs[i] != nil {
-			t.Fatalf("%s: %v", c.Mech, errs[i])
-		}
-		if got[i] != alone[i] {
-			t.Errorf("%s(%d): concurrent window %+v, alone %+v", c.Mech, c.Contexts, got[i], alone[i])
-		}
-	}
-	if h := cp.Image.Space.ContentHash(); h != want {
-		t.Errorf("concurrent windows changed the checkpoint: hash %#x, want %#x", h, want)
 	}
 }

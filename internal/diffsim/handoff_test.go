@@ -16,11 +16,12 @@ import (
 // TestWindowHandoff checks the state a sampled window machine starts
 // from (core.WindowMachine: a clone of the run's pristine machine, the
 // checkpoint's lent image, AddProgramAt, WarmPageTable) against the
-// functional tier. Every suite workload runs one functional pass
-// (core.FunctionalPass), and at each of its checkpoints the
-// traditional, multithreaded and hardware mechanisms each build a
-// window machine from the checkpoint, in the machine of their window
-// at the checkpoint before, as the cells of a sampled row do. Each window machine's non-PAL retire stream must
+// functional tier. Every suite workload runs one walk (core.Walk), and
+// at each of its checkpoints the traditional, multithreaded and
+// hardware mechanisms each build a window machine from the checkpoint,
+// in the window machine the walk used last, whatever its
+// configuration, as a sampled row's walk does. Each window machine's
+// non-PAL retire stream must
 // equal a separate engine's recorded stream over the same stretch,
 // and after its last retirement its architectural registers and
 // mapped memory must equal that engine's after the same instruction
@@ -109,38 +110,32 @@ func TestWindowHandoffGenerated(t *testing.T) {
 	}
 }
 
-// checkHandoff runs w's functional pass under spec and cfgs[0]'s
-// budget and architecture, and checks the window machine of every
-// configuration at every checkpoint, each made in the configuration's
-// window machine at the checkpoint before, against a reference engine
-// of its own, fast-forwarded to the checkpoint's position, that records its
-// committed stream. Instructions the configuration emulates in a
+// checkHandoff walks w under spec and cfgs[0]'s budget and
+// architecture, and checks the window machine of every configuration
+// at every checkpoint, each made in the window machine before it,
+// against a reference engine of its own, fast-forwarded to the
+// checkpoint's position, that records its committed stream. Instructions the configuration emulates in a
 // handler (skippable) run in the reference stream but never retire.
 // The window's mapped memory must hash as the reference's does, or,
 // where pagesOut holds (a program that pages out data), differ from
 // it only by pages mapped ahead (pagedInAhead).
 func checkHandoff(t *testing.T, w core.Workload, spec core.SampleSpec, cfgs []cpu.Config, pagesOut bool) {
 	t.Helper()
-	pass, err := core.FunctionalPass(context.Background(), spec, w, cfgs[0])
-	if err != nil {
-		t.Fatalf("%s: %v", w.Name(), err)
-	}
-	if len(pass.Checkpoints) < 2 {
-		t.Fatalf("%s: only %d checkpoints", w.Name(), len(pass.Checkpoints))
-	}
 	insts := spec.Warmup + spec.Window
 	pristine := make([]*cpu.Machine, len(cfgs))
 	for i, cfg := range cfgs {
 		pristine[i] = core.NewMachine(core.WindowConfig(cfg, insts))
 	}
-	spare := make([]*cpu.Machine, len(cfgs))
-	for _, cp := range pass.Checkpoints {
+	var spare *cpu.Machine
+	positions := 0
+	_, err := core.Walk(context.Background(), spec, w, cfgs[0], func(cp *core.Checkpoint) error {
+		positions++
 		for i, cfg := range cfgs {
-			m, err := core.WindowMachine(pristine[i], cp, spare[i])
+			m, err := core.WindowMachine(pristine[i], cp, spare)
 			if err != nil {
 				t.Fatalf("%s %s at %d: %v", w.Name(), cfg.Mech, cp.Pos, err)
 			}
-			spare[i] = m
+			spare = m
 			var got []fastpath.Entry
 			m.RetireHook = func(ri cpu.RetiredInst) {
 				if ri.Tid == 0 && !ri.PAL {
@@ -191,6 +186,13 @@ func checkHandoff(t *testing.T, w core.Workload, spec core.SampleSpec, cfgs []cp
 					w.Name(), cfg.Mech, cp.Pos, h, res.AppInsts, eh)
 			}
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("%s: %v", w.Name(), err)
+	}
+	if positions < 2 {
+		t.Fatalf("%s: only %d checkpoints", w.Name(), positions)
 	}
 }
 

@@ -72,12 +72,9 @@ const (
 	tcBits = 10
 )
 
-// tcEntry caches one page's frame. A frame resolved for a load may
-// still be shared copy-on-write with a checkpoint (Freeze), so only
-// an entry resolved for a store (rw) may be written through.
+// tcEntry caches one page's frame, for loads and stores alike.
 type tcEntry struct {
 	tag   uint64 // vpn+1; 0 = invalid
-	rw    bool
 	frame *[mem.FrameSize]byte
 }
 
@@ -241,70 +238,32 @@ func (e *Engine) FastForward(n uint64) (uint64, error) {
 	return e.steps - start, e.err
 }
 
-// frameFor resolves a virtual page to its frame's backing array for
-// reading, mapping the page on demand (the architectural effect of
-// the OS page-fault service). Returns nil after setting the sticky
-// error when the address space bound is exceeded.
+// frameFor resolves a virtual page to its frame's backing array,
+// mapping the page on demand (the architectural effect of the OS
+// page-fault service). Returns nil after setting the sticky error
+// when the address space bound is exceeded.
 func (e *Engine) frameFor(vpn uint64) *[mem.FrameSize]byte {
 	te := &e.tc[tcIndex(vpn)]
 	if te.tag == vpn+1 {
 		return te.frame
 	}
-	return e.frameSlow(vpn, te, false)
+	return e.frameSlow(vpn, te)
 }
 
-// frameForWrite is frameFor for a store: the frame it returns is the
-// engine's own, never one a checkpoint shares.
-func (e *Engine) frameForWrite(vpn uint64) *[mem.FrameSize]byte {
-	te := &e.tc[tcIndex(vpn)]
-	if te.tag == vpn+1 && te.rw {
-		return te.frame
-	}
-	return e.frameSlow(vpn, te, true)
-}
-
-// frameSlow fills te. A load takes the frame through Physical.View,
-// so reading a page a checkpoint shares does not copy it; only a
-// store privatizes (Physical.Frame).
-func (e *Engine) frameSlow(vpn uint64, te *tcEntry, write bool) *[mem.FrameSize]byte {
+// frameSlow fills te. Nothing clones the engine's memory, so
+// Physical.Frame hands out its own frames, which the engine writes in
+// place; what borrows them (the window images of core.Walk's
+// checkpoints) is done with them before the engine runs on.
+func (e *Engine) frameSlow(vpn uint64, te *tcEntry) *[mem.FrameSize]byte {
 	e.tcMisses++
 	pa, err := e.as.EnsureMapped(vpn << vm.PageShift)
 	if err != nil {
 		e.err = fmt.Errorf("fastpath: pc %#x: %w", e.pcOf(e.idx), err)
 		return nil
 	}
-	var f *[mem.FrameSize]byte
-	if write {
-		f = e.phys.Frame(pa)
-	} else {
-		f = e.phys.View(pa)
-	}
-	*te = tcEntry{tag: vpn + 1, rw: write, frame: f}
+	f := e.phys.Frame(pa)
+	*te = tcEntry{tag: vpn + 1, frame: f}
 	return f
-}
-
-// Freeze returns the program image as the engine has run it so far,
-// frozen: the same code over copy-on-write clones of the engine's
-// physical memory and address space (mem.Physical.Clone,
-// vm.AddressSpace.CloneInto). Every mapped page of the frozen image
-// has its frame materialized, so concurrent readers of the image
-// never insert into its frame map, and its contents never change:
-// the engine copies a shared page before its first store to it. The
-// translation cache is flushed, since the frames it resolved for
-// stores are now shared with the frozen image.
-func (e *Engine) Freeze() *vm.Image {
-	phys := e.phys.Clone()
-	as := e.as.CloneInto(phys)
-	as.Materialize()
-	e.tc = [tcSize]tcEntry{}
-	return &vm.Image{
-		Name:    e.img.Name,
-		Code:    e.img.Code,
-		CodeVA:  e.img.CodeVA,
-		CodePA:  e.img.CodePA,
-		EntryVA: e.img.EntryVA,
-		Space:   as,
-	}
 }
 
 // load mirrors refemu.loadValue / the core's architectural load path:
@@ -339,7 +298,7 @@ func (e *Engine) load(ea, n uint64, op isa.Op) (uint64, bool) {
 // instruction cache.
 func (e *Engine) store(ea, n, v uint64) {
 	a := ea &^ (n - 1)
-	f := e.frameForWrite(a >> vm.PageShift)
+	f := e.frameFor(a >> vm.PageShift)
 	if f == nil {
 		return
 	}

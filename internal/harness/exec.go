@@ -20,13 +20,17 @@ type job struct {
 	loads []core.Workload
 	// cluster runs the loads on a shared-L2 cluster, one core each.
 	cluster bool
-	// sample, when non-nil, makes the job a sampled comparison.
+	// sample, when non-nil, makes the job one configuration's sampled
+	// run: its windows over a walk of the workload (sampledRow).
 	sample *core.SampleSpec
 	// row, when non-nil, is the grid row whose values the job shares
 	// (rowValues): its machines take the row's lent images
-	// (machineLoads), and a sampled job the row's functional pass.
+	// (machineLoads).
 	row *rowValues
-	sim simFunc
+	// baseline marks the perfect-TLB run a cell's subjects pair with
+	// (runner.compare, sampledRow).
+	baseline bool
+	sim      simFunc
 }
 
 // inRow returns j sharing row's values.
@@ -184,19 +188,19 @@ func imageHash(w core.Workload) (string, error) {
 func (r *runner) exec(c *cell, j job) (core.Result, error) {
 	key := j.key()
 	c.describe(j, key)
-	subject := key == c.subjectKey()
-	// The injection hook fires on the cell's subject only, after
-	// describe (so the failure report carries the configuration and a
-	// repro command) and before the journal answers (so it fires on
-	// resumed and repeated runs too). A baseline never fires it: the
+	described := key == c.subjectKey()
+	// The injection hook fires on the subject the cell described only,
+	// after describe (so the failure report carries the configuration
+	// and a repro command) and before the journal answers (so it fires
+	// on resumed and repeated runs too). A baseline never fires it: the
 	// store hands one baseline to every cell that shares it, so a panic
 	// there would fail them all.
-	if r.failSpec != "" && subject && injectedFailure(r.exp, r.failSpec, c.index) {
+	if r.failSpec != "" && described && injectedFailure(r.exp, r.failSpec, c.index) {
 		panic(fmt.Sprintf("injected failure (%s=%q)", FailCellEnv, r.failSpec))
 	}
 	journal := r.opt.Journal
 	if res, ok := journal.lookup(key); ok {
-		if subject {
+		if described {
 			c.tel.ResumeHit(key)
 			r.opt.Meter.CellResumed()
 		} else {
@@ -205,35 +209,34 @@ func (r *runner) exec(c *cell, j job) (core.Result, error) {
 		return res, nil
 	}
 	var endWait func()
-	if !subject {
+	if j.baseline {
 		endWait = c.tel.BaselineWaitBegin()
 	}
 	ran := false
 	res, err := journal.runs.get(key, func() (core.Result, error) {
 		ran = true
-		return r.simulate(c, j, key, subject)
+		return r.simulate(c, j, key)
 	})
 	// A subject another job ran is a journal hit; a baseline another
 	// cell ran charges this cell's wait on it.
 	switch {
 	case ran:
-	case subject:
+	case j.baseline:
+		endWait()
+	default:
 		journal.hits.Add(1)
 		c.tel.JournalHit()
-	default:
-		endWait()
 	}
 	return res, err
 }
 
 // simulate runs j, fingerprinted key, under the configured context
 // and per-cell deadline with a live probe attached, and journals the
-// result. A run that is not the cell's subject is a baseline. The
-// result goes into the journal's store without its Obs: the tables
-// and Report read only its counters and the span histograms in its
-// Stats, and the miss ring would stay in memory as long as the
-// journal does.
-func (r *runner) simulate(c *cell, j job, key string, subject bool) (core.Result, error) {
+// result. The result goes into the journal's store without its Obs:
+// the tables and Report read only its counters and the span
+// histograms in its Stats, and the miss ring would stay in memory as
+// long as the journal does.
+func (r *runner) simulate(c *cell, j job, key string) (core.Result, error) {
 	ctx := r.opt.Context
 	if ctx == nil {
 		ctx = context.Background()
@@ -244,7 +247,7 @@ func (r *runner) simulate(c *cell, j job, key string, subject bool) (core.Result
 		defer cancel()
 	}
 	phase := "sim"
-	if !subject {
+	if j.baseline {
 		phase = "baseline"
 		c.tel.BaselineRan()
 	}
@@ -274,7 +277,7 @@ func (r *runner) compare(c *cell, subj job) (core.Comparison, error) {
 	// baseline.
 	c.describe(subj, subj.key())
 	perf := subj
-	perf.cfg = core.PerfectOf(subj.cfg, subj.threads())
+	perf.cfg, perf.baseline = core.PerfectOf(subj.cfg, subj.threads()), true
 	var res, pres core.Result
 	var err error
 	if r.opt.Journal.runs.claim(perf.key()) {
@@ -287,15 +290,7 @@ func (r *runner) compare(c *cell, subj job) (core.Comparison, error) {
 	if err != nil {
 		return core.Comparison{}, err
 	}
-	loads := strings.Join(loadNames(subj.loads), "-")
-	if subj.sample != nil {
-		// A sampled Result totals the measured windows, where an IPC
-		// would not describe the run.
-		r.log("  %-14s %-13s %9d window cycles  %6d fills%s",
-			loads, label(subj.cfg), res.Cycles, res.DTLBMisses, r.opt.Meter.Suffix())
-	} else {
-		r.log("  %-14s %-13s %9d cycles  %6d fills  IPC %.2f%s",
-			loads, label(subj.cfg), res.Cycles, res.DTLBMisses, res.IPC, r.opt.Meter.Suffix())
-	}
+	r.log("  %-14s %-13s %9d cycles  %6d fills  IPC %.2f%s", strings.Join(loadNames(subj.loads), "-"),
+		label(subj.cfg), res.Cycles, res.DTLBMisses, res.IPC, r.opt.Meter.Suffix())
 	return core.Comparison{Subject: res, Perfect: pres}, nil
 }

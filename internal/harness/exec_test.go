@@ -233,23 +233,28 @@ func TestPerfectBaselineIgnoresIdleContexts(t *testing.T) {
 	}
 }
 
-// TestSampledFailureRepro: a failed sampled cell reports its
-// fingerprint and a repro line that re-runs it in sampled mode.
+// TestSampledFailureRepro: a failed sampled cell, a benchmark row,
+// marks the row's four cells FAIL and reports the fingerprint of its
+// first subject and a repro line that re-runs that subject in sampled
+// mode.
 func TestSampledFailureRepro(t *testing.T) {
 	t.Setenv(FailCellEnv, "Figure5Sampled:1")
-	s, err := Figure5Sampled(Options{Insts: 120_000, Benchmarks: []string{"mph"}}, testSpec)
+	s, err := Figure5Sampled(Options{Insts: 120_000, Benchmarks: []string{"cmp", "mph"}}, testSpec)
 	var ee *ExperimentError
-	if !errors.As(err, &ee) || len(ee.Cells) != 1 {
-		t.Fatalf("err = %v, want one failed cell", err)
+	if !errors.As(err, &ee) || len(ee.Cells) != 1 || ee.Cells[0].Index != 1 {
+		t.Fatalf("err = %v, want cell 1 failed", err)
 	}
-	if !s.Est.FailedAt(0, 1) || !s.CI.FailedAt(0, 1) {
-		t.Error("failed sampled cell not marked FAIL on both tables")
+	for mi := range s.Est.Cols {
+		if s.Est.FailedAt(0, mi) || !s.Est.FailedAt(1, mi) || !s.CI.FailedAt(1, mi) {
+			t.Errorf("column %s: FAIL marks compress %v, murphi %v and %v; want only murphi's, on both tables",
+				s.Est.Cols[mi], s.Est.FailedAt(0, mi), s.Est.FailedAt(1, mi), s.CI.FailedAt(1, mi))
+		}
 	}
 	ce := ee.Cells[0]
 	if ce.Fingerprint == "" {
 		t.Error("sampled cell error lost its fingerprint")
 	}
-	if repro := ce.Repro(); !strings.Contains(repro, "-bench mph -mech multithreaded") ||
+	if repro := ce.Repro(); !strings.Contains(repro, "-bench mph -mech traditional") ||
 		!strings.HasSuffix(repro, "-sample "+testSpec.String()) {
 		t.Errorf("sampled repro = %q, want an mtexcsim -sample line", repro)
 	}

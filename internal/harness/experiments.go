@@ -43,8 +43,10 @@ type Options struct {
 	Journal *Journal
 	// CellTimeout bounds the wall-clock time of each simulation; an
 	// overrunning run aborts with a *cpu.CancelledError wrapping
-	// context.DeadlineExceeded and the cell reports FAIL. Zero means
-	// no deadline.
+	// context.DeadlineExceeded and the cell reports FAIL. A sampled
+	// Figure 5 row walks its benchmark in the first of its runs to
+	// simulate, so that run's deadline covers the whole walk. Zero
+	// means no deadline.
 	CellTimeout time.Duration
 	// Context, when non-nil, cancels all in-flight simulations when it
 	// is done (e.g. on SIGINT). Defaults to context.Background().
@@ -91,8 +93,8 @@ type runner struct {
 	opt      Options
 	exp      string
 	failSpec string // MTEXC_FAIL_CELL, read once per runner
-	// rowBuilds counts the values its grid rows built: lent images
-	// and functional passes (forRows).
+	// rowBuilds counts the images its grid rows built and lent
+	// (forRows).
 	rowBuilds atomic.Int64
 }
 

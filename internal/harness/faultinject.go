@@ -147,12 +147,15 @@ func RunFaultCampaign(opt Options, fc FaultCampaign) (*faultinject.Report, error
 			}
 			return trialResult(b, trials), 0, nil
 		}
-		res, err := r.exec(c, job{cfg: faultinject.TrialConfig(dcase, ref.Res.Steps),
-			loads: []core.Workload{load}, sim: sim})
+		j := job{cfg: faultinject.TrialConfig(dcase, ref.Res.Steps), loads: []core.Workload{load}, sim: sim}
+		res, err := r.exec(c, j)
 		if err != nil {
 			return err
 		}
-		trials := trialsFromCounters(res.Stats, len(fc.Classes)*fc.Trials)
+		trials, err := trialsFromCounters(res.Stats, len(fc.Classes)*fc.Trials)
+		if err != nil {
+			return fmt.Errorf("harness: run %s: %w", j.key(), err)
+		}
 		crs := make([]faultinject.CellResult, len(fc.Classes))
 		for k, class := range fc.Classes {
 			crs[k] = faultinject.CellResult{Class: class, Mech: mc.Name, Spec: spec,
@@ -209,16 +212,37 @@ func trialResult(b *faultinject.Baseline, trials []faultinject.Trial) core.Resul
 	return core.Result{Cycles: b.Cycles, Stats: set}
 }
 
-// trialsFromCounters inverts trialResult.
-func trialsFromCounters(set *stats.Set, n int) []faultinject.TrialResult {
+// trialsFromCounters inverts trialResult for a cell of n trials. A
+// trial count other than n, a per-trial counter the encoding always
+// writes that the result lacks, or an outcome outside
+// faultinject.Outcomes fails the cell instead of reading as a masked
+// trial or indexing past the outcome histogram: such a result is not
+// the cell's record.
+func trialsFromCounters(set *stats.Set, n int) ([]faultinject.TrialResult, error) {
+	var bad error
+	get := func(format string, i int) uint64 {
+		name := fmt.Sprintf(format, i)
+		v, ok := set.Lookup(name)
+		if !ok && bad == nil {
+			bad = fmt.Errorf("harness: fault cell result has no %s counter", name)
+		}
+		return v
+	}
+	if got := set.Get("fi.trials"); got != uint64(n) {
+		return nil, fmt.Errorf("harness: fault cell result holds fi.trials %d, want %d", got, n)
+	}
 	trials := make([]faultinject.TrialResult, n)
 	for i := range trials {
+		o := get("fi.outcome.%d", i)
+		if o >= uint64(len(faultinject.Outcomes)) && bad == nil {
+			bad = fmt.Errorf("harness: fault cell result holds fi.outcome.%d %d, not an outcome", i, o)
+		}
 		trials[i] = faultinject.TrialResult{
-			Outcome: faultinject.Outcome(set.Get(fmt.Sprintf("fi.outcome.%d", i))),
-			At:      set.Get(fmt.Sprintf("fi.at.%d", i)),
-			Seed:    set.Get(fmt.Sprintf("fi.seed.%d", i)),
-			Fired:   set.Get(fmt.Sprintf("fi.fired.%d", i)) == 1,
+			Outcome: faultinject.Outcome(o),
+			At:      get("fi.at.%d", i),
+			Seed:    get("fi.seed.%d", i),
+			Fired:   get("fi.fired.%d", i) == 1,
 		}
 	}
-	return trials
+	return trials, bad
 }

@@ -3,8 +3,10 @@ package harness
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -109,6 +111,70 @@ func TestFaultCampaignJournalResume(t *testing.T) {
 	}
 	if n := j2.Appends(); n != 0 {
 		t.Errorf("WindowFrac 0.85 re-simulated %d cell(s) of the WindowFrac 0 campaign, want 0", n)
+	}
+}
+
+// TestFaultCampaignRejectsCorruptJournal: a resumed journal entry
+// whose trials do not decode fails its pair's cell with an error that
+// names the run and the counter, rather than a panic or a masked
+// trial: one entry's first outcome set to 9, past the five outcomes,
+// and another's second injection cycle deleted.
+func TestFaultCampaignRejectsCorruptJournal(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "fi.journal")
+	j1, err := OpenJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	campaignText(t, Options{Parallelism: 2, Journal: j1}, smallCampaign())
+	j1.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(data), []byte("\n"))
+	if len(lines) != 2 {
+		t.Fatalf("journal holds %d entries, want one per (mechanism, program) pair", len(lines))
+	}
+	keys := make([]string, len(lines))
+	for i, edit := range []func(map[string]uint64){
+		func(m map[string]uint64) { m["fi.outcome.0"] = 9 },
+		func(m map[string]uint64) { delete(m, "fi.at.1") },
+	} {
+		var e JournalEntry
+		if err := json.Unmarshal(lines[i], &e); err != nil {
+			t.Fatal(err)
+		}
+		edit(e.Counters)
+		keys[i] = e.Key
+		if lines[i], err = json.Marshal(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(path, append(bytes.Join(lines, []byte("\n")), '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := OpenJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	_, err = RunFaultCampaign(Options{Parallelism: 2, Journal: j2}, smallCampaign())
+	var ee *ExperimentError
+	if !errors.As(err, &ee) || len(ee.Cells) != 2 {
+		t.Fatalf("err = %v, want both pairs' cells failed", err)
+	}
+	for _, ce := range ee.Cells {
+		var pe *panicError
+		if errors.As(ce.Cause, &pe) {
+			t.Errorf("cell %d panicked: %v", ce.Index, ce.Cause)
+		}
+		msg := ce.Cause.Error()
+		if !strings.Contains(msg, "fi.outcome.0 9") && !strings.Contains(msg, "no fi.at.1 counter") {
+			t.Errorf("cell %d: %v, want the bad counter named", ce.Index, msg)
+		}
+		if !strings.Contains(msg, keys[0]) && !strings.Contains(msg, keys[1]) {
+			t.Errorf("cell %d: %v, want the run key named", ce.Index, msg)
+		}
 	}
 }
 

@@ -185,6 +185,12 @@ func (j *Journal) lookup(key string) (core.Result, bool) {
 	}, true
 }
 
+// holds reports whether the journal answers key without the caller
+// simulating it: its file holds it, or a job asked its store for it.
+func (j *Journal) holds(key string) bool {
+	return j.entries[key] != nil || j.runs.has(key)
+}
+
 // record appends one completed simulation to the journal's file, one
 // marshalled line in one Write, timed on tel. The store runs each key
 // once, so no key is recorded twice. A journal with no file records,

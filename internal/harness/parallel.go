@@ -51,6 +51,14 @@ func (f *flight[V]) claim(key string) bool {
 	return created
 }
 
+// has reports whether a claim or get asked for key.
+func (f *flight[V]) has(key string) bool {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	_, ok := f.m[key]
+	return ok
+}
+
 // forgetAll drops every entry, so the values can be collected; a
 // later claim or get of any key starts afresh.
 func (f *flight[V]) forgetAll() {

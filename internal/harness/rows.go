@@ -12,14 +12,14 @@ import (
 // rowValues holds what the cells of one row of an experiment's grid
 // share while any of them runs. A row's cells run one set of workloads
 // on machines of one shape, so they share the image each workload
-// builds at a given start frame (lentLoad) and, in sampled mode, the
-// row's functional pass. The first job to need a value builds it; a
-// job asking meanwhile waits on that build and shares its value or its
-// error, as with a shared baseline. The row's last cell to finish
-// drops the row's values (forRows), so only the rows in progress hold
-// theirs.
+// builds at a given start frame (lentLoad). The first job to need a
+// value builds it; a job asking meanwhile waits on that build and
+// shares its value or its error, as with a shared baseline. The row's
+// last cell to finish drops the row's values (forRows), so only the
+// rows in progress hold theirs. A sampled Figure 5 row shares one walk
+// instead, so its cell is the whole row (sampledRow).
 type rowValues struct {
-	flight[any]
+	flight[*vm.Image]
 	left atomic.Int32 // cells of the row not yet finished
 }
 
@@ -44,17 +44,6 @@ func (r *runner) forRows(rows, cols int, body func(c *cell, ri, ci int) error) e
 	})
 }
 
-// rowValue returns the value row holds under key, which build makes
-// the first time a job of the row asks for it.
-func rowValue[V any](row *rowValues, key string, build func() (V, error)) (V, error) {
-	v, err := row.get(key, func() (any, error) { return build() })
-	if err != nil {
-		var zero V
-		return zero, err
-	}
-	return v.(V), nil
-}
-
 // lentLoad is a workload of a job that shares its row's images: Build
 // lends each machine the image the row built for the workload at the
 // machine's next free frame (vm.Image.LendTo), building it there the
@@ -68,7 +57,7 @@ type lentLoad struct {
 func (l lentLoad) Build(phys *mem.Physical, asn uint8) (*vm.Image, error) {
 	start := phys.NextFree()
 	key := fmt.Sprintf("image|%s|%d|%d", workloadID(l.Workload), asn, start)
-	img, err := rowValue(l.row, key, func() (*vm.Image, error) {
+	img, err := l.row.get(key, func() (*vm.Image, error) {
 		return l.Workload.Build(mem.NewPhysicalAt(start), asn)
 	})
 	if err != nil {

@@ -3,6 +3,7 @@ package harness
 import (
 	"testing"
 
+	"mtexc/internal/vm"
 	"mtexc/internal/workload"
 )
 
@@ -20,7 +21,7 @@ func TestRowStoreDropsWithLastCell(t *testing.T) {
 		if ci == 0 {
 			rows = append(rows, c.row)
 		}
-		if _, err := rowValue(c.row, "v", func() (int, error) { return ri, nil }); err != nil {
+		if _, err := c.row.get("v", func() (*vm.Image, error) { return &vm.Image{}, nil }); err != nil {
 			return err
 		}
 		switch c.index {

@@ -19,7 +19,7 @@ type SampledFigure5 struct {
 	CI *Table
 	// TotalInsts sums the cells' core.SampledComparison.TotalInsts,
 	// the instructions each cell's estimate extrapolates to; each of a
-	// benchmark's cells counts the one functional pass they share.
+	// benchmark's cells counts the one walk they share.
 	TotalInsts uint64
 	// DetailedInsts sums the cells' per-comparison
 	// core.SampledComparison.DetailedInsts: each cell counts its
@@ -31,15 +31,16 @@ type SampledFigure5 struct {
 }
 
 // Figure5Sampled regenerates the Figure 5 mechanism comparison in
-// sampled mode: each benchmark runs once on the functional tier
-// (core.FunctionalPass), each cell's subject simulates only periodic
-// warm-up+window stretches from that pass's checkpoints
-// cycle-accurately (core.SampleWindows), and runner.compare pairs it
-// with the perfect-TLB windows its benchmark's cells share
-// (core.SampleEstimate). Cells run through the same executor as the
-// exact experiments — fingerprint, the journal's store and resume,
-// deadline — and assemble by index, so the tables are identical at
-// any parallelism.
+// sampled mode. Its cells are benchmark rows: a row's four subjects
+// and the perfect-TLB baseline they share simulate only periodic
+// warm-up+window stretches cycle-accurately, all in one walk of the
+// benchmark on the functional tier (sampledRow), and each subject
+// pairs with the baseline's windows (core.SampleEstimate). Each run
+// goes through the same executor as the exact experiments —
+// fingerprint, the journal's store and resume, deadline — and rows
+// assemble by index, so the tables are identical at any parallelism.
+// A row runs on one worker, so no more rows run at once than the table
+// has.
 func Figure5Sampled(opt Options, spec core.SampleSpec) (*SampledFigure5, error) {
 	r := newRunner(opt, "Figure5Sampled")
 	benches, err := opt.suite()
@@ -54,30 +55,29 @@ func Figure5Sampled(opt Options, spec core.SampleSpec) (*SampledFigure5, error) 
 			names(benches), configNames(mechs)),
 	}
 	cells := make([]core.SampledComparison, len(benches)*len(mechs))
-	err = r.grid(func(c *cell, bi, mi int) error {
-		cmp, err := r.compare(c, job{cfg: mechs[mi].cfg, loads: []core.Workload{benches[bi]},
-			sample: &spec, row: c.row, sim: simSampled})
+	err = r.forEach(len(benches), func(c *cell) error {
+		row, err := r.sampledRow(c, spec, benches[c.index], mechs)
 		if err != nil {
 			return err
 		}
-		subj, err := windowsFromResult(cmp.Subject, spec)
-		if err != nil {
-			return err
+		for mi, s := range row {
+			cells[c.index*len(mechs)+mi] = s
+			out.Est.Set(c.index, mi, s.PenaltyPerMiss)
+			out.CI.Set(c.index, mi, s.CI95)
 		}
-		perf, err := windowsFromResult(cmp.Perfect, spec)
-		if err != nil {
-			return err
-		}
-		s, err := core.SampleEstimate(subj, perf)
-		if err != nil {
-			return err
-		}
-		cells[c.index] = s
-		out.Est.Set(bi, mi, s.PenaltyPerMiss)
-		out.CI.Set(bi, mi, s.CI95)
 		return nil
-	}, out.Est, out.CI)
-	// Failed cells left their slots zero.
+	})
+	// A failed row fails each of its cells, and left their slots zero.
+	for _, t := range []*Table{out.Est, out.CI} {
+		markFailedCells(t, err, func(bi int) [][2]int {
+			row := make([][2]int, len(mechs))
+			for mi := range row {
+				row[mi] = [2]int{bi, mi}
+			}
+			return row
+		})
+		t.AddAverageRow()
+	}
 	for _, s := range cells {
 		out.TotalInsts += s.TotalInsts
 		out.DetailedInsts += s.DetailedInsts
@@ -85,33 +85,75 @@ func Figure5Sampled(opt Options, spec core.SampleSpec) (*SampledFigure5, error) 
 	return out, err
 }
 
-// simSampled simulates a sampled job: its configuration alone over its
-// row's functional pass (core.SampleWindows). A row's cells run one
-// benchmark under one budget and architecture, so its four subjects
-// and their shared perfect-TLB baseline, whose job copies this one,
-// take their windows from the same checkpoints; the first job of the
-// row that simulates runs the pass (a journal answer needs none), and
-// the pass goes with the row's other values (rowValues).
-// runner.compare pairs the result with the baseline's windows. The
-// instruction count includes the pass only in the job that ran it.
-func simSampled(ctx context.Context, j job, _ *core.Probe) (core.Result, uint64, error) {
-	ran := false
-	pass, err := rowValue(j.row, "pass", func() (*core.Pass, error) {
-		ran = true
-		return core.FunctionalPass(ctx, *j.sample, j.loads[0], j.cfg)
-	})
-	if err != nil {
-		return core.Result{}, 0, err
+// sampledRow runs benchmark w's row of sampled Figure 5: each
+// mechanism's sampled run and that of the perfect-TLB baseline they
+// share, each under its own run key, and returns each mechanism's
+// estimate against the baseline. The journal answers the runs it
+// holds, and the first of the others to simulate walks w once for all
+// of them (core.SampleWindows); the rest take their windows from that
+// walk. The instruction count of that run includes the walk's.
+func (r *runner) sampledRow(c *cell, spec core.SampleSpec, w core.Workload, mechs []namedConfig) ([]core.SampledComparison, error) {
+	// The subjects come first, so the cell describes the first of them.
+	// Figure 5's mechanisms differ only in what PerfectOf resets.
+	jobs := make([]job, len(mechs)+1)
+	for mi, m := range mechs {
+		jobs[mi] = job{cfg: m.cfg, loads: []core.Workload{w}, sample: &spec}
 	}
-	runs, err := core.SampleWindows(ctx, pass, j.cfg)
-	if err != nil {
-		return core.Result{}, 0, err
+	jobs[len(mechs)] = job{cfg: core.PerfectOf(mechs[0].cfg, 1), loads: jobs[0].loads, sample: &spec, baseline: true}
+	var todo []job
+	for _, j := range jobs {
+		if !r.opt.Journal.holds(j.key()) {
+			todo = append(todo, j)
+		}
 	}
-	res, insts := windowsResult(runs[0])
-	if ran {
-		insts += pass.TotalInsts
+	var walked map[string]core.SampledRun
+	sim := func(ctx context.Context, j job, _ *core.Probe) (core.Result, uint64, error) {
+		var insts uint64
+		if walked == nil {
+			cfgs := make([]core.Config, len(todo))
+			for i, tj := range todo {
+				cfgs[i] = tj.cfg
+			}
+			runs, err := core.SampleWindows(ctx, spec, w, cfgs...)
+			if err != nil {
+				return core.Result{}, 0, err
+			}
+			walked = make(map[string]core.SampledRun, len(todo))
+			for i, tj := range todo {
+				walked[tj.key()] = runs[i]
+			}
+			insts = runs[0].TotalInsts
+		}
+		res, detailed := windowsResult(walked[j.key()])
+		return res, insts + detailed, nil
 	}
-	return res, insts, nil
+
+	runs := make([]core.SampledRun, len(jobs))
+	for i, j := range jobs {
+		j.sim = sim
+		res, err := r.exec(c, j)
+		if err != nil {
+			return nil, err
+		}
+		if runs[i], err = windowsFromResult(res, spec); err != nil {
+			return nil, err
+		}
+		if !j.baseline {
+			// A sampled Result totals the measured windows, where an IPC
+			// would not describe the run.
+			r.log("  %-14s %-13s %9d window cycles  %6d fills%s",
+				loadNames(j.loads)[0], label(j.cfg), res.Cycles, res.DTLBMisses, r.opt.Meter.Suffix())
+		}
+	}
+	out := make([]core.SampledComparison, len(mechs))
+	for mi := range mechs {
+		s, err := core.SampleEstimate(runs[mi], runs[len(mechs)])
+		if err != nil {
+			return nil, err
+		}
+		out[mi] = s
+	}
+	return out, nil
 }
 
 // windowsResult encodes a sampled run as a journalable Result: the

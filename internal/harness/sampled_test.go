@@ -2,8 +2,12 @@ package harness
 
 import (
 	"math"
+	"runtime"
+	"runtime/debug"
+	"runtime/metrics"
 	"strings"
 	"testing"
+	"time"
 
 	"mtexc/internal/core"
 	"mtexc/internal/telemetry"
@@ -126,5 +130,59 @@ func TestSampledRowRunsOnePass(t *testing.T) {
 	if functional != opt.Insts {
 		t.Errorf("cmp's row reported %d functional instructions, %.2f passes of %d; want one pass",
 			functional, float64(functional)/float64(opt.Insts), opt.Insts)
+	}
+}
+
+// TestSampledRowMemoryFlat: a sampled row walks its benchmark once
+// and keeps nothing from one position to the next, so the heap it
+// holds does not grow with the budget. It runs compress's row alone at
+// one position per million instructions over 2M and over 8M, under a
+// GC that runs whenever the heap grows by a tenth, and compares the
+// largest live heap each run leaves after a GC; a row that kept a
+// checkpoint per position held about 6 MB more per position.
+func TestSampledRowMemoryFlat(t *testing.T) {
+	if testing.Short() {
+		t.Skip("walks compress over 10M instructions")
+	}
+	spec := core.SampleSpec{Period: 1_000_000, Warmup: 10_000, Window: 10_000}
+	defer debug.SetGCPercent(debug.SetGCPercent(10))
+	peak := func(insts uint64) uint64 {
+		runtime.GC()
+		sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		var max uint64
+		read := func() {
+			metrics.Read(sample)
+			if v := sample[0].Value.Uint64(); v > max {
+				max = v
+			}
+		}
+		done := make(chan struct{})
+		stopped := make(chan struct{})
+		go func() {
+			defer close(stopped)
+			tick := time.NewTicker(time.Millisecond)
+			defer tick.Stop()
+			for {
+				select {
+				case <-done:
+					return
+				case <-tick.C:
+					read()
+				}
+			}
+		}()
+		_, err := Figure5Sampled(Options{Insts: insts, Benchmarks: []string{"cmp"}, Parallelism: 1}, spec)
+		close(done)
+		<-stopped
+		if err != nil {
+			t.Fatal(err)
+		}
+		return max
+	}
+	short, long := peak(2_000_000), peak(8_000_000)
+	t.Logf("largest live heap: %.1f MB over 2M insts, %.1f MB over 8M", float64(short)/(1<<20), float64(long)/(1<<20))
+	if long > short+(4<<20) {
+		t.Errorf("the row's live heap grew %.1f MB from 2M to 8M insts; a row should hold one position at any budget",
+			float64(long-short)/(1<<20))
 	}
 }

@@ -1,24 +1,23 @@
 package mem
 
-// Clone forks the physical memory copy-on-write: the clone references
-// the same frame arrays, and both sides mark every frame shared so
-// the first write to a frame — from either side — privatizes it
-// (wframe). Writes through either copy are therefore invisible to the
-// other, at a fork cost proportional to the frame count rather than
-// the byte count. Physical addresses are preserved exactly (same
-// frame numbers, same bump pointer), which is what lets page tables —
-// whose entries name physical frames — be shared by value between a
-// machine and its clone.
+// CloneInto forks the physical memory copy-on-write: the clone
+// references the same frame arrays, and both sides mark every frame
+// shared so the first write to a frame — from either side —
+// privatizes it (wframe). Writes through either copy are therefore
+// invisible to the other, at a fork cost proportional to the frame
+// count rather than the byte count. Physical addresses are preserved
+// exactly (same frame numbers, same bump pointer), which is what lets
+// page tables — whose entries name physical frames — be shared by
+// value between a machine and its clone.
 //
-// Clone mutates the receiver's sharing state (never its contents):
-// raw frame pointers obtained from Frame before the clone must be
-// re-fetched before writing through them.
-func (p *Physical) Clone() *Physical { return p.CloneInto(nil) }
-
-// CloneInto is Clone into dst, when it is non-nil: a memory no one
-// uses any more. Its maps are reused, and the frames it owned (wrote
-// or created, never shared) are kept for the frames it makes later,
-// so a recycled memory allocates none.
+// The clone is made in dst when it is non-nil: a memory no one uses
+// any more. Its maps are reused, and the frames it owned (wrote or
+// created, never shared) are kept for the frames it makes later, so a
+// recycled memory allocates none.
+//
+// CloneInto mutates the receiver's sharing state (never its
+// contents): raw frame pointers obtained from Frame before the clone
+// must be re-fetched before writing through them.
 func (p *Physical) CloneInto(dst *Physical) *Physical {
 	if dst == nil {
 		dst = &Physical{frames: make(map[uint64]*[FrameSize]byte, len(p.frames))}

@@ -7,7 +7,7 @@ func TestPhysicalCloneIndependence(t *testing.T) {
 	base := p.AllocFrame() * FrameSize
 	p.WriteU64(base, 0xdeadbeef)
 
-	c := p.Clone()
+	c := p.CloneInto(nil)
 	if got := c.ReadU64(base); got != 0xdeadbeef {
 		t.Fatalf("clone read %#x, want 0xdeadbeef", got)
 	}
@@ -32,7 +32,7 @@ func TestPhysicalCloneSameFrameNumbers(t *testing.T) {
 	// out the same frame numbers the original would.
 	p := NewPhysical()
 	p.AllocFrames(3)
-	c := p.Clone()
+	c := p.CloneInto(nil)
 	if pf, cf := p.AllocFrame(), c.AllocFrame(); pf != cf {
 		t.Fatalf("post-clone allocations diverge: %d != %d", pf, cf)
 	}
@@ -48,7 +48,7 @@ func TestPhysicalCloneIntoRecyclesFrames(t *testing.T) {
 	p.WriteU64(a, 1)
 	p.WriteU64(b, 2)
 
-	spare := p.Clone()
+	spare := p.CloneInto(nil)
 	spare.WriteU64(a, 10) // copies a: spare owns it
 	fresh := spare.AllocFrame() * FrameSize
 	spare.WriteU64(fresh+8, 30) // creates a frame spare owns

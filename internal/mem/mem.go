@@ -17,7 +17,7 @@ const (
 	frameMask  = FrameSize - 1
 )
 
-// Physical is a sparse physical address space. Clone produces
+// Physical is a sparse physical address space. CloneInto produces
 // copy-on-write forks, and Borrow shares another memory's frame
 // copy-on-write: a shared frame is copied on the first write from a
 // clone or a borrower, so a machine that neither clones nor borrows
@@ -25,7 +25,7 @@ const (
 type Physical struct {
 	frames   map[uint64]*[FrameSize]byte
 	cowing   bool            // any frame not yet privatized may be aliased by a clone or a lender
-	priv     map[uint64]bool // frames privatized (or created) since the last Clone or the first Borrow
+	priv     map[uint64]bool // frames privatized (or created) since the last CloneInto or the first Borrow
 	first    uint64          // the frame the allocator handed out first
 	nextFree uint64          // bump pointer for frame allocation, in frame numbers
 	// free holds frames a recycled memory owned before CloneInto
@@ -75,7 +75,7 @@ func (p *Physical) NextFree() uint64 { return p.nextFree }
 // execution tier caches these pointers so its hot loop can read and
 // write page bytes without a map lookup per access. The returned
 // array is writable: a frame still aliased with a clone or a lender
-// is privatized first. Pointers cached across a Clone of this
+// is privatized first. Pointers cached across a CloneInto of this
 // Physical are stale for writing; re-fetch them.
 func (p *Physical) Frame(pa uint64) *[FrameSize]byte { return p.wframe(pa) }
 

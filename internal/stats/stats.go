@@ -324,6 +324,16 @@ func (s *Set) Hist(name string) (*Histogram, bool) {
 	return h, ok
 }
 
+// Lookup reports the value of the named counter and whether the set
+// has it, without creating it.
+func (s *Set) Lookup(name string) (uint64, bool) {
+	c, ok := s.counters[name]
+	if !ok {
+		return 0, false
+	}
+	return c.Value, true
+}
+
 // Get reports the value of a counter, or zero if it was never touched.
 func (s *Set) Get(name string) uint64 {
 	if c, ok := s.counters[name]; ok {

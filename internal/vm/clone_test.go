@@ -53,7 +53,7 @@ func TestAddressSpaceCloneInto(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		cphys := phys.Clone()
+		cphys := phys.CloneInto(nil)
 		c := as.CloneInto(cphys)
 		if c.Phys() != cphys {
 			t.Fatal("clone not bound to the cloned physical memory")

@@ -11,7 +11,7 @@ import (
 // copySpace returns a copy of space over a copy-on-write clone of its
 // memory, free to diverge from it.
 func copySpace(space *vm.AddressSpace) *vm.AddressSpace {
-	return space.CloneInto(space.Phys().Clone())
+	return space.CloneInto(space.Phys().CloneInto(nil))
 }
 
 // TestEqualContentMatchesContentHash: EqualContent holds exactly when
